@@ -2,9 +2,9 @@
 
 Measures the three performance layers this repo's engine stacks:
 
-1. **Scheduler throughput** — simulator instructions/second of the
-   event-heap GTO scheduler, alongside the retained linear-scan
-   reference so the rewrite's speedup is tracked release over release.
+1. **Scheduler throughput** — simulator instructions/second of
+   ``SmSimulator``'s fast path, alongside the linear-scan reference
+   oracle so its speedup is tracked release over release.
 2. **Trace cache** — hit rate over a fig12-style (benchmark ×
    mechanism) grid, where four mechanisms share each synthesis.
 3. **Process fan-out** — wall-clock of ``run_fig12`` at ``jobs=1``

@@ -1,14 +1,15 @@
 """Bench: columnar simulator throughput → ``BENCH_sim.json``.
 
-Measures the columnar data plane (and its C executor, when a toolchain
-is present) against the pinned scalar pipeline over the Figure 12
-profile set, one cell per (benchmark × timing model):
+Measures the simulator's fast path (the generated C kernel when a
+toolchain is present, else the pure-Python columnar loop) against the
+scalar oracle, ``reference_simulate``, over the Figure 12 profile set,
+one cell per (benchmark × timing model):
 
-1. **Equivalence gate.**  Every cell first simulates cold under both
-   engines and asserts identical cycles and :class:`SimStats` — the
-   speedup of a wrong simulator is meaningless, so timing only starts
-   after the digests match.
-2. **Interleaved timing.**  Scalar and columnar runs alternate inside
+1. **Equivalence gate.**  Every cell first simulates cold on both the
+   fast path and the oracle and asserts identical cycles and
+   :class:`SimStats` — the speedup of a wrong simulator is
+   meaningless, so timing only starts after the digests match.
+2. **Interleaved timing.**  Oracle and fast-path runs alternate inside
    the same measurement window (min of N reps each), so slow machine
    drift cannot manufacture or hide a speedup.
 3. **Floor.**  The archived geomean speedup must clear ``3.0×`` when
@@ -92,10 +93,10 @@ WARPS, INSTRUCTIONS = (8, 600) if FAST else (16, 2000)
 #: container's scheduling noise to gate percent-level floors.
 REPS = 3
 
-#: Geomean speedup the columnar engine must clear over the scalar
-#: pipeline.  The native C executor has an order of magnitude of
-#: headroom over this; the pure-Python loop (no toolchain) must only
-#: never be slower.
+#: Geomean speedup the fast path must clear over the scalar oracle
+#: (``reference_simulate``).  The native C executor has an order of
+#: magnitude of headroom over this; the pure-Python loop (no
+#: toolchain) must only never be slower.
 FLOOR = 3.0
 
 #: Native trace-records/s of the interpreted one-size-fits-all C
@@ -186,7 +187,6 @@ def _batched_native(traces):
             for mechanism in MODELS:
                 sim = SmSimulator(model=model_factory(mechanism))
                 plan = sim._fast_plan(trace)
-                assert plan is not None, (trace.name, mechanism)
                 records += plan.total_instructions
                 requests.append((sim, plan, SimStats(), None, 1, 0))
         return requests, records

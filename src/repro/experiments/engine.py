@@ -29,7 +29,7 @@ stays **byte-identical** to the serial run:
   export one track per job.
 * **Batched native dispatch.**  The serial path prepares jobs in
   groups (``--batch`` / ``REPRO_SIM_BATCH``, default 8) and ships
-  every plan-bearing job of a group through *one*
+  every job of a group through *one*
   :func:`~repro.sim.native.run_native_batch` FFI crossing — grouped
   by codegen cell, fanned over threads when the kernel was compiled
   with OpenMP/pthread support.  Telemetry publication still happens
@@ -354,7 +354,7 @@ class _BatchEntry:
     index: int
     simulator: SmSimulator
     trace: KernelTrace
-    plan: object  # IssuePlan, or None → scalar pipeline
+    plan: object  # IssuePlan
     stats: SimStats
     events: Optional[list]
     every: int
@@ -366,21 +366,12 @@ class _BatchEntry:
 def _finish_batch_entry(entry: _BatchEntry, run_columnar) -> None:
     """Complete one prepared job (caller wraps this in its span).
 
-    Plan-less entries run the scalar pipeline (which publishes its
-    telemetry live, exactly like an unbatched run); native-refused
-    entries run the Python issue loop.  Either way the fast path's
-    end-of-run publication happens here — inside the job span — so
-    the logical clock and registry sequence match the unbatched
-    serial path event for event.
+    Native-refused entries run the Python issue loop.  The end-of-run
+    telemetry publication happens here — inside the job span — so the
+    logical clock and registry sequence match the unbatched serial
+    path event for event.
     """
     simulator = entry.simulator
-    if entry.plan is None:
-        started = time.perf_counter()
-        result = simulator._run_scalar(entry.trace)
-        entry.phases["sim"] = time.perf_counter() - started
-        entry.cycles = result.cycles
-        entry.stats = result.stats
-        return
     if entry.cycles is None:
         started = time.perf_counter()
         entry.cycles = run_columnar(
@@ -414,12 +405,12 @@ def _run_serial_batched(
 
     Jobs are prepared *batch* at a time — trace (one deduped cache
     pass per group), simulator, issue plan, telemetry decisions — and
-    every plan-bearing job in the group crosses the FFI in a single
+    every job in the group crosses the FFI in a single
     :func:`~repro.sim.native.run_native_batch` call (grouped by
     codegen cell, optionally threaded).  Completion then proceeds in
     submission order: each job's telemetry publication (and any
-    scalar/columnar fallback execution) happens inside its own
-    ``job:`` span, so ``--metrics``/``--trace`` exports are
+    Python-loop fallback execution) happens inside its own ``job:``
+    span, so ``--metrics``/``--trace`` exports are
     byte-identical to the unbatched serial path at any batch width.
     The batched FFI call's wall time is attributed across its jobs
     proportionally to instruction count for the live plane's phase
@@ -446,18 +437,8 @@ def _run_serial_batched(
             phases: Dict[str, float] = {"trace_expand": trace_seconds}
             started = time.perf_counter()
             simulator = SmSimulator(config, model_factory(job.mechanism))
-            plan = None
-            if simulator.engine == "columnar":
-                plan = simulator._fast_plan(trace)
-                if plan is not None and not plan.runs:
-                    # Empty trace: the scalar pipeline raises the
-                    # same SimulationError run() would.
-                    plan = None
-            stats = SimStats()
-            if plan is not None:
-                _, events, every, phase = simulator._fast_telemetry(trace)
-            else:
-                events, every, phase = None, 1, 0
+            plan = simulator._fast_plan(trace)
+            _, events, every, phase = simulator._fast_telemetry(trace)
             phases["compile"] = time.perf_counter() - started
             entries.append(
                 _BatchEntry(
@@ -467,34 +448,28 @@ def _run_serial_batched(
                     simulator=simulator,
                     trace=trace,
                     plan=plan,
-                    stats=stats,
+                    stats=SimStats(),
                     events=events,
                     every=every,
                     phase=phase,
                     phases=phases,
                 )
             )
-        native_entries = [e for e in entries if e.plan is not None]
-        if native_entries:
-            started = time.perf_counter()
-            cycles_list = run_native_batch(
-                [
-                    (e.simulator, e.plan, e.stats, e.events, e.every, e.phase)
-                    for e in native_entries
-                ]
-            )
-            native_seconds = time.perf_counter() - started
-            weight = sum(
-                e.plan.total_instructions for e in native_entries
-            ) or 1
-            for entry, cycles in zip(native_entries, cycles_list):
-                entry.cycles = cycles
-                if cycles is not None:
-                    entry.phases["sim"] = (
-                        native_seconds
-                        * entry.plan.total_instructions
-                        / weight
-                    )
+        started = time.perf_counter()
+        cycles_list = run_native_batch(
+            [
+                (e.simulator, e.plan, e.stats, e.events, e.every, e.phase)
+                for e in entries
+            ]
+        )
+        native_seconds = time.perf_counter() - started
+        weight = sum(e.plan.total_instructions for e in entries) or 1
+        for entry, cycles in zip(entries, cycles_list):
+            entry.cycles = cycles
+            if cycles is not None:
+                entry.phases["sim"] = (
+                    native_seconds * entry.plan.total_instructions / weight
+                )
         for entry in entries:
             if telemetry_wanted:
                 with _job_span(entry.job, entry.index):

@@ -1,11 +1,6 @@
 """Trace-driven GPU timing simulator (MacSim substitute)."""
 
-from .cache import (
-    ArrayLruCache,
-    CacheStats,
-    SetAssociativeCache,
-    cache_for_engine,
-)
+from .cache import ArrayLruCache, CacheStats, SetAssociativeCache
 from .columnar import (
     ColumnarTrace,
     IssuePlan,
@@ -14,19 +9,11 @@ from .columnar import (
     expanded_columnar,
     plan_for,
 )
-from .core import (
-    SimResult,
-    SimStats,
-    SmSimulator,
-    expanded_streams,
-    resolve_sim_engine,
-    simulate,
-)
+from .core import SimResult, SimStats, SmSimulator, simulate
 from .codegen import CODEGEN_STATS, CellSpec, load_cell, resolve_threads
 from .dram import DramModel, DramStats
 from .native import (
     NATIVE_DIAG,
-    NATIVE_ENV,
     fallback_counts,
     native_available,
     run_native,
@@ -50,7 +37,6 @@ __all__ = [
     "ArrayLruCache",
     "CacheStats",
     "SetAssociativeCache",
-    "cache_for_engine",
     "ColumnarTrace",
     "IssuePlan",
     "columnar_of",
@@ -60,8 +46,6 @@ __all__ = [
     "SimResult",
     "SimStats",
     "SmSimulator",
-    "expanded_streams",
-    "resolve_sim_engine",
     "simulate",
     "ReferenceSmSimulator",
     "reference_simulate",
@@ -72,7 +56,6 @@ __all__ = [
     "DramModel",
     "DramStats",
     "NATIVE_DIAG",
-    "NATIVE_ENV",
     "fallback_counts",
     "native_available",
     "run_native",

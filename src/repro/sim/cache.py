@@ -3,18 +3,14 @@
 Two implementations share one contract (identical hit/miss and
 eviction sequences for any address stream):
 
-* :class:`SetAssociativeCache` — the historical per-set
-  ``OrderedDict`` model, used by the scalar pipeline and the locked
-  reference scheduler.
-* :class:`ArrayLruCache` — the array-backed model of the columnar
-  engine: every set is a dense, pre-allocated recency row (index 0 =
-  LRU, last = MRU), so lookups, promotions and evictions are C-level
-  list primitives and a whole coalesced-transaction run can be served
-  through one :meth:`~ArrayLruCache.access_run` call.  The columnar
-  simulator additionally inlines the row manipulation directly into
-  its issue loop (see :mod:`repro.sim.columnar`) against the very same
-  ``rows`` state, so method-path and inline-path accesses interleave
-  coherently.
+* :class:`SetAssociativeCache` — the per-set ``OrderedDict`` model of
+  the oracle, :mod:`repro.sim.reference`, which owns one per L1, L2
+  and GPUShield RCache.
+* :class:`ArrayLruCache` — the state of the fast path: every set is a
+  dense recency row (first key = LRU, last = MRU).  The pure-Python
+  issue loop (:mod:`repro.sim.columnar`) manipulates the rows inline,
+  and the generated C kernels (:mod:`repro.sim.native`) mutate a dense
+  tag array exported from and committed back to the same cache.
 """
 
 from __future__ import annotations
@@ -128,7 +124,7 @@ class SetAssociativeCache:
 
 
 class ArrayLruCache:
-    """Array-backed set-associative LRU cache (columnar engine).
+    """Array-backed set-associative LRU cache (the fast path's state).
 
     State is one dense array of per-set *recency rows*: each row is an
     insertion-ordered tag map (first key = LRU victim, last key = MRU),
@@ -136,15 +132,13 @@ class ArrayLruCache:
     delete-reinsert operations — no per-access allocation and, unlike
     an O(ways) positional scan, no penalty for the 24-way L2.  The
     hit/miss and eviction sequence is identical to
-    :class:`SetAssociativeCache` for any address stream (locked by the
-    cache-equivalence tests), which is what lets the columnar and
-    scalar pipelines share warm-cache semantics.
+    :class:`SetAssociativeCache` for any address stream, which the
+    equivalence suite locks against the oracle over warm runs.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
-        self._line_bits = log2_exact(config.line_bytes)
         self._num_sets = config.num_sets
         self._ways = config.ways
         # Recency state lives in (up to) two coherent representations:
@@ -229,83 +223,3 @@ class ArrayLruCache:
             self._stale = touched
         else:
             np.bitwise_or(self._stale, touched, out=self._stale)
-
-    def access(self, address: int) -> bool:
-        """Look up *address*; fill on miss.  Returns hit?"""
-        line = address >> self._line_bits
-        set_index = line % self._num_sets
-        tag = line // self._num_sets
-        row = self.rows[set_index]
-        stats = self.stats
-        # Rows store ``None`` for every resident tag, so one ``pop``
-        # both answers residency (``None`` vs the ``0`` default) and
-        # unlinks the entry; reinserting makes it MRU (insertion order
-        # equals recency order).
-        if row.pop(tag, 0) is None:
-            row[tag] = None
-            stats.hits += 1
-            return True
-        stats.misses += 1
-        row[tag] = None
-        if len(row) > self._ways:
-            del row[next(iter(row))]
-        return False
-
-    def access_run(self, addresses) -> List[bool]:
-        """Serve one coalesced-transaction run in a single call.
-
-        Equivalent to ``[self.access(a) for a in addresses]`` with the
-        per-call overhead paid once; per-address order (and therefore
-        LRU state) is preserved exactly.
-        """
-        line_bits = self._line_bits
-        num_sets = self._num_sets
-        ways = self._ways
-        rows = self.rows
-        hits = 0
-        out: List[bool] = []
-        append = out.append
-        for address in addresses:
-            line = address >> line_bits
-            tag = line // num_sets
-            row = rows[line % num_sets]
-            if row.pop(tag, 0) is None:
-                row[tag] = None
-                hits += 1
-                append(True)
-            else:
-                row[tag] = None
-                if len(row) > ways:
-                    del row[next(iter(row))]
-                append(False)
-        stats = self.stats
-        stats.hits += hits
-        stats.misses += len(out) - hits
-        return out
-
-    def probe(self, address: int) -> bool:
-        """Non-allocating lookup (no fill, no stats)."""
-        line = address >> self._line_bits
-        return line // self._num_sets in self.rows[line % self._num_sets]
-
-    def flush(self) -> None:
-        """Drop all contents (stats survive)."""
-        self._tags = None
-        self._stale = None
-        if self._rows is not None:
-            for row in self._rows:
-                row.clear()
-
-    @property
-    def hit_latency(self) -> int:
-        """Configured hit latency in cycles."""
-        return self.config.hit_latency
-
-
-def cache_for_engine(
-    engine: str, config: CacheConfig, name: str = "cache"
-):
-    """Cache instance matching a simulation engine's data plane."""
-    if engine == "columnar":
-        return ArrayLruCache(config, name)
-    return SetAssociativeCache(config, name)

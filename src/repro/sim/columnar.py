@@ -1,7 +1,7 @@
-"""Columnar trace substrate and vectorized data plane for the timing
-simulator.
+"""Columnar trace substrate and the fast path's issue plans and
+pure-Python issue loop.
 
-The scalar pipeline walks Python lists of frozen
+The oracle (:mod:`repro.sim.reference`) walks Python lists of frozen
 :class:`~repro.sim.trace.TraceInstruction` dataclasses — one attribute
 lookup per field per dynamic instruction.  This module rebuilds that
 data plane as structure-of-arrays:
@@ -27,16 +27,17 @@ data plane as structure-of-arrays:
   of trace content alone, so they are computed once, vectorized, and
   the hot loop touches packed Python lists of ints instead of
   dataclass attributes.
-* :func:`run_columnar` — the columnar issue loop.  Only genuinely
-  stateful work remains serial: L1/L2/DRAM interactions of
-  global/local memory transactions (inlined against
-  :class:`~repro.sim.cache.ArrayLruCache` rows) and GPUShield RCache
-  probes.  Everything else — entire ALU/shared runs — collapses to
-  O(1) per run.
+* :func:`run_columnar` — the pure-Python issue loop, which executes a
+  plan when the generated C kernel of :mod:`repro.sim.native` is
+  unavailable (no C toolchain).  Only genuinely stateful work remains
+  serial: L1/L2/DRAM interactions of global/local memory transactions
+  (inlined against :class:`~repro.sim.cache.ArrayLruCache` rows) and
+  GPUShield RCache probes.  Everything else — entire ALU/shared runs —
+  collapses to O(1) per run.
 
-Cycle-for-cycle and stat-for-stat equivalence with the scalar pipeline
-(and the linear-scan ground truth in :mod:`repro.sim.reference`) is
-locked by ``tests/test_sim_columnar_equivalence.py``.
+Cycle-for-cycle and stat-for-stat equivalence of both plan executors
+with the linear-scan oracle in :mod:`repro.sim.reference` is locked by
+``tests/test_sim_columnar_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -463,8 +464,8 @@ def decode_issue_plan(
     latencies = columnar.base_latencies()
     final_extra = None
     if family == "lmi":
-        # The OCU penalty rides on *every* checked instruction (the
-        # scalar model adds it regardless of op class).  Fixed-latency
+        # The OCU penalty rides on *every* checked instruction
+        # (LmiTiming.extra_latency adds it regardless of op class).  Fixed-latency
         # records absorb it here; checked records on the stateful
         # L1-path carry it through the sign-encoded ``comp_delta``.
         ocu = int(plan_key[1])
@@ -622,7 +623,8 @@ def plan_for(
     """The memoized issue plan for *model* on *trace* under *config*.
 
     Returns ``None`` for models without a columnar lowering (user
-    subclasses); the simulator then takes the scalar pipeline.  The
+    subclasses overriding a decode-relevant hook), which
+    :class:`~repro.sim.core.SmSimulator` refuses at construction.  The
     memo key covers the model family, its timing parameters and the
     config's cache/DRAM geometry, so distinct configs sharing one
     cached trace decode distinct plans.
@@ -669,8 +671,8 @@ def run_columnar(
     finish cycle.  Requires the simulator's L1/L2 (and, for GPUShield,
     the model's RCache) to be :class:`~repro.sim.cache.ArrayLruCache`
     instances — their dense rows are manipulated inline;
-    :class:`~repro.sim.core.SmSimulator` guarantees that under the
-    columnar engine.
+    :class:`~repro.sim.core.SmSimulator` and
+    :class:`~repro.sim.timing.GPUShieldTiming` build them that way.
 
     When *events* is a list, the loop appends one ``(issue_cycle,
     warp, run_length)`` tuple per *sampled* issue run: the *k*-th run
@@ -690,7 +692,7 @@ def run_columnar(
     cycle to the bitmask of warps waking then, with a min-heap over
     the distinct bucket cycles.  Waking ORs a whole bucket into the
     ready mask at once (simultaneous wakes are one event, and warp
-    order within the mask preserves the scalar heap's oldest-first
+    order within the mask preserves the oracle's oldest-first
     tie-break), so wake handling is O(parks), independent of elapsed
     simulated cycles.  Each iteration issues one whole run:
     fixed-latency runs collapse to O(1); runs touching global/local
@@ -812,7 +814,7 @@ def run_columnar(
             # cycles.  Only the run-final record's latency is consumed
             # (earlier completions are overwritten by later issues);
             # mid-run records still mutate cache/DRAM state and the
-            # hit/miss counters, exactly as the scalar pipeline does.
+            # hit/miss counters, exactly as the oracle does.
             rel_w = mem_rel_all[w]
             geom_w = mem_geom_all[w]
             if gpushield:
@@ -978,8 +980,8 @@ def run_columnar(
                 else:
                     buckets[complete] = prev | current_bit
         # Otherwise the warp stays ready (and current): the dependent
-        # result completes within the issue cycle, matching the scalar
-        # pipeline's `complete > clock` park condition.
+        # result completes within the issue cycle, matching the
+        # oracle's ``earliest_issue <= clock`` readiness test.
 
     stats.instructions = plan.total_instructions
     stats.issue_stall_cycles = stall_cycles

@@ -1,6 +1,6 @@
 """Native executor for columnar issue plans, built on per-cell codegen.
 
-The columnar engine's pure-Python issue loop (:func:`repro.sim.
+The fast path's pure-Python issue loop (:func:`repro.sim.
 columnar.run_columnar`) bottoms out at CPython bytecode dispatch;
 this module removes that floor when a C toolchain is present.  The
 issue plan's per-warp run descriptors, memory-record tables and
@@ -26,18 +26,19 @@ Design constraints:
   stay authoritative between native runs (committed via
   :meth:`~repro.sim.cache.ArrayLruCache.native_commit`); dict rows
   are rebuilt lazily — and only for touched sets — when Python next
-  reads them.  Warm-cache reruns and engine interleaving therefore
+  reads them.  Warm-cache reruns and executor interleaving therefore
   behave identically to the Python loop.
 * **Batching.**  :func:`run_native_batch` ships N independent traces
   through **one** FFI crossing per cell group — and, when the cell
   was compiled with OpenMP or pthreads, fans the group out across
   cores (``REPRO_SIM_NATIVE_THREADS``).
-* **Observable refusal.**  Every fallback to the Python loop is
-  counted in :data:`NATIVE_DIAG` (``sim.native_fallback{reason=…}``)
-  and logged once per reason per process.  The diagnostics registry
+* **Observable refusal.**  Every fallback to the Python loop (no
+  toolchain, compile failure, kernel error) is counted in
+  :data:`NATIVE_DIAG` (``sim.native_fallback{reason=…}``) and logged
+  once per reason per process.  The diagnostics registry
   is deliberately separate from the main telemetry registry: exported
-  ``--metrics`` snapshots must stay byte-identical across engines,
-  batch sizes and ``--jobs`` values, so engine-selection diagnostics
+  ``--metrics`` snapshots must stay byte-identical across executors,
+  batch sizes and ``--jobs`` values, so executor-selection diagnostics
   cannot ride in them.
 
 The generated scheduler mirrors the Python loop's semantics exactly:
@@ -51,7 +52,6 @@ instruction — locked cell by cell against :mod:`repro.sim.reference`.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,7 +71,6 @@ from .codegen import (
 from .timing import TRANSACTION_CYCLES
 
 __all__ = [
-    "NATIVE_ENV",
     "NATIVE_DIAG",
     "NativePlan",
     "cell_spec_for",
@@ -85,11 +84,7 @@ __all__ = [
 
 log = logging.getLogger("repro.sim.native")
 
-#: Set to ``0``/``false`` to disable the native executor (the columnar
-#: engine then always runs the pure-Python issue loop).
-NATIVE_ENV = "REPRO_SIM_NATIVE"
-
-#: Diagnostics registry for engine-selection observability
+#: Diagnostics registry for executor-selection observability
 #: (``sim.native_fallback{reason=…}`` counters).  Separate from the
 #: exported telemetry registry on purpose — see the module docstring.
 NATIVE_DIAG = MetricsRegistry()
@@ -98,12 +93,8 @@ NATIVE_DIAG = MetricsRegistry()
 _FALLBACK_LOGGED: set = set()
 
 _FALLBACK_DETAIL = {
-    "disabled": "REPRO_SIM_NATIVE=0 pins the Python issue loop",
     "no-toolchain": "no C compiler (cc/gcc/clang) on PATH",
     "compile-failed": "the generated cell failed to compile",
-    "custom-model": "timing model declares no columnar lowering",
-    "warm-rcache": "warm scalar RCache state keeps the scalar path",
-    "cache-model": "simulator caches are not array-backed",
     "kernel-error": "generated kernel refused (allocation failure)",
 }
 
@@ -129,10 +120,6 @@ def fallback_counts() -> Dict[str, int]:
         reason = dict(instrument.labels).get("reason", "?")
         counts[reason] = counts.get(reason, 0) + int(instrument.value)
     return counts
-
-
-def _disabled() -> bool:
-    return os.environ.get(NATIVE_ENV, "").lower() in ("0", "false", "no")
 
 
 def cell_spec_for(simulator, plan) -> CellSpec:
@@ -167,8 +154,6 @@ def native_available() -> bool:
     answer means an actual kernel is resident — not merely that a
     compiler binary exists.
     """
-    if _disabled():
-        return False
     from ..common.config import DEFAULT_GPU_CONFIG
     from .dram import DramModel
 
@@ -472,33 +457,17 @@ def run_native(
 ) -> Optional[int]:
     """Run *plan* through its generated kernel; ``None`` → Python loop.
 
-    Mutates *stats* and the simulator's cache/DRAM state exactly like
-    :func:`repro.sim.columnar.run_columnar` only when it commits to
-    running (all refusal checks — and the wide variant's scratch
-    allocation — happen before any state is touched).  Every refusal
-    is recorded via :func:`note_fallback`.
-
-    When *events* is a list, the kernel records one ``(issue_cycle,
-    warp, run_length)`` triple per sampled issue run (the same ``seq %
-    every == phase`` comb as the Python loop, applied to the same run
-    sequence), appended to *events* after the run — so the C and
-    Python fast paths produce byte-identical event lists.
+    A batch of one: see :func:`run_native_batch`.  *stats* and the
+    simulator's cache/DRAM state are mutated exactly like
+    :func:`repro.sim.columnar.run_columnar` mutates them, and only when
+    the kernel runs.  When *events* is a list, it receives one
+    ``(issue_cycle, warp, run_length)`` triple per sampled issue run
+    (the same ``seq % every == phase`` comb as the Python loop), so the
+    C and Python fast paths produce byte-identical event lists.
     """
-    if _disabled():
-        note_fallback("disabled")
-        return None
-    cell = load_cell(cell_spec_for(simulator, plan))
-    if not isinstance(cell, CompiledCell):
-        note_fallback(cell)
-        return None
-    prep = _prepare(
-        simulator, plan, stats, events, sample_every, sample_phase
-    )
-    _invoke(cell, (prep,), 1)
-    if prep.out[13]:
-        note_fallback("kernel-error")
-        return None
-    return _commit(prep)
+    return run_native_batch(
+        [(simulator, plan, stats, events, sample_every, sample_phase)]
+    )[0]
 
 
 def run_native_batch(
@@ -516,17 +485,15 @@ def run_native_batch(
     mutate exported cache state concurrently.
 
     Returns one finish-cycle (or ``None`` for any trace whose cell is
-    unavailable — the caller runs those through the Python loop; the
-    refusal is recorded via :func:`note_fallback` either way).
+    unavailable or whose kernel refused — the caller runs those
+    through the Python loop; the refusal is recorded via
+    :func:`note_fallback`).  All refusal checks — and the wide
+    variant's scratch allocation — happen before any state is touched.
     Per-trace results, state mutations and event lists are identical
     to ``[run_native(*r) for r in requests]``.
     """
     results: List[Optional[int]] = [None] * len(requests)
     if not requests:
-        return results
-    if _disabled():
-        for _ in requests:
-            note_fallback("disabled")
         return results
     groups: Dict[CellSpec, List[int]] = {}
     for index, request in enumerate(requests):

@@ -23,7 +23,12 @@ from .cache import SetAssociativeCache
 from .core import _ALU_LATENCY, _SHARED_LATENCY, _TRANSACTION_CYCLES
 from .core import SimResult, SimStats
 from .dram import DramModel
-from .timing import BaselineTiming, TimingModel, expand_stream
+from .timing import (
+    BaselineTiming,
+    GPUShieldTiming,
+    TimingModel,
+    expand_stream,
+)
 from .trace import KernelTrace, TraceInstruction
 from .trace import OpClass
 
@@ -58,6 +63,12 @@ class ReferenceSmSimulator:
         self.model = model if model is not None else BaselineTiming()
         self.l1 = SetAssociativeCache(config.l1, "l1")
         self.l2 = SetAssociativeCache(config.l2, "l2")
+        if isinstance(self.model, GPUShieldTiming):
+            # The oracle keeps its own scalar RCache, independent of
+            # the fast path's array-backed one.
+            self.model.rcache = SetAssociativeCache(
+                self.model.rcache.config, "rcache"
+            )
         self.dram = DramModel(config)
         self.model.bind(self)
 

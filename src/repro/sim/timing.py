@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ..common.config import CacheConfig
-from .cache import ArrayLruCache, SetAssociativeCache
+from .cache import ArrayLruCache
 from .trace import OpClass, TraceInstruction
 
 #: Injected SASS instructions per software baggy-bounds check
@@ -86,8 +86,8 @@ class TimingModel:
         and :meth:`extra_latency` — attribute-only subclasses (renames,
         extra bookkeeping, custom ``bind`` state) therefore keep the
         fast path, including the generated native kernels.  Overriding
-        any of the three makes the model opaque to the lowering and
-        routes it to the scalar pipeline.
+        any of the three makes the model opaque to the lowering, so only
+        the oracle (:mod:`repro.sim.reference`) can simulate it.
         """
         cls = type(self)
         return (
@@ -104,12 +104,14 @@ class TimingModel:
         depends only on the model family and its timing parameters —
         never on simulator state.  Two instances with equal keys decode
         to identical plans, so the per-trace memo may share one.
-        ``None`` declares the model opaque to the vectorized lowering;
-        the simulator then falls back to the scalar pipeline for it.
+        ``None`` declares the model opaque to the lowering:
+        :class:`~repro.sim.core.SmSimulator` refuses it with a
+        :class:`~repro.common.errors.SimulationError`, and only
+        :func:`~repro.sim.reference.reference_simulate` runs it.
         Subclasses that override none of the decode-relevant hooks
         (:meth:`expand`, :meth:`expansion_key`, :meth:`extra_latency`)
         inherit their family's key — and with it the columnar and
-        generated-native fast paths.
+        generated-native fast path.
         """
         if self._overrides_timing_hooks(TimingModel):
             return None
@@ -163,8 +165,10 @@ class GPUShieldTiming(TimingModel):
     ) -> None:
         # The RCache is deliberately much smaller than the L1 D$
         # (Table VI: ~910 B/warp); one entry holds a buffer's
-        # (base, limit) pair.
-        self.rcache = SetAssociativeCache(
+        # (base, limit) pair.  The fast path probes this array-backed
+        # RCache; the oracle (repro.sim.reference) swaps in its own
+        # SetAssociativeCache when it binds the model.
+        self.rcache = ArrayLruCache(
             CacheConfig(
                 size_bytes=rcache_bytes,
                 line_bytes=entry_bytes,
@@ -174,32 +178,9 @@ class GPUShieldTiming(TimingModel):
             name="rcache",
         )
         self.entry_bytes = entry_bytes
-        self._simulator = None
-
-    def bind(self, simulator) -> None:
-        """Receive the owning simulator; align the RCache data plane.
-
-        Under the columnar engine the issue loop inlines RCache probes
-        against :class:`ArrayLruCache` recency rows, so a still-cold
-        RCache (no accesses, no contents) is swapped to the array-backed
-        model here.  The :class:`~repro.sim.cache.CacheStats` object is
-        carried over, so external references to ``rcache.stats`` keep
-        observing the live counters.  A warm RCache is left alone — its
-        contents are simulation state — which makes the simulator fall
-        back to the scalar pipeline instead of silently flushing it.
-        """
-        self._simulator = simulator
-        if (
-            getattr(simulator, "engine", None) == "columnar"
-            and type(self.rcache) is SetAssociativeCache
-            and not self.rcache.stats.accesses
-            and not self.rcache._sets
-        ):
-            replacement = ArrayLruCache(self.rcache.config, name=self.rcache.name)
-            replacement.stats = self.rcache.stats
-            self.rcache = replacement
 
     def extra_latency(self, instr: TraceInstruction, now: int) -> int:
+        """RCache lookups of *instr* on the oracle's bound hierarchy."""
         if instr.op not in (OpClass.LDG, OpClass.STG, OpClass.LDL, OpClass.STL):
             return 0
         # One bounds lookup per distinct buffer the warp's lanes touch;
@@ -212,9 +193,6 @@ class GPUShieldTiming(TimingModel):
                 continue  # lookup overlaps the D$ access
             extra_misses += 1
             sim = self._simulator
-            if sim is None:
-                slowest = max(slowest, 200)
-                continue
             meta_line = self.METADATA_BASE + buffer_id * self.entry_bytes
             if sim.l2.access(meta_line):
                 latency = sim.config.l2.hit_latency

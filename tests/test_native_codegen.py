@@ -9,15 +9,14 @@ This suite locks the contracts the fast path depends on:
   probe-free mechanisms of one config all collapse to a single cell.
 * **Observable fallbacks** — every refusal to run natively is counted
   on :data:`repro.sim.native.NATIVE_DIAG` with a machine-readable
-  reason (``disabled``, ``no-toolchain``, ``custom-model``, …), and
+  reason (``no-toolchain``, ``compile-failed``, ``kernel-error``), and
   results stay correct either way.
 * **Race-safe disk cache** — concurrent builds of one cell into a
   shared cache directory all succeed (per-key build lock + atomic
   publish), and warm loads never re-invoke the compiler.
 * **Custom model coverage** — attribute-only :class:`TimingModel`
   subclasses ride the generated kernels (equivalence vs the locked
-  reference, warm-state round-trip, >64-warp wide-mask cells), while
-  hook-overriding subclasses fall back observably.
+  reference, warm-state round-trip, >64-warp wide-mask cells).
 * **Batched FFI** — ``run_native_batch`` is result/state/event
   identical to sequential ``run_native`` at any thread count.
 """
@@ -44,14 +43,13 @@ from repro.sim.codegen import (
     resolve_threads,
 )
 from repro.sim.native import (
-    NATIVE_ENV,
     cell_spec_for,
     fallback_counts,
     run_native,
     run_native_batch,
 )
 from repro.sim.reference import ReferenceSmSimulator
-from repro.sim.timing import LmiTiming, TimingModel
+from repro.sim.timing import LmiTiming
 from repro.sim.core import SimStats
 from repro.workloads import synthesize_trace
 
@@ -65,18 +63,8 @@ def _delta(before, after):
     }
 
 
-@pytest.fixture
-def fresh_memo():
-    """Isolate a test that repoints the cell cache or the toolchain."""
-    codegen._reset_memo()
-    yield
-    codegen._reset_memo()
-
-
 def _plan_for(simulator, trace):
-    plan = simulator._fast_plan(trace)
-    assert plan is not None, "expected the fast path"
-    return plan
+    return simulator._fast_plan(trace)
 
 
 # ----------------------------------------------------------------------
@@ -127,20 +115,6 @@ def test_latencies_fold_into_source():
 # Observable fallbacks.
 
 
-def test_disabled_fallback_is_counted(monkeypatch):
-    monkeypatch.setenv(NATIVE_ENV, "0")
-    trace = synthesize_trace("needle", warps=2, instructions_per_warp=100)
-    sim = SmSimulator(DEFAULT_GPU_CONFIG, model_factory("lmi"))
-    before = fallback_counts()
-    result = sim.run(trace)
-    grown = _delta(before, fallback_counts())
-    assert grown.get("disabled", 0) >= 1
-    want = ReferenceSmSimulator(
-        DEFAULT_GPU_CONFIG, model_factory("lmi")
-    ).run(trace)
-    assert result.cycles == want.cycles
-
-
 def test_no_toolchain_fallback_is_counted(monkeypatch, fresh_memo):
     monkeypatch.setattr(codegen, "_find_cc", lambda: None)
     trace = synthesize_trace("needle", warps=2, instructions_per_warp=100)
@@ -154,23 +128,6 @@ def test_no_toolchain_fallback_is_counted(monkeypatch, fresh_memo):
     ).run(trace)
     assert result.cycles == want.cycles
     assert result.stats == want.stats
-
-
-def test_custom_model_fallback_is_counted():
-    class OpaqueTiming(TimingModel):
-        name = "opaque"
-
-        def extra_latency(self, instr, now):
-            return 1
-
-    sim = SmSimulator(DEFAULT_GPU_CONFIG, OpaqueTiming())
-    trace = synthesize_trace("needle", warps=2, instructions_per_warp=100)
-    before = fallback_counts()
-    result = sim.run(trace)
-    grown = _delta(before, fallback_counts())
-    assert grown.get("custom-model", 0) >= 1
-    want = ReferenceSmSimulator(DEFAULT_GPU_CONFIG, OpaqueTiming()).run(trace)
-    assert result.cycles == want.cycles
 
 
 # ----------------------------------------------------------------------
@@ -268,12 +225,11 @@ def _native_or_skip():
 
 
 @pytest.mark.parametrize("warps", [5, 70], ids=["small-mask", "wide-mask"])
-def test_custom_subclass_rides_generated_kernel(warps, monkeypatch):
+def test_custom_subclass_rides_generated_kernel(warps):
     """An attribute-only subclass keeps the native path (both mask
     variants) and matches the reference cycle-for-cycle over warm
     runs."""
     _native_or_skip()
-    monkeypatch.delenv(NATIVE_ENV, raising=False)
     assert RelabeledLmi().columnar_plan_key() == ("lmi", 3)
     trace = synthesize_trace(
         "gaussian", warps=warps, instructions_per_warp=60
@@ -295,21 +251,6 @@ def test_custom_subclass_rides_generated_kernel(warps, monkeypatch):
     )
 
 
-def test_hook_override_falls_back_observably():
-    class ShiftedLmi(LmiTiming):
-        def extra_latency(self, instr, now):  # decode-relevant hook
-            return super().extra_latency(instr, now) + 1
-
-    assert ShiftedLmi().columnar_plan_key() is None
-    sim = SmSimulator(DEFAULT_GPU_CONFIG, ShiftedLmi())
-    trace = synthesize_trace("needle", warps=2, instructions_per_warp=80)
-    before = fallback_counts()
-    got = sim.run(trace)
-    assert _delta(before, fallback_counts()).get("custom-model", 0) >= 1
-    want = ReferenceSmSimulator(DEFAULT_GPU_CONFIG, ShiftedLmi()).run(trace)
-    assert got.cycles == want.cycles
-
-
 # ----------------------------------------------------------------------
 # Batched FFI entry point.
 
@@ -324,11 +265,10 @@ def _prepare_requests(mechanisms, traces):
 
 
 @pytest.mark.parametrize("threads", [None, 2])
-def test_batch_matches_sequential(threads, monkeypatch):
+def test_batch_matches_sequential(threads):
     """run_native_batch == [run_native(*r) for r in requests]: cycles,
     stats, cache state and sampled events, at any thread count."""
     _native_or_skip()
-    monkeypatch.delenv(NATIVE_ENV, raising=False)
     mechanisms = ["baseline", "lmi", "gpushield", "baggy", "lmi", "gpushield"]
     names = ["gaussian", "needle", "LSTM", "bfs", "hotspot", "lud_cuda"]
     traces = [
@@ -355,9 +295,8 @@ def test_batch_matches_sequential(threads, monkeypatch):
         assert sim_a.dram.channel_free_at == sim_b.dram.channel_free_at
 
 
-def test_batch_counts_into_codegen_stats(monkeypatch):
+def test_batch_counts_into_codegen_stats():
     _native_or_skip()
-    monkeypatch.delenv(NATIVE_ENV, raising=False)
     traces = [
         synthesize_trace("gaussian", warps=3, instructions_per_warp=80),
         synthesize_trace("needle", warps=3, instructions_per_warp=80),

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import re
 import tempfile
+import time
 import urllib.error
 import urllib.request
 
@@ -439,9 +440,17 @@ class TestRequestForensics:
 
     def test_stats_carry_per_stage_quantiles(self, daemon):
         _post(daemon.url, _body())
-        snapshot = daemon.stats_snapshot()
-        stages = snapshot["stages"]
-        for expected in ("admission", "sim", "serialize"):
+        # The daemon records stage histograms after it sends the
+        # response, so poll until they land.
+        expected_stages = ("admission", "sim", "serialize")
+        deadline = time.monotonic() + 5.0
+        while True:
+            stages = daemon.stats_snapshot()["stages"]
+            if all(name in stages for name in expected_stages):
+                break
+            assert time.monotonic() < deadline, sorted(stages)
+            time.sleep(0.01)
+        for expected in expected_stages:
             assert expected in stages
             block = stages[expected]
             assert block["count"] >= 1

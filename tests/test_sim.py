@@ -14,6 +14,7 @@ from repro.sim import (
     KernelTrace,
     LmiTiming,
     OpClass,
+    ReferenceSmSimulator,
     SetAssociativeCache,
     SmSimulator,
     TraceInstruction,
@@ -26,6 +27,12 @@ def small_cache(size=1024, ways=2, line=64):
     return SetAssociativeCache(
         CacheConfig(size_bytes=size, line_bytes=line, ways=ways, hit_latency=10)
     )
+
+
+def _oracle_bound(model):
+    """*model* bound to the oracle, whose hierarchy its hook walks."""
+    ReferenceSmSimulator(model=model)
+    return model
 
 
 class TestCache:
@@ -254,7 +261,7 @@ class TestTimingModels:
         assert len(expand_stream(model, stream)) == 18
 
     def test_gpushield_rcache_hit_is_free(self):
-        model = GPUShieldTiming()
+        model = _oracle_bound(GPUShieldTiming())
         instr = TraceInstruction(op=OpClass.LDG, lines=(0,), buffer_ids=(1,))
         first = model.extra_latency(instr, 0)  # cold miss
         second = model.extra_latency(instr, 0)  # now cached
@@ -262,12 +269,12 @@ class TestTimingModels:
         assert second == 0
 
     def test_gpushield_ignores_shared_ops(self):
-        model = GPUShieldTiming()
+        model = _oracle_bound(GPUShieldTiming())
         instr = TraceInstruction(op=OpClass.LDS, lines=(0,), buffer_ids=(1,))
         assert model.extra_latency(instr, 0) == 0
 
     def test_gpushield_thrash_with_many_buffers(self):
-        model = GPUShieldTiming()
+        model = _oracle_bound(GPUShieldTiming())
         penalties = []
         for i in range(200):
             instr = TraceInstruction(

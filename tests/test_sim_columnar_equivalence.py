@@ -1,24 +1,27 @@
-"""Columnar-engine equivalence suite.
+"""Fast-path equivalence suite.
 
-The vectorized data plane of :mod:`repro.sim.columnar` (and its
-optional C executor in :mod:`repro.sim.native`) must be cycle-for-cycle
-and stat-for-stat identical to the locked linear-scan ground truth in
-:mod:`repro.sim.reference` — not just cycles and :class:`SimStats`,
-but the L1/L2/RCache hit-miss counters and DRAM queueing state too,
-because warm-cache semantics are part of the simulator contract.
+Both executors of the simulator's fast path — the generated C kernel
+of :mod:`repro.sim.native` and the pure-Python issue loop of
+:mod:`repro.sim.columnar` — must be cycle-for-cycle and stat-for-stat
+identical to the linear-scan oracle in :mod:`repro.sim.reference` —
+not just cycles and :class:`SimStats`, but the L1/L2/RCache hit-miss
+counters and DRAM queueing state too, because warm-cache semantics are
+part of the simulator contract.
 
 Coverage:
 
 * a seeded (profile × warps × instructions) grid × all four timing
-  models × every execution path (native C, pure-Python columnar loop,
-  pinned ``REPRO_SIM=reference`` scalar engine);
-* ``REPRO_SIM`` plumbing (aliases, typo rejection, env default);
+  models × both executors (``native``; ``python``, pinned by hiding
+  every C compiler from the codegen layer);
 * warm-run parity (cache/DRAM state carried across runs);
 * edge shapes the grid cannot hit: empty warp streams, >64-warp traces
   (past the native executor's bitmask width), ``hit_latency=1``
-  geometry, custom timing models that force the scalar fallback;
+  geometry;
+* the loud refusal of timing models without an issue-plan lowering
+  (the oracle still simulates them);
 * the :class:`~repro.sim.trace.TraceMemo` bound/namespacing contract;
-* byte-identity of the experiment engine's ``.npz``-shipping fan-out.
+* registry parity with the oracle and byte-identity of the experiment
+  engine's telemetry exports and ``.npz``-shipping fan-out.
 """
 
 from __future__ import annotations
@@ -32,22 +35,21 @@ from repro.common.errors import SimulationError
 from repro.experiments import engine as engine_module
 from repro.experiments.engine import SimJob, run_sim_jobs
 from repro.sim import (
+    GpuSimulator,
     KernelTrace,
     OpClass,
     SmSimulator,
     TraceInstruction,
+    codegen,
     native_available,
     reference_simulate,
-    resolve_sim_engine,
 )
-from repro.sim.columnar import expanded_columnar
-from repro.sim.core import SIM_ENGINE_ENV, expanded_streams
-from repro.sim.native import NATIVE_ENV
+from repro.sim.columnar import ColumnarTrace, expanded_columnar
 from repro.sim.reference import ReferenceSmSimulator
-from repro.sim.timing import BaggyBoundsTiming, TimingModel
+from repro.sim.timing import BaggyBoundsTiming, LmiTiming, TimingModel
 from repro.sim.trace import TRACE_MEMO_CAPACITY, TraceMemo, trace_memo
-from repro.telemetry import EventKind, capture, chrome_trace, dumps, \
-    metrics_json
+from repro.telemetry import capture, chrome_trace, dumps, metrics_json
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.runtime import SAMPLE_ENV
 from repro.workloads import synthesize_trace
 
@@ -73,11 +75,8 @@ CORPUS = [
 
 MODELS = ("baseline", "lmi", "gpushield", "baggy")
 
-#: Execution paths under test.  ``native`` lets the C executor run
-#: (skipped when no toolchain), ``python`` pins the pure-Python
-#: columnar issue loop, ``scalar`` pins the historical event-heap
-#: pipeline via ``REPRO_SIM=reference``.
-PATHS = ("native", "python", "scalar")
+#: The two executors of an issue plan.
+PATHS = ("native", "python")
 
 
 def _combo_id(combo) -> str:
@@ -85,18 +84,18 @@ def _combo_id(combo) -> str:
     return f"{benchmark}-w{warps}-i{instructions}"
 
 
-def _pin_path(monkeypatch, path: str) -> str:
-    """Pin one execution path via the environment; returns the engine."""
-    if path == "native":
+@pytest.fixture
+def path(request, monkeypatch):
+    """Pin one executor: ``native`` runs the generated C kernel
+    (skipped without a toolchain); ``python`` hides every C compiler
+    from the codegen layer, so plans run on the pure-Python loop."""
+    if request.param == "native":
         if not native_available():
             pytest.skip("no C toolchain for the native executor")
-        monkeypatch.delenv(NATIVE_ENV, raising=False)
-        return "columnar"
-    if path == "python":
-        monkeypatch.setenv(NATIVE_ENV, "0")
-        return "columnar"
-    monkeypatch.setenv(SIM_ENGINE_ENV, "reference")
-    return "reference"
+    else:
+        request.getfixturevalue("fresh_memo")
+        monkeypatch.setattr(codegen, "_find_cc", lambda: None)
+    return request.param
 
 
 def _state(sim) -> tuple:
@@ -112,11 +111,9 @@ def _state(sim) -> tuple:
     )
 
 
-def _run_both(trace, mechanism, engine, config=DEFAULT_GPU_CONFIG, runs=1):
+def _run_both(trace, mechanism, config=DEFAULT_GPU_CONFIG, runs=1):
     """(got, want, got_state, want_state) after *runs* warm runs."""
-    sim = SmSimulator(
-        config, engine_module.model_factory(mechanism), engine=engine
-    )
+    sim = SmSimulator(config, engine_module.model_factory(mechanism))
     ref = ReferenceSmSimulator(config, engine_module.model_factory(mechanism))
     for _ in range(runs):
         got = sim.run(trace)
@@ -124,40 +121,35 @@ def _run_both(trace, mechanism, engine, config=DEFAULT_GPU_CONFIG, runs=1):
     return got, want, _state(sim), _state(ref)
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path", PATHS, indirect=True)
 @pytest.mark.parametrize("mechanism", MODELS)
 @pytest.mark.parametrize("combo", CORPUS, ids=_combo_id)
-def test_columnar_matches_reference(combo, mechanism, path, monkeypatch):
+def test_columnar_matches_reference(combo, mechanism, path):
     benchmark, warps, instructions = combo
-    engine = _pin_path(monkeypatch, path)
     trace = synthesize_trace(
         benchmark, warps=warps, instructions_per_warp=instructions
     )
-    got, want, got_state, want_state = _run_both(trace, mechanism, engine)
+    got, want, got_state, want_state = _run_both(trace, mechanism)
     assert got.cycles == want.cycles
     assert got.stats == want.stats
     assert got.name == want.name
     assert got_state == want_state
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path", PATHS, indirect=True)
 @pytest.mark.parametrize("mechanism", MODELS)
-def test_warm_run_state_parity(mechanism, path, monkeypatch):
+def test_warm_run_state_parity(mechanism, path):
     """Cache/DRAM state must carry identically across warm runs."""
-    engine = _pin_path(monkeypatch, path)
     trace = synthesize_trace("hotspot", warps=6, instructions_per_warp=220)
-    got, want, got_state, want_state = _run_both(
-        trace, mechanism, engine, runs=2
-    )
+    got, want, got_state, want_state = _run_both(trace, mechanism, runs=2)
     assert got.cycles == want.cycles
     assert got.stats == want.stats
     assert got_state == want_state
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_hit_latency_one_geometry(path, monkeypatch):
+@pytest.mark.parametrize("path", PATHS, indirect=True)
+def test_hit_latency_one_geometry(path):
     """Degenerate hit_latency=1 geometry (tiny caches, few channels)."""
-    engine = _pin_path(monkeypatch, path)
     config = GpuConfig(
         l1=CacheConfig(size_bytes=2048, line_bytes=128, ways=2,
                        hit_latency=1),
@@ -169,78 +161,72 @@ def test_hit_latency_one_geometry(path, monkeypatch):
     trace = synthesize_trace("bfs", warps=5, instructions_per_warp=240)
     for mechanism in MODELS:
         got, want, got_state, want_state = _run_both(
-            trace, mechanism, engine, config=config
+            trace, mechanism, config=config
         )
         assert got.cycles == want.cycles
         assert got.stats == want.stats
         assert got_state == want_state
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_empty_stream_warp(path, monkeypatch):
-    """Zero-instruction warps must not wedge any engine."""
-    engine = _pin_path(monkeypatch, path)
+@pytest.mark.parametrize("path", PATHS, indirect=True)
+def test_empty_stream_warp(path):
+    """Zero-instruction warps must not wedge either executor."""
     busy = [
         TraceInstruction(op=OpClass.INT),
         TraceInstruction(op=OpClass.LDG, lines=(0x100,), depends=True),
         TraceInstruction(op=OpClass.FP, depends=True),
     ]
     trace = KernelTrace(name="edge", warps=[list(busy), [], list(busy)])
-    got, want, got_state, want_state = _run_both(trace, "baseline", engine)
-    assert got.cycles == want.cycles
-    assert got.stats == want.stats
-    assert got_state == want_state
+    for mechanism in MODELS:
+        got, want, got_state, want_state = _run_both(trace, mechanism)
+        assert got.cycles == want.cycles
+        assert got.stats == want.stats
+        assert got_state == want_state
 
 
-def test_no_warps_raises(monkeypatch):
-    for path in ("python", "scalar"):
-        engine = _pin_path(monkeypatch, path)
-        with pytest.raises(SimulationError):
-            SmSimulator(engine=engine).run(KernelTrace(name="empty"))
-
-
-def test_past_native_bitmask_width(monkeypatch):
-    """>64 warps spill past one ready-mask word: the generated
-    kernel's multi-word wide variant must stay cycle-exact (and the
-    Python loop must agree when the kernel is unavailable)."""
-    trace = synthesize_trace("gaussian", warps=65, instructions_per_warp=40)
-    got, want, got_state, want_state = _run_both(trace, "lmi", "columnar")
-    assert got.cycles == want.cycles
-    assert got.stats == want.stats
-    assert got_state == want_state
-
-
-# ----------------------------------------------------------------------
-# REPRO_SIM plumbing.
-
-
-def test_resolve_sim_engine_aliases():
-    assert resolve_sim_engine("") == "columnar"
-    assert resolve_sim_engine("default") == "columnar"
-    assert resolve_sim_engine("VECTOR") == "columnar"
-    assert resolve_sim_engine("reference") == "reference"
-    assert resolve_sim_engine(" scalar ") == "reference"
-
-
-def test_resolve_sim_engine_env(monkeypatch):
-    monkeypatch.delenv(SIM_ENGINE_ENV, raising=False)
-    assert resolve_sim_engine() == "columnar"
-    monkeypatch.setenv(SIM_ENGINE_ENV, "reference")
-    assert resolve_sim_engine() == "reference"
-    assert SmSimulator().engine == "reference"
-
-
-def test_resolve_sim_engine_rejects_typos():
+def test_no_warps_raises():
     with pytest.raises(SimulationError):
-        resolve_sim_engine("columnarr")
+        SmSimulator().run(KernelTrace(name="empty"))
+
+
+def test_past_native_bitmask_width(monkeypatch, fresh_memo):
+    """>64 warps spill past one ready-mask word: the generated
+    kernel's multi-word wide variant and the Python loop must both
+    stay cycle-exact."""
+    trace = synthesize_trace("gaussian", warps=65, instructions_per_warp=40)
+    for python_loop in (False, True):
+        if python_loop:
+            monkeypatch.setattr(codegen, "_find_cc", lambda: None)
+            codegen._reset_memo()
+        for mechanism in MODELS:
+            got, want, got_state, want_state = _run_both(trace, mechanism)
+            assert got.cycles == want.cycles, (mechanism, python_loop)
+            assert got.stats == want.stats, (mechanism, python_loop)
+            assert got_state == want_state, (mechanism, python_loop)
 
 
 # ----------------------------------------------------------------------
-# Scalar fallback for timing models the lowering does not understand.
+# Timing models without an issue-plan lowering fail loudly.
+
+
+class OpaqueTiming(TimingModel):
+    """Overrides the baseline latency hook."""
+
+    name = "opaque"
+
+    def extra_latency(self, instr, now):  # noqa: D102
+        return 1
+
+
+class ShiftedLmi(LmiTiming):
+    """Overrides a decode-relevant hook of the LMI family."""
+
+    def extra_latency(self, instr, now):  # noqa: D102
+        return super().extra_latency(instr, now) + 1
 
 
 class _JitterTiming(TimingModel):
-    """A custom model: perturbs latency, no stable expansion key."""
+    """Perturbs latency and declares no stable expansion key."""
 
     def extra_latency(self, instr, now):  # noqa: D102
         return 2 if instr.op.is_memory else 0
@@ -249,14 +235,22 @@ class _JitterTiming(TimingModel):
         return None
 
 
-def test_custom_model_takes_scalar_path():
-    trace = synthesize_trace("needle", warps=4, instructions_per_warp=200)
-    got = SmSimulator(DEFAULT_GPU_CONFIG, _JitterTiming()).run(trace)
-    want = ReferenceSmSimulator(DEFAULT_GPU_CONFIG, _JitterTiming()).run(
-        trace
-    )
-    assert got.cycles == want.cycles
-    assert got.stats == want.stats
+@pytest.mark.parametrize(
+    "model_cls",
+    [OpaqueTiming, ShiftedLmi, _JitterTiming],
+    ids=lambda cls: cls.__name__,
+)
+def test_opaque_model_fails_loudly(model_cls):
+    assert model_cls().columnar_plan_key() is None
+    trace = synthesize_trace("needle", warps=4, instructions_per_warp=120)
+    with pytest.raises(SimulationError, match="reference_simulate"):
+        SmSimulator(DEFAULT_GPU_CONFIG, model_cls())
+    with pytest.raises(SimulationError, match="reference_simulate"):
+        GpuSimulator(DEFAULT_GPU_CONFIG, model_cls, num_sms=2).run(trace)
+    # The oracle still simulates the model, perturbation included.
+    got = reference_simulate(trace, model_cls())
+    assert got.stats.instructions == sum(len(w) for w in trace.warps)
+    assert got.cycles > reference_simulate(trace).cycles
 
 
 # ----------------------------------------------------------------------
@@ -281,14 +275,10 @@ def test_trace_memo_namespaces_model_families():
         pass
 
     trace = synthesize_trace("gaussian", warps=2, instructions_per_warp=120)
-    a = expanded_streams(BaggyBoundsTiming(), trace)
-    b = expanded_streams(_OtherBaggy(), trace)
+    a = expanded_columnar(trace, BaggyBoundsTiming())
+    b = expanded_columnar(trace, _OtherBaggy())
     assert a is not b  # same ("baggy", n) key, distinct namespaces
-    assert a is expanded_streams(BaggyBoundsTiming(), trace)  # memo hit
-    ca = expanded_columnar(trace, BaggyBoundsTiming())
-    cb = expanded_columnar(trace, _OtherBaggy())
-    assert ca is not cb
-    assert ca is expanded_columnar(trace, BaggyBoundsTiming())
+    assert a is expanded_columnar(trace, BaggyBoundsTiming())  # memo hit
     assert len(trace_memo(trace)) <= TRACE_MEMO_CAPACITY
 
 
@@ -297,7 +287,7 @@ def test_trace_memo_sweep_stays_bounded():
     past its cap (the historical unbounded ``_expansion_memo``)."""
     trace = synthesize_trace("needle", warps=2, instructions_per_warp=80)
     for n in range(1, 2 * TRACE_MEMO_CAPACITY + 2):
-        expanded_streams(BaggyBoundsTiming(instructions_per_check=n), trace)
+        expanded_columnar(trace, BaggyBoundsTiming(instructions_per_check=n))
     assert len(trace_memo(trace)) <= TRACE_MEMO_CAPACITY
 
 
@@ -305,9 +295,9 @@ def test_trace_memo_ignores_legacy_attribute():
     """Stale ``_expansion_memo`` dicts (old pickled traces) are inert."""
     trace = synthesize_trace("nn", warps=2, instructions_per_warp=60)
     object.__setattr__(trace, "_expansion_memo", {("baggy", 4): "stale"})
-    streams = expanded_streams(BaggyBoundsTiming(), trace)
-    assert streams != "stale"
-    assert all(isinstance(s, list) for s in streams)
+    expanded = expanded_columnar(trace, BaggyBoundsTiming())
+    assert isinstance(expanded, ColumnarTrace)
+    assert expanded.warp_count == 2
 
 
 # ----------------------------------------------------------------------
@@ -340,51 +330,34 @@ def test_jobs_npz_shipping_byte_identical(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Fast-path telemetry: the columnar/native engines stay engaged with
-# telemetry live, publish scalar-identical counters, and keep the
-# metrics/trace artifacts byte-identical for any --jobs value.
-
-
-def test_telemetry_enabled_keeps_columnar_engine(monkeypatch):
-    """With telemetry live the fast path must not fall back to the
-    scalar pipeline (the pre-fast-path behaviour this PR removed)."""
-    trace = synthesize_trace("gaussian", warps=3, instructions_per_warp=160)
-
-    def boom(self, _trace):
-        raise AssertionError("telemetry forced the scalar fallback")
-
-    with capture() as t:
-        monkeypatch.setattr(SmSimulator, "_run_scalar", boom)
-        result = SmSimulator(
-            model=engine_module.model_factory("lmi")
-        ).run(trace)
-        assert result.cycles > 0
-        assert t.registry.total("sim.instructions") \
-            == result.stats.instructions
-        assert any(
-            e.kind is EventKind.WARP_ISSUE for e in t.recorder.events()
-        )
+# Fast-path telemetry: both executors publish oracle-identical
+# counters and identical sampled events, and the metrics/trace
+# artifacts stay byte-identical for any --jobs value or batch width.
 
 
 @pytest.mark.parametrize("mechanism", MODELS)
-def test_fast_path_counter_parity_with_scalar(mechanism, monkeypatch):
-    """Registry snapshots from the fast and scalar paths must agree
-    byte-for-byte: `_publish_fast_path` makes exactly the publish
-    calls the scalar pipeline makes, over identically evolving
-    SimStats/CacheStats."""
+def test_fast_path_counter_parity_with_scalar(mechanism):
+    """The fast path's registry snapshot must equal, byte for byte,
+    what publishing the scalar oracle's SimStats and L1/L2 CacheStats
+    under the same labels produces: `_publish_fast_path` folds
+    identically evolving counters into the registry."""
     trace = synthesize_trace("LSTM", warps=5, instructions_per_warp=240)
+    with capture() as t:
+        SmSimulator(model=engine_module.model_factory(mechanism)).run(trace)
+        fast = json.dumps(t.registry.snapshot(), sort_keys=True)
 
-    def registry_json(engine):
-        with capture() as t:
-            SmSimulator(
-                model=engine_module.model_factory(mechanism), engine=engine
-            ).run(trace)
-            return json.dumps(t.registry.snapshot(), sort_keys=True)
+    ref = ReferenceSmSimulator(
+        DEFAULT_GPU_CONFIG, engine_module.model_factory(mechanism)
+    )
+    result = ref.run(trace)
+    registry = MetricsRegistry()
+    result.stats.publish(registry, trace=trace.name)
+    ref.l1.stats.publish(registry, unit="l1", trace=trace.name)
+    ref.l2.stats.publish(registry, unit="l2", trace=trace.name)
+    assert fast == json.dumps(registry.snapshot(), sort_keys=True)
 
-    assert registry_json("columnar") == registry_json("reference")
 
-
-def test_fast_path_events_native_python_identical(monkeypatch):
+def test_fast_path_events_native_python_identical(monkeypatch, fresh_memo):
     """The C executor and the pure-Python issue loop apply the same
     seed-derived sampling comb, so the recorded event rings are
     byte-identical under any REPRO_TELEMETRY_SAMPLE."""
@@ -392,25 +365,25 @@ def test_fast_path_events_native_python_identical(monkeypatch):
         pytest.skip("no C toolchain for the native executor")
     trace = synthesize_trace("bfs", warps=6, instructions_per_warp=220)
 
-    def ring(native, sample):
-        if native:
-            monkeypatch.delenv(NATIVE_ENV, raising=False)
-        else:
-            monkeypatch.setenv(NATIVE_ENV, "0")
-        monkeypatch.setenv(SAMPLE_ENV, sample)
-        with capture() as t:
-            simulate_result = SmSimulator(
-                model=engine_module.model_factory("lmi")
-            ).run(trace)
-            assert simulate_result.cycles > 0
-            return [
-                (e.seq, e.ts, dict(e.payload))
-                for e in t.recorder.events()
-            ]
+    def ring(sample, python_loop):
+        with monkeypatch.context() as patch:
+            patch.setenv(SAMPLE_ENV, sample)
+            if python_loop:
+                patch.setattr(codegen, "_find_cc", lambda: None)
+            codegen._reset_memo()
+            with capture() as t:
+                simulate_result = SmSimulator(
+                    model=engine_module.model_factory("lmi")
+                ).run(trace)
+                assert simulate_result.cycles > 0
+                return [
+                    (e.seq, e.ts, dict(e.payload))
+                    for e in t.recorder.events()
+                ]
 
     for sample in ("1", "1/7", "16"):
-        native_ring = ring(True, sample)
-        python_ring = ring(False, sample)
+        native_ring = ring(sample, python_loop=False)
+        python_ring = ring(sample, python_loop=True)
         assert native_ring, (sample, "empty ring")
         assert native_ring == python_ring, sample
 
