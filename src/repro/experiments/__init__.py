@@ -1,6 +1,6 @@
 """Experiment drivers, one per paper table/figure."""
 
-from .engine import JobResult, SimJob, fan_out, model_factory, run_sim_jobs
+from .engine import JobResult, SimJob, model_factory, run_sim_jobs
 from .fabric import (
     CellCache,
     cell_digest,
@@ -29,7 +29,7 @@ from .table6_hardware import (
 )
 
 __all__ = [
-    "JobResult", "SimJob", "fan_out", "model_factory", "run_sim_jobs",
+    "JobResult", "SimJob", "model_factory", "run_sim_jobs",
     "CellCache", "cell_digest", "code_fingerprint", "fabric_counters",
     "reset_fabric_counters", "resolve_cell_cache", "resolve_shard",
     "FeasibilityStudy", "run_feasibility_study",

@@ -8,15 +8,14 @@ Usage::
 
 Performance flags::
 
-    python -m repro.experiments fig12 --fast --jobs 4   # process fan-out
+    python -m repro.experiments fig12 --fast --jobs 4   # worker processes
     python -m repro.experiments --trace-cache out/traces  # on-disk traces
 
-``--jobs N`` shards the simulation-backed artefacts (fig12, fig13,
-table2) over N work-stealing worker processes; outputs are
-byte-identical for any N.  ``--batch N`` (or ``REPRO_SIM_BATCH``;
-default 8) sets how many serial-path jobs cross the native FFI per
-call — ``--batch 1`` restores the one-job-at-a-time loop; outputs are
-byte-identical for any batch width.  ``--trace-cache DIR`` (or
+Every simulation-backed grid cell (fig12, table2) runs through one
+pipeline, :func:`repro.experiments.fabric.run_grid`: in process, the
+cells cross the native FFI in batched groups; ``--jobs N`` runs them
+on N work-stealing worker processes instead.  Outputs are
+byte-identical for any N.  ``--trace-cache DIR`` (or
 ``REPRO_TRACE_CACHE``) persists synthesized kernel traces, so
 repeated runs skip synthesis entirely.
 
@@ -81,7 +80,6 @@ from ..telemetry.runtime import TELEMETRY
 from ..telemetry.server import ObservabilityServer, port_from_env
 from ..workloads import configure_trace_cache
 
-from .engine import BATCH_ENV
 from .fabric import (
     CELL_CACHE_ENV,
     SHARD_ENV,
@@ -125,7 +123,7 @@ def _fig12(fast: bool, jobs: int) -> str:
 
 
 def _fig13(fast: bool, jobs: int) -> str:
-    return run_fig13(jobs=jobs).format_table()
+    return run_fig13().format_table()
 
 
 def _table2(fast: bool, jobs: int) -> str:
@@ -174,7 +172,6 @@ class _CliOptions:
         self.ledger_path: Optional[str] = None
         self.trace_cache_dir: Optional[str] = None
         self.jobs = 1
-        self.batch: Optional[int] = None
         self.serve_port: Optional[int] = None
         self.cell_cache_dir: Optional[str] = None
         self.shard: Optional[str] = None
@@ -187,7 +184,7 @@ def _parse_args(argv) -> _CliOptions:
     """Hand-rolled parse (argparse-free, as the seed CLI was)."""
     options = _CliOptions()
     value_flags = (
-        "--metrics", "--trace", "--jobs", "--batch", "--trace-cache",
+        "--metrics", "--trace", "--jobs", "--trace-cache",
         "--ledger", "--serve", "--cell-cache", "--shard",
     )
     index = 0
@@ -208,7 +205,7 @@ def _parse_args(argv) -> _CliOptions:
                 flag = arg
                 if index + 1 >= len(argv):
                     metavar = (
-                        "N" if flag in ("--jobs", "--batch")
+                        "N" if flag == "--jobs"
                         else "PORT" if flag == "--serve"
                         else "PATH"
                     )
@@ -238,17 +235,6 @@ def _parse_args(argv) -> _CliOptions:
                     return options
                 if not 0 <= options.serve_port <= 65535:
                     options.error = "--serve port must be in [0, 65535]"
-                    return options
-            elif flag == "--batch":
-                try:
-                    options.batch = int(value)
-                except ValueError:
-                    options.error = (
-                        f"--batch expects an integer, got {value!r}"
-                    )
-                    return options
-                if options.batch < 1:
-                    options.error = "--batch must be >= 1"
                     return options
             else:  # --jobs
                 try:
@@ -308,11 +294,6 @@ def main(argv) -> int:
     trace_path = options.trace_path
     if options.trace_cache_dir:
         configure_trace_cache(disk_dir=options.trace_cache_dir)
-    if options.batch is not None:
-        # The engine reads the env at each run_sim_jobs call, so the
-        # flag reaches every experiment driver without threading a
-        # parameter through each of them.
-        os.environ[BATCH_ENV] = str(options.batch)
     if options.cell_cache_dir:
         os.environ[CELL_CACHE_ENV] = options.cell_cache_dir
     if options.shard:

@@ -1,10 +1,12 @@
 """Incremental, work-stealing experiment fabric.
 
-The (benchmark × mechanism × timing-model) grids behind Fig. 12/13
-and Tables II/III are embarrassingly parallel *and* almost entirely
-redundant between runs: editing one mechanism invalidates a quarter
-of the grid, editing docs invalidates nothing.  This module turns the
-grid into an incremental computation:
+The (benchmark × mechanism) timing grids behind Fig. 12 and Table II
+are embarrassingly parallel *and* almost entirely redundant between
+runs: editing one mechanism invalidates a quarter of the grid,
+editing docs invalidates nothing.  Every grid run goes through
+:func:`run_grid`, one pipeline per cell — digest, cache lookup,
+batched execute, publish, then ordered telemetry replay — which
+turns the grid into an incremental computation:
 
 * **Content-addressed cell cache.**  Every grid cell is digested over
   its complete input closure — the trace content address
@@ -17,29 +19,37 @@ grid into an incremental computation:
   are persisted under that digest with an atomic tmp + ``os.replace``
   publish, so a rerun skips every unchanged cell and *replays its
   telemetry byte-identically* — the stored event stream goes back
-  through the parent hub in submission order, exactly like the
-  fan-out path's live capture does, so ``--metrics``/``--trace``
+  through the parent hub in submission order, exactly like a freshly
+  executed cell's captured telemetry does, so ``--metrics``/``--trace``
   exports cannot tell a cache hit from a fresh run.
+* **Batched execution.**  Cells that must run go through
+  :func:`~repro.experiments.engine.execute_group`: in process, in
+  groups of :data:`GROUP_SIZE` per native batch call.
 * **Work-stealing scheduler.**  ``--jobs N`` runs cells on ``N``
   forked workers fed from per-worker deques (contiguous block
-  partition of the submission order).  An idle worker steals from the
-  *tail* of the longest deque — the opposite end from the owner, so
-  contention stays at the ends — and a worker that dies mid-cell has
-  its cell re-dispatched exactly once (a second death fails the run
-  loudly).  Results still merge in submission order, so exports are
+  partition of the submission order), one cell per dispatch.  The
+  parent resolves the owned cells' traces once; workers inherit them
+  through ``fork``.  An idle worker steals from the *tail* of the
+  longest deque — the opposite end from the owner, so contention
+  stays at the ends — and a worker that dies mid-cell has its cell
+  re-dispatched exactly once (a second death fails the run loudly).
+  Results still merge in submission order, so exports are
   byte-identical at any worker count.
 * **Shards.**  ``--shard i/N`` marks cells ``index % N == i`` as
   *owned*; the other cells are *foreign* — polled from the shared
   cell cache for up to ``REPRO_SHARD_WAIT`` seconds (their owner is
-  expected to publish them), then computed locally as a steal of last
-  resort.  Every shard invocation therefore yields the **complete**
-  artifact set, byte-identical to a single-process run; N concurrent
-  shards over one cache dir each compute ~1/N of the grid.
+  expected to publish them), then computed locally, in batched
+  groups, as a steal of last resort (each group re-checks the cache
+  right before it runs, so a late peer's cells are still skipped).
+  Every shard invocation therefore yields the **complete** artifact
+  set, byte-identical to a single-process run; N concurrent shards
+  over one cache dir each compute ~1/N of the grid.
 * **Resumability.**  Each stored cell is also journalled (one JSON
-  line, ``O_APPEND``) in ``journal.jsonl`` next to the cache entries.
-  A killed run leaves the journal and every completed cell behind;
-  ``--resume`` reports what the journal holds and the rerun skips
-  exactly the completed cells through ordinary cache hits.
+  line, ``O_APPEND`` under :func:`~repro.common.locking.locked`) in
+  ``journal.jsonl`` next to the cache entries.  A killed run leaves
+  the journal and every completed cell behind; ``--resume`` reports
+  what the journal holds and the rerun skips exactly the completed
+  cells through ordinary cache hits.
 
 Operational counters (cells skipped / stolen / redispatched /
 executed) live in a private :data:`FABRIC_DIAG` registry surfaced
@@ -57,32 +67,33 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_module
-import shutil
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..common.config import GpuConfig
+from ..common.locking import locked
+from ..sim.core import publish_fast_path
+from ..sim.trace import KernelTrace
 from ..telemetry.registry import DIAG_REGISTRIES, MetricsRegistry
-from ..telemetry.runtime import TELEMETRY, capture
-from ..telemetry.tracectx import bind_trace, record_job_trace
-from ..workloads.trace_cache import request_key
+from ..telemetry.runtime import TELEMETRY
+from ..telemetry.tracectx import record_job_trace
+from ..workloads.trace_cache import TRACE_CACHE, request_key
 from .engine import (
-    _WORKER_RING_CAPACITY,
     JobResult,
     SimJob,
-    _execute_job,
+    TraceRequest,
     _job_span,
-    _replay_telemetry,
-    _ship_traces,
     _trace_request,
+    execute_group,
     model_factory,
 )
 
 #: Version tag of the on-disk cell record (bump on layout change —
-#: old entries then miss and rebuild, never misparse).
-CELL_SCHEMA = "repro.experiments.cell/v1"
+#: old entries then miss and rebuild, never misparse).  v2: the
+#: telemetry blob carries raw issue-run triples.
+CELL_SCHEMA = "repro.experiments.cell/v2"
 
 #: Environment variable naming the cell-cache directory
 #: (CLI: ``--cell-cache DIR``).
@@ -108,46 +119,11 @@ FAIL_DIR_ENV = "REPRO_FABRIC_FAIL_DIR"
 #: *and* in-process writer threads land whole lines).
 JOURNAL_NAME = "journal.jsonl"
 
-
-class _JournalLock:
-    """Journal-append lock (``flock`` when available).
-
-    Same shape as codegen's per-digest build lock: a sidecar ``.lock``
-    file taken exclusively around the append.  ``O_APPEND`` alone
-    already keeps separate *processes* from tearing lines, but two
-    writers inside one process — the serve daemon's executor threads,
-    or a daemon sharing the cache dir with a CLI run — interleave at
-    the mercy of the kernel's write granularity; the flock makes each
-    journal line atomic in both regimes.  ``flock`` serializes distinct
-    file descriptors even within one process, so threads are covered
-    without a separate in-process mutex.  Platforms without ``fcntl``
-    degrade to the plain append (worst case: a torn line, which
-    ``journal_digests`` already skips).
-    """
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_JournalLock":
-        try:
-            import fcntl
-
-            self._fd = os.open(self._path, os.O_CREAT | os.O_RDWR, 0o644)
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        except (ImportError, OSError):
-            self._fd = None
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fd is not None:
-            try:
-                import fcntl
-
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            except (ImportError, OSError):
-                pass
-            os.close(self._fd)
+#: Cells per in-process :func:`~repro.experiments.engine.execute_group`
+#: call: two benchmarks' four mechanisms, so each codegen cell's FFI
+#: crossing carries two traces, without holding an unbounded number of
+#: prepared simulators alive.
+GROUP_SIZE = 8
 
 #: Private diagnostics registry: live ``/metrics`` only (appended to
 #: :data:`~repro.telemetry.registry.DIAG_REGISTRIES`), never the
@@ -401,7 +377,11 @@ class CellCache:
             )
             + "\n"
         )
-        with _JournalLock(f"{self.journal_path}.lock"):
+        # O_APPEND alone keeps separate processes from tearing lines;
+        # the flock also keeps two writer threads of one process (the
+        # serve daemon's executors) from interleaving.  Without fcntl
+        # the worst case is a torn line, which journal_digests skips.
+        with locked(f"{self.journal_path}.lock"):
             fd = os.open(
                 self.journal_path,
                 os.O_WRONLY | os.O_CREAT | os.O_APPEND,
@@ -495,7 +475,7 @@ def shard_wait_seconds() -> float:
 
 
 # ----------------------------------------------------------------------
-# Cell execution (shared by the serial path and the pool workers)
+# Cell records
 
 
 def _make_cell_record(
@@ -524,34 +504,6 @@ def _result_from_record(
         stats=record["stats"],
         phases={},
     )
-
-
-def _execute_cell(
-    job: SimJob,
-    config: GpuConfig,
-    telemetry_wanted: bool,
-    trace_path: Optional[str] = None,
-):
-    """Run one cell, capturing telemetry privately when wanted.
-
-    Returns ``(JobResult, blob)`` where *blob* is the
-    ``(registry, events)`` pair the parent replays in submission
-    order — the same capture discipline as the historical fan-out
-    workers, which is what keeps cached/stolen/resumed runs
-    byte-identical to live ones.
-    """
-    if not telemetry_wanted:
-        return _execute_job(job, config, trace_path), None
-    with capture(
-        ring_capacity=_WORKER_RING_CAPACITY, sample_every=1
-    ) as hub:
-        result = _execute_job(job, config, trace_path)
-        events = [
-            (event.kind, dict(event.payload))
-            for event in hub.recorder.events()
-        ]
-        registry = hub.registry
-    return result, (registry, events)
 
 
 def _maybe_die_for_test(job: SimJob) -> None:
@@ -584,31 +536,32 @@ def _pool_worker_main(
     config: GpuConfig,
     telemetry_wanted: bool,
     cache_dir: Optional[str],
+    traces: Dict[TraceRequest, KernelTrace],
 ) -> None:
     """Worker loop: execute dispatched cells, store them, ship results.
 
-    The worker stores each completed cell into the cache *itself*
-    (before reporting back), so a parent killed mid-run still leaves
-    every finished cell persisted — that is what makes ``--resume``
-    exact rather than best-effort.
+    *traces* is the parent's resolved trace set, inherited through
+    ``fork`` with the process arguments (a respawned worker gets it
+    too), so workers never reload or re-synthesize a trace.  The
+    worker stores each completed cell into the cache *itself* (before
+    reporting back), so a parent killed mid-run still leaves every
+    finished cell persisted — that is what makes ``--resume`` exact
+    rather than best-effort.
     """
-    if not telemetry_wanted:
-        TELEMETRY.enabled = False  # forked copies must not double-count
     cache = CellCache(cache_dir) if cache_dir else None
     while True:
         message = inbox.get()
         if message is None:
             return
-        task_index, job, digest, trace_path, trace_id = message
+        task_index, job, digest, trace_id = message
         _maybe_die_for_test(job)
         try:
-            # Binding here is what makes _execute_job tag the result
-            # with the *request's* id — a redispatched task reuses its
-            # tuple, so the id survives a worker death.
-            with bind_trace(trace_id):
-                result, blob = _execute_cell(
-                    job, config, telemetry_wanted, trace_path
-                )
+            [(result, blob)] = execute_group(
+                [job], config, telemetry_wanted, traces
+            )
+            # A redispatched task reuses its tuple, so the request's
+            # trace id survives a worker death.
+            result.trace_id = trace_id
             if cache is not None and digest is not None:
                 cache.store(_make_cell_record(digest, job, result, blob))
             results.put(("done", slot, task_index, result, blob))
@@ -635,10 +588,12 @@ class _StealingPool:
         config: GpuConfig,
         telemetry_wanted: bool,
         cache_dir: Optional[str],
+        traces: Dict[TraceRequest, KernelTrace],
     ) -> None:
         self.config = config
         self.telemetry_wanted = telemetry_wanted
         self.cache_dir = cache_dir
+        self.traces = traces
         self.context = multiprocessing.get_context("fork")
         self.results = self.context.Queue()
         self.workers: List[Tuple[object, object]] = []  # (process, inbox)
@@ -656,6 +611,7 @@ class _StealingPool:
                 self.config,
                 self.telemetry_wanted,
                 self.cache_dir,
+                self.traces,
             ),
             daemon=True,
         )
@@ -664,15 +620,15 @@ class _StealingPool:
 
     def run(
         self,
-        tasks: Sequence[
-            Tuple[int, SimJob, Optional[str], Optional[str], Optional[str]]
-        ],
+        tasks: Sequence[Tuple[int, SimJob, Optional[str], Optional[str]]],
         board,
         job_ids: Sequence[object],
-    ) -> Dict[int, Tuple[JobResult, object]]:
-        """Execute *tasks* (``(index, job, digest, trace_path,
-        trace_id)``); returns ``task index -> (result, telemetry
-        blob)``."""
+        on_done: Callable[[int, JobResult, object], None],
+    ) -> None:
+        """Execute *tasks* (``(index, job, digest, trace_id)``),
+        calling ``on_done(task index, result, telemetry blob)`` once per
+        task as it completes — after the worker got its next cell, so
+        the caller's work overlaps the workers'."""
         slots = len(self.workers)
         deques: List[deque] = [deque() for _ in range(slots)]
         total = len(tasks)
@@ -683,7 +639,7 @@ class _StealingPool:
             deques[slot].extend(task[0] for task in tasks[start:end])
         inflight: Dict[int, int] = {}
         redispatched: Set[int] = set()
-        completed: Dict[int, Tuple[JobResult, object]] = {}
+        completed: Set[int] = set()
 
         def dispatch(slot: int) -> None:
             own = deques[slot]
@@ -699,12 +655,9 @@ class _StealingPool:
                     return
                 task_index = deques[victim].pop()  # steal from tail
                 _count("fabric.cells_stolen")
-            _, job, digest, trace_path, trace_id = by_index[task_index]
             inflight[slot] = task_index
             board.job_running(job_ids[task_index])
-            self.workers[slot][1].put(
-                (task_index, job, digest, trace_path, trace_id)
-            )
+            self.workers[slot][1].put(by_index[task_index])
 
         for slot in range(slots):
             dispatch(slot)
@@ -726,13 +679,13 @@ class _StealingPool:
             _, slot, task_index, result, blob = message
             if inflight.get(slot) == task_index:
                 del inflight[slot]
+            dispatch(slot)
             if task_index not in completed:  # ignore redispatch dupes
-                completed[task_index] = (result, blob)
+                completed.add(task_index)
                 board.job_finished(job_ids[task_index])
                 board.record_phases(result.phases)
                 _count("fabric.cells_executed")
-            dispatch(slot)
-        return completed
+                on_done(task_index, result, blob)
 
     def _reap(
         self, deques, inflight, redispatched, board, job_ids
@@ -786,14 +739,18 @@ def run_grid(
 ) -> List[JobResult]:
     """Run one grid through the fabric; results in submission order.
 
-    Resolution order per cell: cache hit (skip) → owned (execute, on
-    the stealing pool when ``workers > 1``) → foreign (poll the
-    shared cache, then compute locally as a last resort).  All
-    telemetry — replayed from cache or captured fresh — goes back
-    through the parent hub strictly in submission order inside the
-    per-job spans, which is the existing determinism contract of the
-    fan-out path; exports are therefore byte-identical across
-    (jobs × shards × cache states).
+    Resolution order per cell: cache hit (skip) → owned (execute in
+    process, :data:`GROUP_SIZE` cells per batched
+    :func:`~repro.experiments.engine.execute_group` call, or one cell
+    per dispatch on the stealing pool when ``workers > 1``) → foreign
+    (poll the shared cache, then compute locally in batched groups as
+    a last resort).  All telemetry — replayed from cache or captured
+    fresh — goes back through the parent hub strictly in submission
+    order inside the per-job spans, so exports are byte-identical
+    across (jobs × shards × cache states).  Each cell is replayed as
+    soon as every earlier cell has resolved, and its blob dropped, so
+    an in-process run holds about one group's captured telemetry and
+    the live plane advances group by group.
     """
     if shard is not None and cache is None:
         raise ValueError(
@@ -802,25 +759,92 @@ def run_grid(
         )
     total = len(job_list)
     digests: List[Optional[str]] = [None] * total
+    # Resolved cells not yet replayed; ``results`` is the replayed
+    # prefix, so ``len(results)`` is the next cell to replay.
     outcomes: Dict[int, Tuple[JobResult, object]] = {}
-    pending: List[int] = []
-    if cache is not None:
-        for index, job in enumerate(job_list):
-            digests[index] = cell_digest(job, config)
-            record = cache.load(
-                digests[index], want_events=telemetry_wanted
-            )
-            if record is not None:
-                outcomes[index] = (
-                    _result_from_record(job, record),
-                    record.get("telemetry"),
+    results: List[JobResult] = []
+
+    def resolve(index: int, result: JobResult, blob) -> None:
+        """Record one cell's outcome, then replay the resolved prefix
+        in submission order (one loop for hits, in-process and pool
+        results)."""
+        outcomes[index] = (result, blob)
+        while len(results) in outcomes:
+            ready = len(results)
+            done, captured = outcomes.pop(ready)
+            if telemetry_wanted and captured is not None:
+                with _job_span(job_list[ready], ready):
+                    publish_fast_path(captured, TELEMETRY)
+            if done.trace_id is not None:
+                # Executed cells only: cache hits carry no trace id (no
+                # wall time was spent this run).
+                record_job_trace(
+                    done.trace_id,
+                    phases=done.phases,
+                    attrs={
+                        "benchmark": done.job.benchmark,
+                        "mechanism": done.job.mechanism,
+                        "origin": "engine",
+                    },
                 )
-                board.job_skipped(job_ids[index])
-                _count("fabric.cells_skipped")
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(total))
+            results.append(done)
+
+    def skip(index: int, record: Dict[str, object]) -> None:
+        board.job_skipped(job_ids[index])
+        _count("fabric.cells_skipped")
+        resolve(
+            index,
+            _result_from_record(job_list[index], record),
+            record.get("telemetry"),
+        )
+
+    def execute(indices: Sequence[int], stolen: bool = False) -> None:
+        for start in range(0, len(indices), GROUP_SIZE):
+            group = indices[start : start + GROUP_SIZE]
+            if stolen:
+                # The owner may have published some of these while this
+                # shard was busy: take those as hits, run the rest.
+                group = [index for index in group if not try_skip(index)]
+                if not group:
+                    continue
+                _count("fabric.cells_stolen", len(group))
+            for index in group:
+                board.job_running(job_ids[index])
+            executed = execute_group(
+                [job_list[index] for index in group],
+                config,
+                telemetry_wanted,
+            )
+            for index, (result, blob) in zip(group, executed):
+                result.trace_id = trace_ids[index] if trace_ids else None
+                if cache is not None:
+                    cache.store(
+                        _make_cell_record(
+                            digests[index], job_list[index], result, blob
+                        )
+                    )
+                board.record_phases(result.phases)
+                board.job_finished(job_ids[index])
+                _count("fabric.cells_executed")
+                resolve(index, result, blob)
+
+    def try_skip(index: int) -> bool:
+        record = cache.load(
+            digests[index], want_events=telemetry_wanted, quiet=True
+        )
+        if record is not None:
+            skip(index, record)
+        return record is not None
+
+    pending: List[int] = []
+    for index, job in enumerate(job_list):
+        if cache is not None:
+            digests[index] = cell_digest(job, config)
+            record = cache.load(digests[index], want_events=telemetry_wanted)
+            if record is not None:
+                skip(index, record)
+                continue
+        pending.append(index)
 
     if shard is not None:
         shard_index, shard_total = shard
@@ -831,107 +855,47 @@ def run_grid(
 
     # ------------------------------------------------------------------
     # Owned cells
-    if owned:
-        if workers > 1:
-            owned_jobs = [job_list[i] for i in owned]
-            trace_paths, cleanup = _ship_traces(owned_jobs)
-            tasks = [
-                (
-                    index,
-                    job_list[index],
-                    digests[index],
-                    trace_paths.get(_trace_request(job_list[index])),
-                    trace_ids[index] if trace_ids else None,
-                )
-                for index in owned
-            ]
-            pool = _StealingPool(
-                min(workers, len(owned)),
-                config,
-                telemetry_wanted,
-                cache.directory if cache is not None else None,
+    if owned and workers > 1:
+        requests = [_trace_request(job_list[index]) for index in owned]
+        traces = dict(
+            zip(requests, TRACE_CACHE.get_or_synthesize_many(requests))
+        )
+        tasks = [
+            (
+                index,
+                job_list[index],
+                digests[index],
+                trace_ids[index] if trace_ids else None,
             )
-            try:
-                outcomes.update(pool.run(tasks, board, job_ids))
-            finally:
-                pool.close()
-                if cleanup is not None:
-                    shutil.rmtree(cleanup, ignore_errors=True)
-        else:
-            for index in owned:
-                job = job_list[index]
-                board.job_running(job_ids[index])
-                with bind_trace(trace_ids[index] if trace_ids else None):
-                    result, blob = _execute_cell(
-                        job, config, telemetry_wanted
-                    )
-                if cache is not None:
-                    cache.store(
-                        _make_cell_record(digests[index], job, result, blob)
-                    )
-                board.record_phases(result.phases)
-                board.job_finished(job_ids[index])
-                _count("fabric.cells_executed")
-                outcomes[index] = (result, blob)
+            for index in owned
+        ]
+        pool = _StealingPool(
+            min(workers, len(owned)),
+            config,
+            telemetry_wanted,
+            cache.directory if cache is not None else None,
+            traces,
+        )
+        try:
+            pool.run(tasks, board, job_ids, resolve)
+        finally:
+            pool.close()
+    else:
+        execute(owned)
 
     # ------------------------------------------------------------------
     # Foreign cells: their owner shard should publish them; poll, then
     # take over (a steal of last resort keeps every invocation whole).
     if foreign:
         deadline = time.monotonic() + shard_wait_seconds()
+        timed_out: List[int] = []
         for index in foreign:
-            job = job_list[index]
-            record = None
-            while True:
-                record = cache.load(
-                    digests[index],
-                    want_events=telemetry_wanted,
-                    quiet=True,
-                )
-                if record is not None or time.monotonic() >= deadline:
+            while not try_skip(index):
+                if time.monotonic() >= deadline:
+                    timed_out.append(index)
                     break
                 time.sleep(0.2)
-            if record is not None:
-                outcomes[index] = (
-                    _result_from_record(job, record),
-                    record.get("telemetry"),
-                )
-                board.job_skipped(job_ids[index])
-                _count("fabric.cells_skipped")
-                continue
-            board.job_running(job_ids[index])
-            with bind_trace(trace_ids[index] if trace_ids else None):
-                result, blob = _execute_cell(job, config, telemetry_wanted)
-            cache.store(
-                _make_cell_record(digests[index], job, result, blob)
-            )
-            board.record_phases(result.phases)
-            board.job_finished(job_ids[index])
-            _count("fabric.cells_stolen")
-            _count("fabric.cells_executed")
-            outcomes[index] = (result, blob)
-
-    # ------------------------------------------------------------------
-    # Deterministic merge + telemetry replay in submission order.
-    results: List[JobResult] = []
-    for index in range(total):
-        result, blob = outcomes[index]
-        if telemetry_wanted and blob is not None:
-            with _job_span(job_list[index], index):
-                _replay_telemetry(blob)
-        if result.trace_id is not None:
-            # Executed cells only: cache hits carry no trace id (no
-            # wall time was spent this run).
-            record_job_trace(
-                result.trace_id,
-                phases=result.phases,
-                attrs={
-                    "benchmark": result.job.benchmark,
-                    "mechanism": result.job.mechanism,
-                    "origin": "fabric",
-                },
-            )
-        results.append(result)
+        execute(timed_out, stolen=True)
     return results
 
 
@@ -941,6 +905,7 @@ __all__ = [
     "SHARD_ENV",
     "SHARD_WAIT_ENV",
     "FABRIC_DIAG",
+    "GROUP_SIZE",
     "CellCache",
     "CellCacheStats",
     "cell_digest",

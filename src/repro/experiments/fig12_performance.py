@@ -104,9 +104,9 @@ def run_fig12(
 ) -> Fig12Result:
     """Simulate every benchmark under every mechanism.
 
-    The (benchmark × mechanism) grid is sharded through the experiment
-    engine; ``jobs`` bounds the worker processes (1 = in-process, the
-    historical serial path).  Results are identical for any ``jobs``.
+    The (benchmark × mechanism) grid runs through the experiment
+    engine; ``jobs`` bounds the worker processes (1 = in process).
+    Results are identical for any ``jobs``.
     """
     names = list(benchmarks) if benchmarks is not None else all_benchmarks()
     job_list = [

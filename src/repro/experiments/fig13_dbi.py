@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..workloads import SUITES, all_benchmarks, profile
-from .engine import fan_out
 
 #: Instrumentation instructions (relative cost units) per memcheck
 #: LD/ST site; calibrated to the paper's x32.98 geomean.
@@ -93,7 +92,7 @@ class Fig13Result:
 
 
 def _row_for(name: str) -> Fig13Row:
-    """One benchmark's analytic slowdowns (picklable engine job)."""
+    """One benchmark's analytic slowdowns."""
     spec = profile(name)
     f_mem = spec.mem_fraction
     lmi = (1.0 + C_LMI_DBI * spec.dbi_check_ratio * f_mem) * JIT_NVBIT
@@ -101,18 +100,14 @@ def _row_for(name: str) -> Fig13Row:
     return Fig13Row(benchmark=name, lmi_dbi=lmi, memcheck=mem)
 
 
-def run_fig13(
-    benchmarks: Optional[Sequence[str]] = None, *, jobs: int = 1
-) -> Fig13Result:
+def run_fig13(benchmarks: Optional[Sequence[str]] = None) -> Fig13Result:
     """Compute the DBI slowdowns for every Figure 13 benchmark.
 
-    ``jobs`` shards the per-benchmark rows through the experiment
-    engine's deterministic fan-out (ordering is input order either
-    way; the model is analytic, so this mainly keeps the engine
-    contract uniform across artefacts).
+    The model is analytic — a few arithmetic operations per row — so
+    the rows are computed in process, in input order.
     """
     names = list(benchmarks) if benchmarks is not None else fig13_benchmarks()
-    return Fig13Result(rows=fan_out(_row_for, names, n_jobs=jobs))
+    return Fig13Result(rows=[_row_for(name) for name in names])
 
 
 def main() -> None:  # pragma: no cover - CLI entry

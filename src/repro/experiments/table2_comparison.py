@@ -133,8 +133,8 @@ def run_table2(
     """Assemble the full table.
 
     ``fast`` shrinks the Figure 12 simulation for quick test runs;
-    ``jobs`` shards the measured artefacts through the experiment
-    engine (1 = the historical serial path).
+    ``jobs`` runs its grid on that many work-stealing worker processes
+    (1 = in process).
     """
     if security is None:
         security = run_security_evaluation()
@@ -143,7 +143,7 @@ def run_table2(
             fig12 = run_fig12(warps=8, instructions_per_warp=400, jobs=jobs)
         else:
             fig12 = run_fig12(jobs=jobs)
-    fig13 = run_fig13(jobs=jobs)
+    fig13 = run_fig13()
 
     result = Table2Result(rows=list(PUBLISHED_ROWS))
     overheads = {

@@ -2,7 +2,7 @@
 
 One asyncio event loop owns admission control, request coalescing and
 micro-batch formation; a small thread pool executes the batches on the
-experiment engine's serial batched native path
+experiment engine's batched execution core
 (:func:`~repro.experiments.engine.run_jobs_batched`).  The design is
 throughput-through-work-avoidance, not parallelism: under a zipf-shaped
 multi-tenant request mix almost every request is answered without
@@ -18,9 +18,9 @@ simulating anything —
    is already in flight attaches to the existing future and shares one
    computation.  Distinct cells are micro-batched: the batcher
    collects up to ``REPRO_SERVE_MAX_BATCH`` cells within a
-   ``REPRO_SERVE_WINDOW_MS`` deadline window, so one FFI crossing
-   amortises across the batch exactly as the engine's ``--batch`` path
-   does.
+   ``REPRO_SERVE_WINDOW_MS`` deadline window, and each micro-batch's
+   misses run as one engine group per GPU config, so one FFI crossing
+   amortises across the batch exactly as for a CLI grid's cells.
 3. **Result cache** — a per-daemon in-memory LRU of cell records in
    front of the shared on-disk :class:`~repro.experiments.fabric.CellCache`
    (``REPRO_SERVE_CACHE``, falling back to ``REPRO_CELL_CACHE``).  The
@@ -784,9 +784,7 @@ class ServeDaemon:
             groups.setdefault(work.request.config, []).append(work)
         for config, group in groups.items():
             results = run_jobs_batched(
-                [work.request.job for work in group],
-                config=config,
-                batch_size=self.max_batch,
+                [work.request.job for work in group], config=config
             )
             for work, result in zip(group, results):
                 if work.trace_id is not None:

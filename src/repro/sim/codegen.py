@@ -61,6 +61,8 @@ from dataclasses import dataclass
 from shutil import which
 from typing import Dict, Optional, Tuple, Union
 
+from ..common.locking import locked
+
 __all__ = [
     "CACHE_ENV",
     "THREADS_ENV",
@@ -866,49 +868,17 @@ _MEMO: Dict[CellSpec, Union[CompiledCell, str]] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-class _BuildLock:
-    """Per-key inter-process build lock (``flock`` when available).
-
-    Concurrent ``--jobs`` workers racing to compile the same cell
-    serialize here: the loser of the race finds the finished ``.so``
-    inside the lock and skips its own compile.  On platforms without
-    ``fcntl`` the lock degrades to nothing — the tmp-file +
-    ``os.replace`` publish is still atomic, so the worst case is a
-    redundant compile, never a torn ``.so``.
-    """
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_BuildLock":
-        try:
-            import fcntl
-
-            self._fd = os.open(self._path, os.O_CREAT | os.O_RDWR, 0o644)
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        except (ImportError, OSError):
-            self._fd = None
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fd is not None:
-            try:
-                import fcntl
-
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            except (ImportError, OSError):
-                pass
-            os.close(self._fd)
-
-
 def _compile_so(
     cc: str, source: str, so_path: str, flags: Tuple[str, ...]
 ) -> bool:
     """Compile *source* into *so_path* (atomic publish).  True on OK."""
     build_dir = os.path.dirname(so_path)
     os.makedirs(build_dir, exist_ok=True)
-    with _BuildLock(so_path + ".lock"):
+    # Concurrent builders of one cell (pool workers, parallel pytest)
+    # serialize here; the loser finds the finished .so inside the lock.
+    # Without fcntl there is no lock, but the tmp + os.replace publish
+    # stays atomic: the worst case is a redundant compile.
+    with locked(so_path + ".lock"):
         if os.path.exists(so_path):
             return True  # another worker finished the build first
         src_path = so_path[:-3] + ".c"

@@ -167,26 +167,28 @@ class SmSimulator:
             raise SimulationError("trace has no warps")
         return plan
 
-    def _fast_telemetry(self, trace: KernelTrace):
-        """Fast-path telemetry decisions for one run.
+    def _fast_telemetry(self, trace: KernelTrace, enabled: bool):
+        """Fast-path telemetry decisions for one run: ``(events,
+        sample_every, sample_phase)``, with ``events`` None when
+        telemetry is off.
 
         Counters are batch-published at end of run (never per record),
         and the issue loops record one (cycle, warp, run_length)
         triple per *sampled* issue run — the comb is seed-derived from
         the trace name so the recorded ring is identical across
-        processes, batch sizes and --jobs values.
+        processes, batch groupings and --jobs values.
         """
-        telem = TELEMETRY
-        if telem.enabled:
+        if enabled:
             every = resolve_sample_every()
-            return telem, [], every, sample_phase(trace.name, every)
-        return telem, None, 1, 0
+            return [], every, sample_phase(trace.name, every)
+        return None, 1, 0
 
     def run(self, trace: KernelTrace) -> SimResult:
         """Simulate *trace* to completion; returns cycles and stats."""
         plan = self._fast_plan(trace)
         stats = SimStats()
-        telem, events, every, phase = self._fast_telemetry(trace)
+        telem = TELEMETRY
+        events, every, phase = self._fast_telemetry(trace, telem.enabled)
         # The generated C kernel replays the plan against this
         # simulator's cache/DRAM state; it returns None (no toolchain,
         # compile failure, kernel error) to hand the plan to the
@@ -201,35 +203,52 @@ class SmSimulator:
                 events=events, sample_every=every, sample_phase=phase,
             )
         if events is not None:
-            self._publish_fast_path(trace.name, stats, events, telem)
+            publish_fast_path(
+                self._fast_path_blob(trace.name, stats, events), telem
+            )
         return SimResult(name=trace.name, cycles=cycles, stats=stats)
 
-    def _publish_fast_path(
-        self, trace_name: str, stats: SimStats, events, telem
-    ) -> None:
-        """End-of-run telemetry flush of one fast-path run.
+    def _fast_path_blob(self, trace_name: str, stats: SimStats, events):
+        """One fast-path run's telemetry as a ``(registry, trace name,
+        events)`` blob for :func:`publish_fast_path`.
 
-        Emits the sampled run-issue events collected by the issue loop
-        (one :data:`~repro.telemetry.events.EventKind.WARP_ISSUE` per
-        kept run, carrying the simulated issue cycle, warp index and
-        run length), then folds the run's counter totals into the
-        registry.  The snapshot equals what publishing the oracle's
-        :class:`SimStats` and L1/L2 ``CacheStats`` under the same
-        labels produces (locked by the columnar equivalence suite).
+        The registry holds the run's counter totals; its snapshot
+        equals what publishing the oracle's :class:`SimStats` and L1/L2
+        ``CacheStats`` under the same labels produces (locked by the
+        columnar equivalence suite).  *events* are the issue loop's
+        sampled ``(cycle, warp, run_length)`` triples, kept raw so a
+        blob is cheap to hold, pickle and store in the cell cache.
         """
-        emit = telem.emit
-        warp_issue = EventKind.WARP_ISSUE
-        for cycle, warp, length in events:
-            emit(
-                warp_issue,
-                trace=trace_name,
-                warp=warp,
-                clock=cycle,
-                instructions=length,
-            )
-        stats.publish(telem.registry, trace=trace_name)
-        self.l1.stats.publish(telem.registry, unit="l1", trace=trace_name)
-        self.l2.stats.publish(telem.registry, unit="l2", trace=trace_name)
+        registry = MetricsRegistry()
+        stats.publish(registry, trace=trace_name)
+        self.l1.stats.publish(registry, unit="l1", trace=trace_name)
+        self.l2.stats.publish(registry, unit="l2", trace=trace_name)
+        return registry, trace_name, events
+
+
+def publish_fast_path(blob, telem) -> None:
+    """Publish one fast-path telemetry blob into hub *telem*.
+
+    Emits one :data:`~repro.telemetry.events.EventKind.WARP_ISSUE` per
+    sampled issue run (simulated issue cycle, warp index, run length),
+    then folds the run's counters into the registry.  A run publishes
+    its blob right away; the experiment fabric replays blobs captured
+    elsewhere (in process, on a pool worker, in the cell cache) in
+    submission order, so the hub's clock, sequence numbers and
+    sampling apply identically either way.
+    """
+    registry, trace_name, events = blob
+    emit = telem.emit
+    warp_issue = EventKind.WARP_ISSUE
+    for cycle, warp, length in events:
+        emit(
+            warp_issue,
+            trace=trace_name,
+            warp=warp,
+            clock=cycle,
+            instructions=length,
+        )
+    telem.registry.merge(registry)
 
 
 def simulate(

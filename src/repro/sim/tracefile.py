@@ -17,9 +17,9 @@ Next to the JSON-lines form there is a **columnar ``.npz`` format**
 (:func:`dump_trace_npz` / :func:`load_trace_npz`): the
 :class:`~repro.sim.columnar.ColumnarTrace` arrays plus a versioned
 header, written with ``np.savez_compressed``.  It is the on-disk shape
-the trace cache and the parallel experiment engine ship between
-processes — loading it seeds the trace's columnar memo, so a follow-up
-simulation pays no dataclass→array conversion.
+of the trace cache's disk layer (``--trace-cache``) — loading it seeds
+the trace's columnar memo, so a follow-up simulation pays no
+dataclass→array conversion.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ Locks the contracts of :mod:`repro.experiments.fabric`:
 * exports stay byte-identical across cache states (cold / warm /
   corrupted), worker counts, shard assignments, and worker deaths —
   the fabric's one non-negotiable invariant;
+* in-process cells cross the native FFI in batched groups, with a
+  cell cache active as without one, and replay group by group;
+* stolen foreign cells re-check the shared cache before each group;
 * a worker dying mid-cell is re-dispatched exactly once;
 * an interrupted run resumes from the journal and finishes with
   byte-identical artifacts (subprocess SIGINT test);
@@ -48,6 +51,8 @@ from repro.experiments.fabric import (
     resolve_cell_cache,
     resolve_shard,
 )
+from repro.sim import native_available
+from repro.sim.codegen import CODEGEN_STATS
 from repro.telemetry.export import chrome_trace, metrics_json
 from repro.telemetry.progress import ProgressBoard
 from repro.telemetry.runtime import capture
@@ -275,6 +280,7 @@ def _fig12_with_exports(jobs: int = 1):
 class TestByteIdentity:
     def test_cold_and_warm_match_uncached(self, monkeypatch, tmp_path):
         baseline = _fig12_with_exports()
+        reset_fabric_counters()
         monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
         cold = _fig12_with_exports()
         assert cold == baseline
@@ -323,6 +329,7 @@ class TestByteIdentity:
         self, monkeypatch, tmp_path
     ):
         baseline = _fig12_with_exports()
+        reset_fabric_counters()
         monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 4)
         monkeypatch.setenv(FAIL_CELL_ENV, "needle:gpushield")
         monkeypatch.setenv(FAIL_DIR_ENV, str(tmp_path))
@@ -337,6 +344,7 @@ class TestByteIdentity:
         self, monkeypatch, tmp_path
     ):
         baseline = _fig12_with_exports()
+        reset_fabric_counters()
         monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
         monkeypatch.setenv(SHARD_ENV, "0/2")
         # No peer shard is running, and the wait is 0: the foreign
@@ -351,6 +359,80 @@ class TestByteIdentity:
         monkeypatch.setenv(SHARD_ENV, "1/2")
         assert _fig12_with_exports() == baseline
         assert fabric_counters()["cells_skipped"] == _CELLS
+
+    def test_cached_cells_cross_the_ffi_in_batches(
+        self, monkeypatch, tmp_path
+    ):
+        if not native_available():
+            pytest.skip("no C toolchain for the native executor")
+        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
+        calls, cells = CODEGEN_STATS.batch_calls, CODEGEN_STATS.batch_cells
+        run_fig12(_BENCHMARKS, **_SIZES)
+        assert fabric_counters()["cells_executed"] == _CELLS
+        assert CODEGEN_STATS.batch_cells - cells == _CELLS
+        assert CODEGEN_STATS.batch_calls - calls < _CELLS
+
+    def test_in_process_cells_replay_group_by_group(self, monkeypatch):
+        # Each cell's telemetry is replayed as soon as every earlier
+        # cell has resolved: a later group starts with the earlier
+        # groups' job spans already in the hub (so captured blobs are
+        # let go group by group and the live plane advances).
+        baseline = _fig12_with_exports()
+        real = fabric_module.execute_group
+        spans_seen = []
+
+        def spying(jobs, *args, **kwargs):
+            spans_seen.append(len(engine_module.TELEMETRY.tracer.spans))
+            return real(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(fabric_module, "execute_group", spying)
+        assert _fig12_with_exports() == baseline
+        group = fabric_module.GROUP_SIZE
+        assert len(spans_seen) == -(-_CELLS // group)
+        assert spans_seen[0] == 0
+        assert spans_seen[1] >= group  # the first group's job spans
+
+    def test_stolen_cells_recheck_the_cache_before_running(
+        self, monkeypatch, tmp_path
+    ):
+        # A peer shard publishing while this shard runs its stolen
+        # cells: whatever it published before a group starts is
+        # skipped, not recomputed.
+        mechanisms = ("baseline", "baggy", "gpushield", "lmi")
+        jobs = [
+            SimJob(benchmark, mechanism, **_SIZES)
+            for benchmark in _BENCHMARKS
+            for mechanism in mechanisms
+        ]
+        baseline = engine_module.run_sim_jobs(jobs)
+        reset_fabric_counters()
+        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
+        monkeypatch.setenv(SHARD_ENV, "0/2")
+        monkeypatch.setattr(fabric_module, "GROUP_SIZE", 2)
+        foreign = jobs[1::2]
+        cache = resolve_cell_cache()
+        real = fabric_module.execute_group
+
+        def peer_publishes(group, config, *args, **kwargs):
+            if list(group) == foreign[:2]:  # first stolen group
+                late = foreign[2:]
+                for job, (result, blob) in zip(
+                    late, real(late, config, False)
+                ):
+                    cache.store(
+                        fabric_module._make_cell_record(
+                            cell_digest(job, config), job, result, blob
+                        )
+                    )
+            return real(group, config, *args, **kwargs)
+
+        monkeypatch.setattr(fabric_module, "execute_group", peer_publishes)
+        results = engine_module.run_sim_jobs(jobs)
+        assert [r.cycles for r in results] == [r.cycles for r in baseline]
+        counts = fabric_counters()
+        assert counts["cells_stolen"] == 2
+        assert counts["cells_skipped"] == len(foreign) - 2
+        assert counts["cells_executed"] == len(jobs) // 2 + 2
 
     def test_shard_without_cache_fails_loudly(self, monkeypatch):
         monkeypatch.setenv(SHARD_ENV, "0/2")

@@ -8,9 +8,11 @@ grid covering every timing mechanism, plus edge shapes (single warp,
 empty streams) the grid would not hit.
 
 It also locks the determinism contract of the experiment engine: the
-``--jobs N`` process fan-out must produce byte-identical metrics and
+``--jobs N`` worker pool must produce byte-identical metrics and
 trace exports for any N (verified here with the worker-pool path
-forced on, since CI machines may report a single CPU).
+forced on, since CI machines may report a single CPU), and the
+daemon-facing :func:`~repro.experiments.engine.run_jobs_batched`
+never publishes into the global telemetry hub.
 """
 
 from __future__ import annotations
@@ -159,18 +161,6 @@ def test_effective_workers_caps():
     assert engine_module._effective_workers(100, 100) <= monkeypatch_cpus
 
 
-def test_fan_out_preserves_order(monkeypatch):
-    monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 4)
-    items = list(range(7))
-    assert engine_module.fan_out(_square, items, n_jobs=4) == [
-        n * n for n in items
-    ]
-
-
-def _square(n: int) -> int:  # top-level: must be picklable
-    return n * n
-
-
 def test_jobs_disabled_telemetry_stays_silent(monkeypatch):
     """Workers must not double-count when telemetry is off."""
     monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 4)
@@ -178,3 +168,17 @@ def test_jobs_disabled_telemetry_stays_silent(monkeypatch):
     before = len(TELEMETRY.registry)
     run_fig12(("gaussian",), jobs=4, warps=2, instructions_per_warp=120)
     assert len(TELEMETRY.registry) == before
+
+
+def test_run_jobs_batched_never_touches_the_hub():
+    """The serve daemon's entry runs on executor threads that do not
+    own the global hub: even with the hub enabled, nothing lands in
+    its registry or recorder."""
+    job = engine_module.SimJob(
+        "gaussian", "lmi", warps=2, instructions_per_warp=64
+    )
+    with capture() as hub:
+        [result] = engine_module.run_jobs_batched([job])
+        assert result.stats.instructions == 128
+        assert len(hub.registry) == 0
+        assert hub.recorder.events() == []

@@ -21,7 +21,7 @@ Coverage:
   (the oracle still simulates them);
 * the :class:`~repro.sim.trace.TraceMemo` bound/namespacing contract;
 * registry parity with the oracle and byte-identity of the experiment
-  engine's telemetry exports and ``.npz``-shipping fan-out.
+  engine's telemetry exports and worker-pool results.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def test_trace_memo_ignores_legacy_attribute():
 
 
 # ----------------------------------------------------------------------
-# Engine fan-out: the columnar .npz shipping keeps --jobs byte-identical.
+# Engine worker pool: fork-inherited traces keep --jobs byte-identical.
 
 
 def _job_rows(results):
@@ -310,9 +310,10 @@ def _job_rows(results):
     ]
 
 
-def test_jobs_npz_shipping_byte_identical(monkeypatch):
-    """run_sim_jobs must merge worker results (shipped as columnar
-    ``.npz``) into exactly the serial outcome, in submission order."""
+def test_jobs_pool_results_byte_identical(monkeypatch):
+    """run_sim_jobs must merge worker results (computed on traces the
+    workers inherit through fork) into exactly the in-process outcome,
+    in submission order."""
     jobs = [
         SimJob(
             benchmark=benchmark,
@@ -332,14 +333,14 @@ def test_jobs_npz_shipping_byte_identical(monkeypatch):
 # ----------------------------------------------------------------------
 # Fast-path telemetry: both executors publish oracle-identical
 # counters and identical sampled events, and the metrics/trace
-# artifacts stay byte-identical for any --jobs value or batch width.
+# artifacts stay byte-identical for any --jobs value.
 
 
 @pytest.mark.parametrize("mechanism", MODELS)
 def test_fast_path_counter_parity_with_scalar(mechanism):
     """The fast path's registry snapshot must equal, byte for byte,
     what publishing the scalar oracle's SimStats and L1/L2 CacheStats
-    under the same labels produces: `_publish_fast_path` folds
+    under the same labels produces: `_fast_path_blob` folds
     identically evolving counters into the registry."""
     trace = synthesize_trace("LSTM", warps=5, instructions_per_warp=240)
     with capture() as t:
@@ -418,38 +419,3 @@ def test_jobs_metrics_and_trace_export_byte_identical(monkeypatch):
     fanned = artifacts(4)
     assert fanned[0] == serial[0]
     assert fanned[1] == serial[1]
-
-
-def test_batch_width_exports_byte_identical(monkeypatch):
-    """--metrics/--trace artifacts must be byte-identical at any
-    serial batch width: the batched executor runs whole groups through
-    one native FFI crossing but still publishes per job, in submission
-    order, inside each job's span."""
-    monkeypatch.setenv(SAMPLE_ENV, "1/3")
-    jobs = [
-        SimJob(
-            benchmark=benchmark,
-            mechanism=mechanism,
-            warps=3,
-            instructions_per_warp=160,
-        )
-        for benchmark in ("gaussian", "needle")
-        for mechanism in MODELS
-    ]
-
-    def artifacts(batch):
-        monkeypatch.setenv(engine_module.BATCH_ENV, str(batch))
-        with capture() as t:
-            results = run_sim_jobs(jobs)
-            return (
-                _job_rows(results),
-                dumps(metrics_json(t.registry, recorder=t.recorder)),
-                dumps(chrome_trace(t.tracer, t.recorder)),
-            )
-
-    unbatched = artifacts(1)
-    for batch in (3, 8, 64):
-        batched = artifacts(batch)
-        assert batched[0] == unbatched[0], batch
-        assert batched[1] == unbatched[1], batch
-        assert batched[2] == unbatched[2], batch

@@ -12,10 +12,11 @@ Locks the contracts of :mod:`repro.telemetry.tracectx` and
 * :class:`StructuredLog` filters by minimum severity / trace / event,
   defaults the trace id from the contextvar binding, and counts drops;
 * the engine tags every executed :class:`JobResult` with its trace id
-  — on the plain serial path, the batched path, and across the
-  fabric's forked work-stealing pool, where a cell re-dispatched
-  after a worker death keeps its *original* trace id (the id rides
-  the task tuple, and redispatch reuses the tuple);
+  and records one ``origin="engine"`` waterfall per job — in process,
+  across batched-group boundaries, and across the fabric's forked
+  work-stealing pool, where a cell re-dispatched after a worker death
+  keeps its *original* trace id (the id rides the task tuple, and
+  redispatch reuses the tuple);
 * tracing is pure diagnostics: ``--metrics``/``--trace`` exports are
   byte-identical with tracing on vs ``REPRO_TRACE_DISABLE=1``, and no
   export ever contains an ``rtx-`` id (the leak grep).
@@ -39,6 +40,7 @@ from repro.experiments.fabric import (
     CELL_CACHE_ENV,
     FAIL_CELL_ENV,
     FAIL_DIR_ENV,
+    GROUP_SIZE,
     fabric_counters,
     reset_fabric_counters,
 )
@@ -183,7 +185,7 @@ class TestTraceStore:
         record_job_trace(
             "rtx-e",
             phases={"sim": 0.003, "trace_expand": 0.001, "compile": 0.002},
-            attrs={"origin": "engine.serial"},
+            attrs={"origin": "engine"},
             store=store,
         )
         doc = store.get("rtx-e")
@@ -284,27 +286,29 @@ class TestEnginePropagation:
     def test_serial_results_carry_deterministic_ids(self):
         jobs = _jobs(3)
         expected = _expected_ids(3)
-        results = run_sim_jobs(jobs, batch_size=1)
+        results = run_sim_jobs(jobs)
         assert [r.trace_id for r in results] == expected
         for result in results:
             doc = TRACES.get(result.trace_id)
             assert doc is not None and doc["complete"]
-            assert doc["attrs"]["origin"] == "engine.serial"
+            assert doc["attrs"]["origin"] == "engine"
             assert doc["attrs"]["benchmark"] == result.job.benchmark
             stages = [s["stage"] for s in doc["stages"]]
             assert "sim" in stages
 
     def test_batched_results_carry_deterministic_ids(self):
-        jobs = _jobs(4)
-        expected = _expected_ids(4)
-        results = run_sim_jobs(jobs, batch_size=4)
+        # Two in-process groups: ids follow submission order across
+        # the group boundary.
+        jobs = _jobs(GROUP_SIZE + 2)
+        expected = _expected_ids(GROUP_SIZE + 2)
+        results = run_sim_jobs(jobs)
         assert [r.trace_id for r in results] == expected
-        doc = TRACES.get(results[0].trace_id)
-        assert doc["attrs"]["origin"] == "engine.batched"
+        for result in results:
+            assert TRACES.get(result.trace_id)["attrs"]["origin"] == "engine"
 
     def test_disable_env_turns_tracing_off(self, monkeypatch):
         monkeypatch.setenv(TRACE_DISABLE_ENV, "1")
-        results = run_sim_jobs(_jobs(2), batch_size=1)
+        results = run_sim_jobs(_jobs(2))
         assert all(r.trace_id is None for r in results)
         assert len(TRACES) == 0
 
@@ -317,7 +321,7 @@ class TestEnginePropagation:
         for result in results:
             doc = TRACES.get(result.trace_id)
             assert doc is not None and doc["complete"]
-            assert doc["attrs"]["origin"] == "fabric"
+            assert doc["attrs"]["origin"] == "engine"
 
     def test_redispatch_after_crash_keeps_original_id(
         self, monkeypatch, tmp_path
@@ -337,15 +341,15 @@ class TestEnginePropagation:
             r for r in results
             if (r.job.benchmark, r.job.mechanism) == ("needle", "baseline")
         )
-        assert TRACES.get(victim.trace_id)["attrs"]["origin"] == "fabric"
+        assert TRACES.get(victim.trace_id)["attrs"]["origin"] == "engine"
 
     def test_cache_hits_carry_no_trace_id(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
         jobs = _jobs(3)
-        first = run_sim_jobs(jobs, batch_size=1)
+        first = run_sim_jobs(jobs)
         assert all(r.trace_id is not None for r in first)
         TRACES.clear()
-        second = run_sim_jobs(jobs, batch_size=1)
+        second = run_sim_jobs(jobs)
         assert all(r.trace_id is None for r in second)
         assert fabric_counters()["cells_skipped"] >= 3
         # No executions → nothing recorded for the warm run.
@@ -359,7 +363,7 @@ class TestEnginePropagation:
 
 def _captured_exports():
     with capture(sample_every=1) as hub:
-        run_sim_jobs(_jobs(4), batch_size=2)
+        run_sim_jobs(_jobs(4))
         metrics = json.dumps(
             metrics_json(hub.registry, recorder=hub.recorder),
             sort_keys=True,
@@ -386,7 +390,7 @@ class TestExportIsolation:
         assert not LEAK_RE.search(trace)
 
     def test_trace_ids_absent_from_result_stats(self):
-        results = run_sim_jobs(_jobs(2), batch_size=1)
+        results = run_sim_jobs(_jobs(2))
         for result in results:
             blob = json.dumps(
                 {
