@@ -301,8 +301,8 @@ def _telemetry_overhead(mechanism="lmi"):
     telemetry-off window and gated the same min-ratio way.  The
     scraper runs in a **separate process** (like a real Prometheus)
     and windows are timed in process CPU seconds, so the cost
-    measured is the server side of each scrape — handler thread,
-    exposition render, socket writes — not the client's own work
+    measured is the server side of each scrape — the plane's loop
+    thread, exposition render, socket writes — not the client's own work
     competing for the machine's cores.  The scraper only
     lives during live windows, so it cannot leak noise into the
     off/on pair.  All windows are stretched to ~0.25 s (repeating

@@ -54,6 +54,7 @@ from .telemetry.report import (
     write_report,
     write_summary,
 )
+from .telemetry.server import port_from_env
 
 _REPORT_USAGE = """\
 usage: repro report [--ledger PATH] [--bench-dir DIR] [--out PATH]
@@ -446,9 +447,11 @@ def _top_main(argv: List[str]) -> int:
 
     if url is None:
         if port is None:
-            env_port = os.environ.get("REPRO_METRICS_PORT", "").strip()
-            if env_port.isdigit():
-                port = int(env_port)
+            try:
+                port = port_from_env()
+            except ValueError as exc:
+                print(f"repro top: {exc}")
+                return 2
         if port is None:
             print(
                 "repro top: no server given — pass --url/--port or set "
@@ -537,12 +540,13 @@ def format_trace(document: Dict[str, object], width: int = 48) -> str:
 def _trace_server_url(
     url: Optional[str], host: str, port: Optional[int]
 ) -> str:
+    """The server's base URL; raises ValueError on an invalid
+    ``REPRO_METRICS_PORT``."""
     if url is not None:
         return url.rstrip("/")
     if port is None:
-        env_port = os.environ.get("REPRO_METRICS_PORT", "").strip()
-        port = int(env_port) if env_port.isdigit() else 8080
-    return f"http://{host}:{port}"
+        port = port_from_env()
+    return f"http://{host}:{port if port is not None else 8080}"
 
 
 def _trace_main(argv: List[str]) -> int:
@@ -600,7 +604,11 @@ def _trace_main(argv: List[str]) -> int:
                 width = max(8, number)
             else:
                 limit = max(1, number)
-    base = _trace_server_url(url, host, port)
+    try:
+        base = _trace_server_url(url, host, port)
+    except ValueError as exc:
+        print(f"repro trace: {exc}")
+        return 2
     if action == "show":
         if trace_id is None:
             print("repro trace show: missing trace id")

@@ -27,13 +27,14 @@ simulating anything —
    disk layer uses the *same* digests and record schema as CLI/fabric
    runs, so a grid swept overnight pre-warms the service and vice
    versa.
-4. **Telemetry** — a per-daemon diagnostic
-   :class:`~repro.telemetry.registry.MetricsRegistry` rides the live
-   ``/metrics`` exposition (queue depth, batch occupancy, hit rate,
-   latency histogram); ``/stats`` serves the same numbers as JSON and
-   ``/stats/stream`` as Server-Sent Events.  ``/progress`` mirrors the
-   global :class:`~repro.telemetry.progress.ProgressBoard` so
-   ``repro top`` can watch a daemon like any run.
+4. **Telemetry** — the daemon mounts the shared observability routes
+   of :mod:`repro.telemetry.server` next to its own.  A per-daemon
+   diagnostic :class:`~repro.telemetry.registry.MetricsRegistry` rides
+   the live ``/metrics`` exposition (queue depth, batch occupancy, hit
+   rate, latency histogram); ``/stats`` serves the same numbers as
+   JSON and ``/stats/stream`` as Server-Sent Events.  ``/progress``
+   mirrors the global :class:`~repro.telemetry.progress.ProgressBoard`
+   so ``repro top`` can watch a daemon like any run.
 5. **Request forensics** — every request gets a deterministic trace id
    (``X-Repro-Trace-Id`` response header) whose per-stage waterfall
    (admission → queue wait → batch assembly → engine phases → cache
@@ -57,7 +58,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import dataclasses
-import json
 import math
 import os
 import threading
@@ -80,15 +80,18 @@ from ..telemetry.registry import (
     LATENCY_BUCKETS_SECONDS,
     MetricsRegistry,
 )
+from ..telemetry.runtime import TELEMETRY
 from ..telemetry.server import (
-    OPENMETRICS_CONTENT_TYPE,
-    PROMETHEUS_CONTENT_TYPE,
-    render_metrics_text,
-    wants_openmetrics,
+    EventStream,
+    HttpError,
+    HttpPlane,
+    Request,
+    Response,
+    json_response,
+    observability_routes,
 )
 from ..telemetry.tracectx import TRACES, new_trace_id
 from .protocol import (
-    MAX_BODY_BYTES,
     TRACE_HEADER,
     RequestError,
     SimRequest,
@@ -151,20 +154,6 @@ _SLOW_KEEP = 32
 #: histogram walks; the bar drifts slowly, the walk is per-request).
 _SLOW_REFRESH_EVERY = 32
 
-#: SSE cadence of ``/stats/stream`` (matches the observability plane).
-SSE_INTERVAL_SECONDS = 0.5
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
 
 class ServiceStopped(RuntimeError):
     """The daemon shut down while the request was in flight (503)."""
@@ -222,14 +211,6 @@ def _parse_inject_delay(
 def _q_ms(hist, q: float) -> Optional[float]:
     value = hist.quantile(q)
     return round(1000.0 * value, 3) if value is not None else None
-
-
-class _HttpError(Exception):
-    """Protocol-level failure on one connection (status + message)."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
 
 
 @dataclasses.dataclass
@@ -388,17 +369,16 @@ class ServeDaemon:
         self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self._inflight: Dict[str, _CellWork] = {}
         self._buckets: Dict[str, List[float]] = {}  # tenant -> [tokens, at]
-        self._connections: set = set()
         self._batch_tasks: set = set()
         self._batch_index = 0
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+        self._plane: Optional[HttpPlane] = None
         self._queue: Optional["asyncio.Queue"] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._dispatch_sem: Optional[asyncio.Semaphore] = None
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._stopping = False
         self._started = threading.Event()
         self._start_error: Optional[BaseException] = None
         self._started_at = 0.0
@@ -484,12 +464,13 @@ class ServeDaemon:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve-exec"
         )
-        self._stopping = False
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.requested_port
-        )
-        self.port = server.sockets[0].getsockname()[1]
         self._started_at = time.perf_counter()
+        routes = observability_routes(TELEMETRY, PROGRESS, self._started_at)
+        routes[("POST", "/v1/simulate")] = self._simulate
+        routes[("GET", "/stats")] = self._stats
+        routes[("GET", "/stats/stream")] = self._stats_stream
+        self._plane = HttpPlane(routes)
+        self.port = await self._plane.start(self.host, self.requested_port)
         DIAG_REGISTRIES.append(self.diag)
         if self.track_progress:
             PROGRESS.begin_run(
@@ -515,9 +496,7 @@ class ServeDaemon:
             await self._stop_event.wait()
         finally:
             # -- Shutdown sequence ------------------------------------
-            self._stopping = True
-            server.close()
-            await server.wait_closed()
+            self._plane.close()
             await self._queue.put(_SHUTDOWN)
             await batcher
             if self._batch_tasks:
@@ -533,12 +512,7 @@ class ServeDaemon:
             # One scheduling round so handler coroutines can flush
             # their 503s before connections are force-closed.
             await asyncio.sleep(0.05)
-            for writer in list(self._connections):
-                try:
-                    writer.close()
-                except Exception:
-                    pass
-            await asyncio.sleep(0)
+            await self._plane.stop()
             self._executor.shutdown(wait=True)
             if self.diag in DIAG_REGISTRIES:
                 DIAG_REGISTRIES.remove(self.diag)
@@ -811,336 +785,34 @@ class ServeDaemon:
         return outcomes
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # The daemon's own routes (mounted next to the shared ones in _main)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while not self._stopping:
-                try:
-                    parsed = await self._read_request(reader)
-                except _HttpError as exc:
-                    await self._send_json(
-                        writer, exc.status, {"error": str(exc)}
-                    )
-                    break
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                ):
-                    break
-                if parsed is None:
-                    break
-                method, target, headers, body = parsed
-                await self._dispatch(
-                    reader, writer, method, target, headers, body
-                )
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+    async def _stats(self, http: Request) -> Response:
+        return json_response(self.stats_snapshot())
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
-        if not line:
-            return None  # clean EOF between requests
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _HttpError(400, "malformed request line")
-        method, target, _version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            if len(headers) > 100 or len(raw) > 8192:
-                raise _HttpError(400, "header section too large")
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            raise _HttpError(400, "invalid Content-Length") from None
-        if length < 0:
-            raise _HttpError(400, "invalid Content-Length")
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(413, "request body too large")
-        body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
+    async def _stats_stream(self, http: Request) -> EventStream:
+        return EventStream("stats", self.stats_snapshot)
 
-    async def _send_raw(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        content_type: str,
-        body: bytes,
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        reason = _REASONS.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: keep-alive",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra_headers)
-        payload = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-        writer.write(payload)
-        await writer.drain()
-
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        document: object,
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        body = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
-        await self._send_raw(
-            writer,
-            status,
-            "application/json; charset=utf-8",
-            body,
-            extra_headers,
-        )
-
-    async def _dispatch(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        method: str,
-        target: str,
-        headers: Dict[str, str],
-        body: bytes,
-    ) -> None:
-        path = target.split("?", 1)[0].rstrip("/") or "/"
-        query = target.split("?", 1)[1] if "?" in target else ""
-        if method == "POST" and path == "/v1/simulate":
-            await self._handle_simulate(writer, headers, body)
-        elif method == "GET" and path == "/healthz":
-            await self._send_json(
-                writer,
-                200,
-                {
-                    "status": "ok",
-                    "uptime_seconds": round(
-                        time.perf_counter() - self._started_at, 3
-                    ),
-                    "inflight": len(self._inflight),
-                },
-            )
-        elif method == "GET" and path == "/metrics":
-            openmetrics = wants_openmetrics(headers.get("accept"))
-            text = render_metrics_text(openmetrics=openmetrics)
-            await self._send_raw(
-                writer,
-                200,
-                OPENMETRICS_CONTENT_TYPE
-                if openmetrics
-                else PROMETHEUS_CONTENT_TYPE,
-                text.encode("utf-8"),
-            )
-        elif method == "GET" and path == "/stats":
-            await self._send_json(writer, 200, self.stats_snapshot())
-        elif method == "GET" and path == "/stats/stream":
-            await self._stream_stats(reader, writer)
-        elif method == "GET" and (
-            path == "/trace" or path.startswith("/trace/")
-        ):
-            await self._handle_trace(writer, path, query)
-        elif method == "GET" and path == "/logs":
-            await self._handle_logs(writer, query)
-        elif method == "GET" and path == "/progress":
-            max_jobs = 256
-            for pair in query.split("&"):
-                if pair.startswith("jobs="):
-                    try:
-                        max_jobs = int(pair[5:])
-                    except ValueError:
-                        await self._send_json(
-                            writer, 400, {"error": "jobs must be an integer"}
-                        )
-                        return
-            await self._send_json(
-                writer, 200, PROGRESS.snapshot(max_jobs=max_jobs)
-            )
-        elif path in (
-            "/v1/simulate",
-            "/healthz",
-            "/metrics",
-            "/stats",
-            "/stats/stream",
-            "/trace",
-            "/logs",
-            "/progress",
-        ) or path.startswith("/trace/"):
-            await self._send_json(writer, 405, {"error": "method not allowed"})
-        else:
-            await self._send_json(
-                writer,
-                404,
-                {
-                    "error": "not found",
-                    "endpoints": [
-                        "POST /v1/simulate",
-                        "GET /healthz",
-                        "GET /metrics",
-                        "GET /stats",
-                        "GET /stats/stream",
-                        "GET /trace",
-                        "GET /trace/<id>",
-                        "GET /logs",
-                        "GET /progress",
-                    ],
-                },
-            )
-
-    @staticmethod
-    def _query_param(query: str, name: str) -> Optional[str]:
-        prefix = f"{name}="
-        for pair in query.split("&"):
-            if pair.startswith(prefix):
-                return pair[len(prefix):]
-        return None
-
-    async def _handle_trace(
-        self, writer: asyncio.StreamWriter, path: str, query: str
-    ) -> None:
-        trace_id = (
-            path[len("/trace/"):] if path.startswith("/trace/") else ""
-        )
-        if trace_id:
-            document = TRACES.get(trace_id)
-            if document is None:
-                await self._send_json(
-                    writer,
-                    404,
-                    {"error": "unknown trace", "trace_id": trace_id},
-                )
-                return
-            await self._send_json(writer, 200, document)
-            return
-        raw_limit = self._query_param(query, "limit") or "32"
-        try:
-            limit = int(raw_limit)
-        except ValueError:
-            await self._send_json(
-                writer, 400, {"error": "limit must be an integer"}
-            )
-            return
-        await self._send_json(
-            writer,
-            200,
-            {
-                "schema": "repro.telemetry.trace-list/v1",
-                "count": len(TRACES),
-                "traces": TRACES.recent(limit=limit),
-            },
-        )
-
-    async def _handle_logs(
-        self, writer: asyncio.StreamWriter, query: str
-    ) -> None:
-        raw_limit = self._query_param(query, "limit") or "256"
-        try:
-            limit = int(raw_limit)
-        except ValueError:
-            await self._send_json(
-                writer, 400, {"error": "limit must be an integer"}
-            )
-            return
-        await self._send_json(
-            writer,
-            200,
-            LOG.document(
-                level=self._query_param(query, "level"),
-                trace_id=self._query_param(query, "trace"),
-                event=self._query_param(query, "event"),
-                limit=limit,
-            ),
-        )
-
-    async def _stream_stats(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
-        # SSE clients never send bytes after the request, so a
-        # completed read means EOF (dropped client) or a stray byte —
-        # either way the stream ends and this coroutine returns
-        # promptly instead of writing into a dead pipe.
-        eof_task = asyncio.ensure_future(reader.read(1))
-        last = None
-        try:
-            while not self._stopping:
-                payload = json.dumps(self.stats_snapshot(), sort_keys=True)
-                if payload != last:
-                    frame = f"event: stats\ndata: {payload}\n\n"
-                    last = payload
-                else:
-                    frame = ": keep-alive\n\n"
-                writer.write(frame.encode("utf-8"))
-                await writer.drain()
-                done, _ = await asyncio.wait(
-                    {eof_task}, timeout=SSE_INTERVAL_SECONDS
-                )
-                if done:
-                    break
-        finally:
-            if not eof_task.done():
-                eof_task.cancel()
-            try:
-                await eof_task
-            except (asyncio.CancelledError, Exception):
-                pass
-
-    # ------------------------------------------------------------------
-    # The simulate route
-
-    async def _handle_simulate(
-        self,
-        writer: asyncio.StreamWriter,
-        headers: Dict[str, str],
-        body: bytes,
-    ) -> None:
+    async def _simulate(self, http: Request) -> Response:
         loop = asyncio.get_event_loop()
         start = loop.time()
         trace_id = new_trace_id() if self.tracing else None
         try:
-            request = parse_simulate(body, headers.get("x-tenant"))
+            request = parse_simulate(http.body, http.headers.get("x-tenant"))
         except RequestError as exc:
             self._count_request("bad_request")
-            await self._send_json(writer, 400, {"error": str(exc)})
-            return
+            raise HttpError(400, str(exc)) from None
         retry = self._admit(request.tenant)
         if retry is not None:
             self._count_request("throttled")
-            await self._send_json(
-                writer,
-                429,
+            return json_response(
                 {
                     "error": f"tenant {request.tenant!r} over quota",
                     "retry_after_seconds": retry,
                 },
-                extra_headers=(("Retry-After", str(retry)),),
+                429,
+                headers=(("Retry-After", str(retry)),),
             )
-            return
         digest = cell_digest(request.job, request.config)
         admitted_at = loop.time()
 
@@ -1148,8 +820,7 @@ class ServeDaemon:
         record = self._memory_get(digest)
         if record is not None:
             result = _result_from_record(request.job, record)
-            await self._finish(
-                writer,
+            return self._finish(
                 digest,
                 result,
                 "memory",
@@ -1161,33 +832,12 @@ class ServeDaemon:
                     ("memory_lookup", loop.time() - lookup_at),
                 ],
             )
-            return
 
         work = self._inflight.get(digest)
         if work is not None:
             wait_started = loop.time()
-            try:
-                result, _source = await work.future
-            except ServiceStopped:
-                self._count_request("error")
-                await self._send_json(
-                    writer, 503, {"error": "daemon stopping"}
-                )
-                return
-            except Exception as exc:
-                self._count_request("error")
-                LOG.error(
-                    "request_failed",
-                    trace_id=trace_id,
-                    digest=digest,
-                    error=str(exc),
-                )
-                await self._send_json(
-                    writer, 500, {"error": f"simulation failed: {exc}"}
-                )
-                return
-            await self._finish(
-                writer,
+            result, _source = await self._outcome(work, trace_id)
+            return self._finish(
                 digest,
                 result,
                 "coalesced",
@@ -1200,20 +850,17 @@ class ServeDaemon:
                 ],
                 attrs={"coalesced_with": work.trace_id},
             )
-            return
 
         if len(self._inflight) >= self.max_pending:
             self._count_request("overloaded")
-            await self._send_json(
-                writer,
-                429,
+            return json_response(
                 {
                     "error": "too many distinct cells in flight",
                     "retry_after_seconds": 1,
                 },
-                extra_headers=(("Retry-After", "1"),),
+                429,
+                headers=(("Retry-After", "1"),),
             )
-            return
 
         work = _CellWork(
             digest, request, loop.create_future(), trace_id=trace_id
@@ -1223,24 +870,7 @@ class ServeDaemon:
         self._queue.put_nowait(work)
         self.diag.gauge("serve.queue_depth").set(self._queue.qsize())
         self.diag.gauge("serve.inflight").set(len(self._inflight))
-        try:
-            result, source = await work.future
-        except ServiceStopped:
-            self._count_request("error")
-            await self._send_json(writer, 503, {"error": "daemon stopping"})
-            return
-        except Exception as exc:
-            self._count_request("error")
-            LOG.error(
-                "request_failed",
-                trace_id=trace_id,
-                digest=digest,
-                error=str(exc),
-            )
-            await self._send_json(
-                writer, 500, {"error": f"simulation failed: {exc}"}
-            )
-            return
+        result, source = await self._outcome(work, trace_id)
         stages = [("admission", admitted_at - start)]
         if work.taken_at and work.enqueued_at:
             stages.append(("queue_wait", work.taken_at - work.enqueued_at))
@@ -1249,8 +879,7 @@ class ServeDaemon:
                 ("batch_assembly", work.dispatched_at - work.taken_at)
             )
         stages.extend(work.stages.items())
-        await self._finish(
-            writer,
+        return self._finish(
             digest,
             result,
             source,
@@ -1260,9 +889,28 @@ class ServeDaemon:
             stages=stages,
         )
 
-    async def _finish(
+    async def _outcome(
+        self, work: _CellWork, trace_id: Optional[str]
+    ) -> Tuple[JobResult, str]:
+        """``(result, source)`` of *work*; 503 when the daemon stops
+        first, 500 when the simulation failed."""
+        try:
+            return await work.future
+        except ServiceStopped:
+            self._count_request("error")
+            raise HttpError(503, "daemon stopping") from None
+        except Exception as exc:
+            self._count_request("error")
+            LOG.error(
+                "request_failed",
+                trace_id=trace_id,
+                digest=work.digest,
+                error=str(exc),
+            )
+            raise HttpError(500, f"simulation failed: {exc}") from None
+
+    def _finish(
         self,
-        writer: asyncio.StreamWriter,
         digest: str,
         result: JobResult,
         source: str,
@@ -1272,49 +920,50 @@ class ServeDaemon:
         request: Optional[SimRequest] = None,
         stages: Optional[List[Tuple[str, float]]] = None,
         attrs: Optional[Dict[str, object]] = None,
-    ) -> None:
+    ) -> Response:
         loop = asyncio.get_event_loop()
         elapsed = loop.time() - start
         self._count_request("ok")
         self._count_response(source, elapsed, trace_id)
-        headers: Tuple[Tuple[str, str], ...] = (
-            ((TRACE_HEADER, trace_id),) if trace_id is not None else ()
-        )
+        headers = ((TRACE_HEADER, trace_id),) if trace_id is not None else ()
         serialize_started = loop.time()
-        await self._send_json(
-            writer,
-            200,
-            result_document(digest, result, source, elapsed),
-            extra_headers=headers,
+        response = json_response(
+            result_document(digest, result, source, elapsed), headers=headers
         )
         if trace_id is None:
-            return
-        # Trace total covers through serialization: the waterfall's
-        # stage sum equals this figure by construction (finish() backs
-        # any gap into an `unattributed` stage).
-        total = loop.time() - start
-        all_stages = list(stages or [])
-        all_stages.append(("serialize", loop.time() - serialize_started))
-        job = result.job
-        trace_attrs = {
-            "source": source,
-            "digest": digest,
-            "benchmark": job.benchmark,
-            "mechanism": job.mechanism,
-            "tenant": request.tenant if request is not None else None,
-            "origin": "serve",
-        }
-        if attrs:
-            trace_attrs.update(attrs)
-        TRACES.record(
-            trace_id,
-            attrs=trace_attrs,
-            stages=all_stages,
-            total_seconds=total,
-        )
-        for name, seconds in all_stages:
-            self._observe_stage(name, seconds)
-        self._maybe_capture_slow(trace_id, source, digest, total)
+            return response
+
+        def record_trace() -> None:
+            # Runs once the response is flushed, so the trace total
+            # covers through serialization: the waterfall's stage sum
+            # equals this figure by construction (finish() backs any
+            # gap into an `unattributed` stage).
+            total = loop.time() - start
+            all_stages = list(stages or [])
+            all_stages.append(("serialize", loop.time() - serialize_started))
+            job = result.job
+            trace_attrs = {
+                "source": source,
+                "digest": digest,
+                "benchmark": job.benchmark,
+                "mechanism": job.mechanism,
+                "tenant": request.tenant if request is not None else None,
+                "origin": "serve",
+            }
+            if attrs:
+                trace_attrs.update(attrs)
+            TRACES.record(
+                trace_id,
+                attrs=trace_attrs,
+                stages=all_stages,
+                total_seconds=total,
+            )
+            for name, seconds in all_stages:
+                self._observe_stage(name, seconds)
+            self._maybe_capture_slow(trace_id, source, digest, total)
+
+        response.on_sent = record_trace
+        return response
 
     def _slow_threshold_seconds(self) -> Optional[float]:
         """Current slow-request bar, or None while unarmed.
@@ -1489,7 +1138,6 @@ __all__ = [
     "TRACING_ENV",
     "WINDOW_ENV",
     "WORKERS_ENV",
-    "SSE_INTERVAL_SECONDS",
     "ServeDaemon",
     "ServiceStopped",
     "main",

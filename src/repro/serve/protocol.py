@@ -33,14 +33,11 @@ from typing import Dict, Optional
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
 from ..common.errors import ConfigurationError
 from ..experiments.engine import JobResult, SimJob, model_factory
+from ..telemetry.server import MAX_BODY_BYTES
 from ..workloads.profiles import profile
 
 #: Schema tag stamped into every simulate response.
 SERVE_SCHEMA = "repro.serve/v1"
-
-#: Largest accepted request body (a simulate request is ~200 bytes;
-#: anything near this is abuse, not a workload).
-MAX_BODY_BYTES = 1 << 20
 
 #: Range caps on the trace dimensions: large enough for every paper
 #: grid, small enough that one request cannot pin a worker thread for

@@ -17,8 +17,8 @@ Prometheus-text + JSON metrics document.
 On top of the post-hoc stack sits the **live plane** (DESIGN.md,
 "Observability" → "Live plane"): :class:`ProgressBoard` tracks
 in-flight jobs (queued → running → done/failed, EWMA ETA, per-phase
-wall-time attribution) and :class:`ObservabilityServer` exposes
-``/metrics``, ``/healthz`` and ``/progress`` (+ SSE) over it —
+wall-time attribution) and :class:`ObservabilityServer` serves it
+(with ``/metrics``, ``/trace`` and ``/logs``) from the one HTTP plane —
 opt-in via ``--serve`` / ``REPRO_METRICS_PORT``, read-only over
 telemetry state so exports stay byte-identical.
 """
@@ -62,7 +62,7 @@ from .report import (
     write_summary,
 )
 from .log import LOG, LOG_SCHEMA, StructuredLog
-from .server import SERVE_ENV, ObservabilityServer, port_from_env, start_server
+from .server import SERVE_ENV, ObservabilityServer, port_from_env
 from .spans import Instant, LogicalClock, Span, Tracer, WallClock
 from .tracectx import (
     TRACES,
@@ -122,7 +122,6 @@ __all__ = [
     "SERVE_ENV",
     "ObservabilityServer",
     "port_from_env",
-    "start_server",
     "LOG",
     "LOG_SCHEMA",
     "StructuredLog",

@@ -22,10 +22,8 @@ Design constraints, in order:
   not per instruction, so it is always on and feeds the ledger even
   without a server.
 * **Thread-safe by construction.**  The experiment engine mutates the
-  board from the main thread and pool callbacks while HTTP handler
-  threads snapshot it and SSE streams block in
-  :meth:`ProgressBoard.wait_for_change`; one condition variable
-  covers all of it.
+  board from the main thread and pool callbacks while the HTTP
+  plane's loop thread snapshots it; one lock covers all of it.
 
 Wall times here are *real* seconds (``time.perf_counter``), unlike
 the deterministic :class:`~repro.telemetry.spans.LogicalClock` spans —
@@ -37,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from datetime import datetime, timezone
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 #: Version tag stamped into every ``/progress`` snapshot.
 PROGRESS_SCHEMA = "repro.telemetry.progress/v1"
@@ -125,7 +123,6 @@ class ProgressBoard:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
         self.version = 0
         self.active = False
         self._reset_run_locked()
@@ -172,7 +169,7 @@ class ProgressBoard:
         cannot grow without bound; finite experiment grids leave it
         ``None`` and behave exactly as before.
         """
-        with self._cond:
+        with self._lock:
             self._reset_run_locked()
             self.run_name = name
             self.run_status = "running"
@@ -185,16 +182,16 @@ class ProgressBoard:
                 "%Y-%m-%dT%H:%M:%SZ"
             )
             self.active = True
-            self._touch_locked()
+            self.version += 1
 
     def end_run(self, status: str = "done") -> None:
         """Stop tracking; the final snapshot stays readable."""
-        with self._cond:
+        with self._lock:
             if not self.active:
                 return
             self.run_status = status
             self.active = False
-            self._touch_locked()
+            self.version += 1
 
     # ------------------------------------------------------------------
     # Job transitions (no-ops unless a run is active)
@@ -203,7 +200,7 @@ class ProgressBoard:
         """Register one job; returns its id (None while inactive)."""
         if not self.active:
             return None
-        with self._cond:
+        with self._lock:
             if not self.active:
                 return None
             index = self._next_index
@@ -214,7 +211,7 @@ class ProgressBoard:
             )
             self._counts[QUEUED] += 1
             self._total_registered += 1
-            self._touch_locked()
+            self.version += 1
             return job_id
 
     def job_running(
@@ -223,7 +220,7 @@ class ProgressBoard:
         """queued → running (idempotent; ignores unknown/None ids)."""
         if job_id is None:
             return
-        with self._cond:
+        with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.state != QUEUED:
                 return
@@ -232,13 +229,13 @@ class ProgressBoard:
             job._started_at = time.perf_counter()
             self._counts[QUEUED] -= 1
             self._counts[RUNNING] += 1
-            self._touch_locked()
+            self.version += 1
 
     def job_finished(self, job_id: Optional[str], *, ok: bool = True) -> None:
         """running (or queued) → done/failed; updates the ETA EWMA."""
         if job_id is None:
             return
-        with self._cond:
+        with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.state in (DONE, FAILED, SKIPPED):
                 return
@@ -261,7 +258,7 @@ class ProgressBoard:
                         job.wall_seconds - self._ewma_seconds
                     )
             self._job_terminal_locked(job_id)
-            self._touch_locked()
+            self.version += 1
 
     def job_skipped(self, job_id: Optional[str]) -> None:
         """queued → skipped: the cell was served from the result cache.
@@ -273,7 +270,7 @@ class ProgressBoard:
         """
         if job_id is None:
             return
-        with self._cond:
+        with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.state not in (QUEUED, RUNNING):
                 return
@@ -283,13 +280,13 @@ class ProgressBoard:
             job.wall_seconds = 0.0
             self._counts[SKIPPED] += 1
             self._job_terminal_locked(job_id)
-            self._touch_locked()
+            self.version += 1
 
     def job_retry(self, job_id: Optional[str]) -> None:
         """Bump a job's retry count and park it back in the queue."""
         if job_id is None:
             return
-        with self._cond:
+        with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.state in (DONE, FAILED, SKIPPED):
                 return
@@ -300,7 +297,7 @@ class ProgressBoard:
                 self._counts[QUEUED] += 1
                 job.state = QUEUED
                 job._started_at = None
-            self._touch_locked()
+            self.version += 1
 
     def _job_terminal_locked(self, job_id: str) -> None:
         """Track terminal order; prune the oldest past ``max_finished``."""
@@ -316,7 +313,7 @@ class ProgressBoard:
 
     def record_phase(self, name: str, seconds: float) -> None:
         """Fold one phase interval into the per-phase aggregates."""
-        with self._cond:
+        with self._lock:
             bucket = self._phases.get(name)
             if bucket is None:
                 self._phases[name] = [float(seconds), 1.0]
@@ -326,7 +323,7 @@ class ProgressBoard:
 
     def record_phases(self, phases: Mapping[str, float]) -> None:
         """Fold a ``phase -> seconds`` mapping (one job's attribution)."""
-        with self._cond:
+        with self._lock:
             for name, seconds in phases.items():
                 bucket = self._phases.get(name)
                 if bucket is None:
@@ -342,29 +339,6 @@ class ProgressBoard:
 
     # ------------------------------------------------------------------
     # Observation
-
-    def _touch_locked(self) -> None:
-        self.version += 1
-        self._cond.notify_all()
-
-    def wake(self) -> None:
-        """Wake all :meth:`wait_for_change` waiters without a change
-        (used by server shutdown so SSE loops notice promptly)."""
-        with self._cond:
-            self._cond.notify_all()
-
-    def wait_for_change(
-        self, last_version: int, timeout: float = 0.5
-    ) -> Tuple[int, bool]:
-        """Block until ``version != last_version`` or *timeout*.
-
-        Returns ``(version, changed)``; SSE streams loop on this.
-        """
-        with self._cond:
-            if self.version == last_version:
-                self._cond.wait(timeout)
-            version = self.version
-            return version, version != last_version
 
     def _eta_seconds_locked(self) -> Optional[float]:
         if self._ewma_seconds is None:

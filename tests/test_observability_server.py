@@ -8,8 +8,8 @@ promises:
   done/failed), EWMA/ETA math, and the ``/progress`` snapshot schema;
 * endpoint behavior — status codes, content types, ``/metrics``
   passing the Prometheus exposition lint, 404/400 paths;
-* the SSE stream emits one ``event: progress`` frame per board
-  change while a real (small) job grid runs;
+* the SSE stream emits ``event: progress`` frames while a real
+  (small) job grid runs;
 * shutdown joins every thread the server created — no dangling
   threads after :meth:`ObservabilityServer.stop`;
 * the server is **read-only** over telemetry: ``--metrics``/``--trace``
@@ -38,7 +38,6 @@ from repro.telemetry import (
     dumps,
     lint_prometheus,
     metrics_json,
-    start_server,
 )
 from repro.telemetry.progress import DONE, FAILED, QUEUED, RUNNING
 from repro.telemetry.server import (
@@ -178,15 +177,6 @@ class TestProgressBoard:
         assert board.phase_totals() == {"sim": 1.5, "compile": 0.25}
         snap = board.snapshot()
         assert snap["phases"]["sim"] == {"seconds": 1.5, "count": 2}
-
-    def test_wait_for_change_sees_versions(self):
-        board = ProgressBoard()
-        version = board.version
-        same, changed = board.wait_for_change(version, timeout=0.05)
-        assert same == version and not changed
-        board.begin_run("unit")
-        bumped, changed = board.wait_for_change(version, timeout=0.05)
-        assert changed and bumped != version
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +390,8 @@ class TestSseStream:
                 consumer = threading.Thread(target=consume, daemon=True)
                 consumer.start()
                 try:
-                    # The stream's opening frame (version -1) arrives
-                    # before any job runs — the grid below is observed.
+                    # The stream's opening frame arrives before any job
+                    # runs — the grid below is observed.
                     assert first_event.wait(5)
                     results = run_sim_jobs(_small_grid(), n_jobs=1)
                 finally:
@@ -419,7 +409,7 @@ class TestSseStream:
 
     def test_concurrent_sse_clients_all_observe_run(self):
         """Several simultaneous SSE consumers each see the whole run
-        (per-connection handler threads must not starve each other)."""
+        (streams sharing the plane's loop must not starve each other)."""
         n_clients = 6
         board = PROGRESS
         with capture() as t:
@@ -483,8 +473,8 @@ class TestShutdown:
     def test_stop_leaves_no_dangling_threads(self):
         baseline = set(threading.enumerate())
         board = ProgressBoard()
-        srv = start_server(0, board=board)
-        # Park an SSE client so a handler thread is alive at stop().
+        srv = ObservabilityServer(0, board=board).start()
+        # Park an SSE client so a stream is open at stop().
         opened = threading.Event()
 
         def park():
@@ -512,45 +502,10 @@ class TestShutdown:
         assert leaked == [], f"dangling threads: {leaked}"
 
     def test_stop_is_idempotent(self):
-        srv = start_server(0)
+        srv = ObservabilityServer(0).start()
         srv.stop()
         srv.stop()  # second stop is a no-op
         assert not srv.running
-
-    def test_dropped_sse_client_releases_handler_thread(self):
-        """A client that vanishes mid-stream must free its handler
-        within about one keep-alive interval — the MSG_PEEK disconnect
-        probe, not a failed write several frames later."""
-        import socket
-        import time as time_module
-
-        board = ProgressBoard()
-        srv = start_server(0, board=board)
-        try:
-            baseline = set(threading.enumerate())
-            sock = socket.create_connection(
-                ("127.0.0.1", srv.port), timeout=5
-            )
-            sock.sendall(
-                b"GET /progress/stream HTTP/1.1\r\n"
-                b"Host: localhost\r\n\r\n"
-            )
-            assert sock.recv(4096)  # headers (+ first frame) arrived
-            handler_threads = [
-                t for t in threading.enumerate() if t not in baseline
-            ]
-            assert handler_threads  # a handler is parked on the stream
-            sock.close()
-            deadline = time_module.monotonic() + 5.0
-            while time_module.monotonic() < deadline:
-                if not any(t.is_alive() for t in handler_threads):
-                    break
-                time_module.sleep(0.05)
-            assert not any(t.is_alive() for t in handler_threads), (
-                "SSE handler thread survived its client"
-            )
-        finally:
-            srv.stop()
 
 
 # ----------------------------------------------------------------------
@@ -673,7 +628,7 @@ class TestReproTop:
 
     def test_top_once_unreachable_exits_one(self, capsys):
         # Bind-then-close guarantees a dead port.
-        srv = start_server(0)
+        srv = ObservabilityServer(0).start()
         port = srv.port
         srv.stop()
         assert cli_main(["top", "--once", "--port", str(port)]) == 1
@@ -734,3 +689,8 @@ class TestServeWiring:
         monkeypatch.setenv(SERVE_ENV, "bogus")
         assert main(["fig4", "--fast"]) == 2
         assert SERVE_ENV in capsys.readouterr().out
+        # The repro CLIs read the variable the same way.
+        assert cli_main(["trace", "list"]) == 2
+        assert f"invalid {SERVE_ENV} value 'bogus'" in capsys.readouterr().out
+        assert cli_main(["top", "--once"]) == 2
+        assert f"invalid {SERVE_ENV} value 'bogus'" in capsys.readouterr().out
