@@ -16,8 +16,8 @@ turns the grid into an incremental computation:
   :class:`~repro.common.config.GpuConfig` fingerprint, and a code
   fingerprint over every package that can influence a simulation
   result.  Completed cells (cycles, stats, phases, captured telemetry)
-  are persisted under that digest with an atomic tmp + ``os.replace``
-  publish, so a rerun skips every unchanged cell and *replays its
+  are persisted under that digest (:func:`~repro.common.files.publish`),
+  so a rerun skips every unchanged cell and *replays its
   telemetry byte-identically* — the stored event stream goes back
   through the parent hub in submission order, exactly like a freshly
   executed cell's captured telemetry does, so ``--metrics``/``--trace``
@@ -45,7 +45,7 @@ turns the grid into an incremental computation:
   set, byte-identical to a single-process run; N concurrent shards
   over one cache dir each compute ~1/N of the grid.
 * **Resumability.**  Each stored cell is also journalled (one JSON
-  line, ``O_APPEND`` under :func:`~repro.common.locking.locked`) in
+  line, :func:`~repro.common.files.append_line`) in
   ``journal.jsonl`` next to the cache entries.  A killed run leaves
   the journal and every completed cell behind; ``--resume`` reports
   what the journal holds and the rerun skips exactly the completed
@@ -70,10 +70,11 @@ import queue as queue_module
 import threading
 import time
 from collections import deque
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..common.config import GpuConfig
-from ..common.locking import locked
+from ..common.files import append_line, publish
 from ..sim.core import publish_fast_path
 from ..sim.trace import KernelTrace
 from ..telemetry.registry import DIAG_REGISTRIES, MetricsRegistry
@@ -107,16 +108,9 @@ SHARD_ENV = "REPRO_SHARD"
 #: computing it locally (default 0: take over immediately).
 SHARD_WAIT_ENV = "REPRO_SHARD_WAIT"
 
-#: Test hooks: a worker executing the cell named ``benchmark:mechanism``
-#: dies (``os._exit``) — but only once, gated by a marker file created
-#: ``O_CREAT | O_EXCL`` inside ``REPRO_FABRIC_FAIL_DIR``.  Both must
-#: be set; production runs never pay more than two getenv calls.
-FAIL_CELL_ENV = "REPRO_FABRIC_FAIL_CELL"
-FAIL_DIR_ENV = "REPRO_FABRIC_FAIL_DIR"
-
 #: Journal filename inside the cache dir (one JSON line per stored
-#: cell; ``O_APPEND`` under an flock so concurrent shard processes
-#: *and* in-process writer threads land whole lines).
+#: cell; :func:`~repro.common.files.append_line` keeps concurrent shard
+#: processes *and* in-process writer threads to whole lines).
 JOURNAL_NAME = "journal.jsonl"
 
 #: Cells per in-process :func:`~repro.experiments.engine.execute_group`
@@ -270,9 +264,8 @@ class CellCache:
     verify the checksum *and* that the payload's recorded digest
     matches the requested one, so truncation, bit rot and foreign
     files all degrade to a miss (and a rebuild) — never to wrong
-    results.  Stores publish atomically (tmp + ``os.replace``) and
-    append one journal line, making the directory safe for concurrent
-    shard processes.
+    results.  Stores publish atomically and append one journal line
+    (:mod:`repro.common.files`), safe for concurrent shard processes.
     """
 
     _MAGIC = b"repro-cell/v1 "
@@ -354,15 +347,11 @@ class CellCache:
     def store(self, record: Dict[str, object]) -> None:
         """Atomically publish one cell record and journal it."""
         digest = str(record["digest"])
-        path = self.path_for(digest)
-        os.makedirs(self.directory, exist_ok=True)
         payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        checksum = hashlib.sha256(payload).hexdigest()
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "wb") as handle:
-            handle.write(self._MAGIC + checksum.encode("ascii") + b"\n")
-            handle.write(payload)
-        os.replace(tmp, path)
+        checksum = hashlib.sha256(payload).hexdigest().encode("ascii")
+        entry = self._MAGIC + checksum + b"\n" + payload
+        path = self.path_for(digest)
+        publish(path, lambda tmp: Path(tmp).write_bytes(entry))
         with self._stats_lock:
             self.stats.stores += 1
         job = record.get("job") or {}
@@ -377,20 +366,10 @@ class CellCache:
             )
             + "\n"
         )
-        # O_APPEND alone keeps separate processes from tearing lines;
-        # the flock also keeps two writer threads of one process (the
-        # serve daemon's executors) from interleaving.  Without fcntl
-        # the worst case is a torn line, which journal_digests skips.
-        with locked(f"{self.journal_path}.lock"):
-            fd = os.open(
-                self.journal_path,
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                0o644,
-            )
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
+        # Whole lines even from the serve daemon's executor threads;
+        # without fcntl the worst case is a torn line, which
+        # journal_digests skips.
+        append_line(self.journal_path, line)
 
     def journal_digests(self) -> Set[str]:
         """Digests the journal records as completed (torn lines skipped)."""
@@ -506,25 +485,6 @@ def _result_from_record(
     )
 
 
-def _maybe_die_for_test(job: SimJob) -> None:
-    """Worker-death injection for the re-dispatch tests (no-op unless
-    both ``REPRO_FABRIC_FAIL_CELL`` and ``REPRO_FABRIC_FAIL_DIR`` are
-    set; the marker file makes the death fire exactly once)."""
-    target = os.environ.get(FAIL_CELL_ENV)
-    marker_dir = os.environ.get(FAIL_DIR_ENV)
-    if not target or not marker_dir:
-        return
-    if f"{job.benchmark}:{job.mechanism}" != target:
-        return
-    marker = os.path.join(marker_dir, "fabric-fail-once")
-    try:
-        fd = os.open(marker, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-    except FileExistsError:
-        return  # already died once; run normally now
-    os.close(fd)
-    os._exit(1)
-
-
 # ----------------------------------------------------------------------
 # Work-stealing pool
 
@@ -554,7 +514,6 @@ def _pool_worker_main(
         if message is None:
             return
         task_index, job, digest, trace_id = message
-        _maybe_die_for_test(job)
         try:
             [(result, blob)] = execute_group(
                 [job], config, telemetry_wanted, traces

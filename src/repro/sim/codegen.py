@@ -27,9 +27,9 @@ This module replaces that kernel with *generated* C, specialized per
   cell and can group mixed workloads by cell.
 * **Race-safe on-disk cache.**  Shared objects are keyed by (source
   digest, compiler identity, flags) under a per-user cache directory
-  (``REPRO_NATIVE_CACHE`` overrides).  Builds write to a
-  process-unique temp name and ``os.replace`` into place under a
-  per-key ``flock``, so concurrent ``--jobs`` workers either reuse a
+  (``REPRO_NATIVE_CACHE`` overrides).  The source and the compiler's
+  output are published with :func:`~repro.common.files.publish` under
+  a per-key ``flock``, so concurrent ``--jobs`` workers either reuse a
   finished build or wait for the one in flight — ``cc`` runs at most
   once per cell per machine, and warm runs never invoke it.
 * **Threads.**  The batch entry point is compiled with OpenMP when
@@ -58,10 +58,11 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from shutil import which
 from typing import Dict, Optional, Tuple, Union
 
-from ..common.locking import locked
+from ..common.files import locked, publish
 
 __all__ = [
     "CACHE_ENV",
@@ -872,44 +873,34 @@ def _compile_so(
     cc: str, source: str, so_path: str, flags: Tuple[str, ...]
 ) -> bool:
     """Compile *source* into *so_path* (atomic publish).  True on OK."""
-    build_dir = os.path.dirname(so_path)
-    os.makedirs(build_dir, exist_ok=True)
+    src_path = so_path[:-3] + ".c"  # kept next to the .so
+
+    def compile_to(tmp: str) -> None:
+        started = time.perf_counter()
+        subprocess.run(
+            [cc, *flags, "-o", tmp, src_path],
+            capture_output=True,
+            check=True,
+        )
+        CODEGEN_STATS.compiles += 1
+        CODEGEN_STATS.compile_seconds += time.perf_counter() - started
+
+    os.makedirs(os.path.dirname(so_path), exist_ok=True)
     # Concurrent builders of one cell (pool workers, parallel pytest)
     # serialize here; the loser finds the finished .so inside the lock.
-    # Without fcntl there is no lock, but the tmp + os.replace publish
-    # stays atomic: the worst case is a redundant compile.
+    # Without fcntl there is no lock, but the publish stays atomic:
+    # the worst case is a redundant compile.
     with locked(so_path + ".lock"):
         if os.path.exists(so_path):
             return True  # another worker finished the build first
-        src_path = so_path[:-3] + ".c"
-        src_tmp = (
-            f"{so_path[:-3]}.tmp.{os.getpid()}.{threading.get_ident()}.c"
-        )
-        so_tmp = f"{so_path}.tmp.{os.getpid()}.{threading.get_ident()}"
         try:
-            with open(src_tmp, "w", encoding="utf-8") as fh:
-                fh.write(source)
-            started = time.perf_counter()
-            proc = subprocess.run(
-                [cc, *flags, "-o", so_tmp, src_tmp],
-                capture_output=True,
+            publish(
+                src_path, lambda tmp: Path(tmp).write_text(source, "utf-8")
             )
-            elapsed = time.perf_counter() - started
-            if proc.returncode != 0:
-                return False
-            CODEGEN_STATS.compiles += 1
-            CODEGEN_STATS.compile_seconds += elapsed
-            os.replace(src_tmp, src_path)  # keep the source next to it
-            os.replace(so_tmp, so_path)
-            return True
-        except OSError:
+            publish(so_path, compile_to)
+        except (OSError, subprocess.CalledProcessError):
             return False
-        finally:
-            for tmp in (src_tmp, so_tmp):
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        return True
 
 
 def _dlopen(so_path: str):
@@ -935,14 +926,12 @@ def _load_uncached(spec: CellSpec) -> Union[CompiledCell, str]:
         key = "\x00".join((source, identity, " ".join(flags)))
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         so_path = os.path.join(build_dir, f"lmi_cell_{digest}.so")
-        fresh = not os.path.exists(so_path)
-        if fresh:
+        if not os.path.exists(so_path):
             try:
                 if not _compile_so(cc, source, so_path, flags):
                     continue
             except Exception:
                 continue
-            fresh = True
         else:
             CODEGEN_STATS.disk_hits += 1
         try:

@@ -12,16 +12,19 @@ Two artifact families:
   ``--metrics`` file serves dashboards and scripts alike.
 
 All output is deterministic: keys sorted, no wall-clock metadata
-unless the caller opts in via ``meta``.
+unless the caller opts in via ``meta``.  Files are written with
+:func:`~repro.common.files.publish`, so an artifact is either the old
+file or the complete new one.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import os
+from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..common.files import publish
 from .events import FlightRecorder
 from .registry import MetricsRegistry
 from .spans import Tracer
@@ -158,38 +161,14 @@ def dumps(document: Dict[str, object]) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def write_text_atomic(path: str, text: str) -> str:
-    """Write *text* to *path* atomically, creating parent directories.
-
-    Matches the trace cache's on-disk discipline: the payload lands in
-    a same-directory temp file first and is published with
-    ``os.replace``, so a crashed run never leaves a truncated artifact
-    and a missing ``--trace``/``--metrics`` output directory no longer
-    raises *after* the simulation already paid its cycles.
-    """
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # pragma: no cover - error cleanup
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-    return path
-
-
 def write_json(path: str, document: Dict[str, object]) -> str:
     """Write *document* to *path* deterministically; returns the path.
 
-    Parent directories are created and the write is atomic (temp file
-    + ``os.replace``); see :func:`write_text_atomic`.
+    Parent directories are created and the write is atomic
+    (:func:`~repro.common.files.publish`).
     """
-    return write_text_atomic(path, dumps(document))
+    text = dumps(document)
+    return publish(path, lambda tmp: Path(tmp).write_text(text, "utf-8"))
 
 
 def write_metrics(
@@ -224,7 +203,6 @@ __all__ = [
     "chrome_trace",
     "metrics_json",
     "dumps",
-    "write_text_atomic",
     "write_json",
     "write_metrics",
     "write_chrome_trace",

@@ -34,18 +34,19 @@ series the regression check consumes, e.g. ``throughput``) and
 ``wall_seconds``.
 
 Appends are atomic at line granularity: the record is rendered to one
-``\\n``-terminated line and written with a single ``O_APPEND`` write,
-so concurrent benchmark processes interleave whole records, never
-partial ones.
+``\\n``-terminated line and written by
+:func:`~repro.common.files.append_line` (one locked ``O_APPEND``
+write), so concurrent writers interleave whole records, never partial
+ones.
 
 Growth cap
 ----------
 The ledger is append-only but not unbounded: when an append pushes the
 file past ``REPRO_LEDGER_MAX_MB`` (default 64, 0 disables) it is
 compacted in place to the **newest** records fitting half the cap —
-written to a same-directory temp file and published with
-``os.replace``, so readers racing a compaction see either the old or
-the new file, never a torn one.  Compacting to half the cap keeps the
+published with :func:`~repro.common.files.publish` under the appends'
+lock, so readers see either the old or the new file and no record
+appended meanwhile is lost.  Compacting to half the cap keeps the
 amortized cost O(1) per append instead of recompacting on every write
 at the boundary.
 
@@ -75,8 +76,12 @@ import json
 import os
 import subprocess
 import uuid
+from contextlib import suppress
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from ..common.files import append_line, locked, publish
 
 #: Version tag stamped into (and required of) every ledger record.
 LEDGER_SCHEMA = "repro.telemetry.ledger/v1"
@@ -255,22 +260,16 @@ class RunLedger:
     def append(self, record: Dict[str, object]) -> Dict[str, object]:
         """Persist one record (schema-stamping it if needed).
 
-        Parent directories are created; the line lands with a single
-        ``O_APPEND`` write so concurrent writers interleave whole
-        records.
+        Parent directories are created; the line lands through
+        :func:`~repro.common.files.append_line`, so concurrent writers
+        interleave whole records.
         """
         if record.get("schema") != LEDGER_SCHEMA:
             record = dict(record)
             record["schema"] = LEDGER_SCHEMA
-        line = json.dumps(record, sort_keys=True) + "\n"
-        path = self._write_path()
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
+        append_line(
+            self._write_path(), json.dumps(record, sort_keys=True) + "\n"
+        )
         self._maybe_rotate()
         return record
 
@@ -280,7 +279,9 @@ class RunLedger:
         Keeps the newest valid lines whose total size fits half of
         ``REPRO_LEDGER_MAX_MB`` (so rotations amortize instead of
         firing on every append at the boundary) and publishes the
-        compacted file atomically via ``os.replace``.  Malformed and
+        compacted file atomically.  Compaction holds the lock appends
+        take, so a record appended meanwhile waits and lands in the
+        compacted file instead of being dropped.  Malformed and
         foreign-schema lines are dropped during compaction — they
         carry no replayable history.
         """
@@ -290,55 +291,47 @@ class RunLedger:
         if self.segmented:
             self._rotate_segments(max_bytes)
             return
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return
-        if size <= max_bytes:
-            return
-        keep_budget = max_bytes // 2
-        kept: List[bytes] = []
-        kept_size = 0
-        try:
-            with open(self.path, "rb") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return
-        for raw in reversed(lines):  # newest first
-            text = raw.strip()
-            if not text:
-                continue
+        with locked(f"{self.path}.lock"):
             try:
-                record = json.loads(text)
-            except ValueError:
-                continue
-            if (
-                not isinstance(record, dict)
-                or record.get("schema") != LEDGER_SCHEMA
-            ):
-                continue
-            if kept and kept_size + len(raw) > keep_budget:
-                break
-            kept.append(text + b"\n")
-            kept_size += len(raw)
-        kept.reverse()
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                handle.writelines(kept)
-            os.replace(tmp, self.path)
-        finally:
-            if os.path.exists(tmp):  # pragma: no cover - error cleanup
+                size = os.path.getsize(self.path)
+            except OSError:
+                return
+            if size <= max_bytes:
+                return
+            keep_budget = max_bytes // 2
+            kept: List[bytes] = []
+            kept_size = 0
+            try:
+                with open(self.path, "rb") as handle:
+                    lines = handle.readlines()
+            except OSError:
+                return
+            for raw in reversed(lines):  # newest first
+                text = raw.strip()
+                if not text:
+                    continue
                 try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
+                    record = json.loads(text)
+                except ValueError:
+                    continue
+                if (
+                    not isinstance(record, dict)
+                    or record.get("schema") != LEDGER_SCHEMA
+                ):
+                    continue
+                if kept and kept_size + len(raw) > keep_budget:
+                    break
+                kept.append(text + b"\n")
+                kept_size += len(raw)
+            data = b"".join(reversed(kept))  # oldest first again
+            publish(self.path, lambda tmp: Path(tmp).write_bytes(data))
 
     def _rotate_segments(self, max_bytes: int) -> None:
         """Drop the oldest whole segments once the dir exceeds the cap.
 
         Each segment stays append-only (never rewritten in place); the
-        segment this process is writing is always preserved.  Keeps
+        segment this process is writing is always preserved, and a
+        dropped segment takes its ``.lock`` sidecar with it.  Keeps
         deleting the oldest segment — by first-record ``created_at``,
         filename as the tiebreak — until the directory fits half the
         cap, mirroring the flat-mode amortization.
@@ -371,6 +364,8 @@ class RunLedger:
             except OSError:
                 continue
             total -= size
+            with suppress(OSError):
+                os.remove(f"{path}.lock")
 
     def record(self, kind: str, name: str, **fields) -> Dict[str, object]:
         """:func:`make_record` + :meth:`append` in one call."""

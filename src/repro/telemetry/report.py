@@ -28,9 +28,11 @@ import html
 import json
 import os
 import statistics
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .export import write_json, write_text_atomic
+from ..common.files import publish
+from .export import write_json
 from .ledger import RunLedger
 
 #: Default relative throughput drop that fails ``repro report --check``.
@@ -649,7 +651,7 @@ def write_report(
 ) -> Tuple[str, List[str]]:
     """Render and atomically write the report; returns (path, failures)."""
     text, failures = build_html(ledger, bench_docs, **kwargs)
-    write_text_atomic(path, text)
+    publish(path, lambda tmp: Path(tmp).write_text(text, "utf-8"))
     return path, failures
 
 

@@ -18,11 +18,11 @@ content-addressed key so identical requests pay synthesis once:
   ``REPRO_TRACE_CACHE`` environment variable or the experiments CLI's
   ``--trace-cache DIR`` flag.  Entries are versioned columnar ``.npz``
   containers (:func:`~repro.sim.tracefile.dump_trace_npz`), written
-  atomically (temp + ``os.replace``) so concurrent engine workers can
-  share one directory; unreadable/corrupt entries fall back to
-  synthesis.  Legacy ``trace-{key}.pkl`` pickles from older runs are
-  still honoured (with a :class:`DeprecationWarning`) and rewritten as
-  ``.npz`` on the next store.
+  with :func:`~repro.common.files.publish` so concurrent engine
+  workers can share one directory.  The layer is best-effort: a failed
+  write is dropped, and unreadable/corrupt entries fall back to
+  synthesis.  Only ``.npz`` entries are read; any other file in the
+  directory is ignored.
 
 Traces are treated as immutable once synthesized (instructions are
 frozen dataclasses and the simulator never mutates streams), which is
@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from ..common.files import publish
 from ..sim.trace import KernelTrace
 from ..sim.tracefile import dump_trace_npz, load_trace_npz
 from .profiles import BenchmarkProfile, profile
@@ -181,54 +180,24 @@ class TraceCache:
             return None
         return os.path.join(self.disk_dir, f"trace-{key}.npz")
 
-    def _legacy_path(self, key: str) -> Optional[str]:
-        if not self.disk_dir:
-            return None
-        return os.path.join(self.disk_dir, f"trace-{key}.pkl")
-
     def _disk_load(self, key: str) -> Optional[KernelTrace]:
         path = self._disk_path(key)
-        if path is None:
-            return None
-        if os.path.exists(path):
-            try:
-                # Loading an .npz pre-seeds the trace's columnar memo,
-                # so the simulator's plan decode starts from the same
-                # arrays that crossed the process boundary.
-                return load_trace_npz(path)
-            except Exception:
-                return None  # corrupt/foreign entry: fall back
-        legacy = self._legacy_path(key)
-        if legacy is None or not os.path.exists(legacy):
+        if path is None or not os.path.exists(path):
             return None
         try:
-            with open(legacy, "rb") as handle:
-                trace = pickle.load(handle)
+            # Loading an .npz pre-seeds the trace's columnar memo, so
+            # the simulator's plan decode starts from the same arrays
+            # that crossed the process boundary.
+            return load_trace_npz(path)
         except Exception:
-            return None
-        if not isinstance(trace, KernelTrace):
-            return None
-        warnings.warn(
-            "loaded legacy pickle trace-cache entry; the pickle layer "
-            "is deprecated — entries are rewritten as columnar .npz",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        self._disk_store(key, trace)  # upgrade in place
-        return trace
+            return None  # corrupt/foreign entry: fall back
 
     def _disk_store(self, key: str, trace: KernelTrace) -> None:
         path = self._disk_path(key)
         if path is None:
             return
         try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            # Thread id in the tmp name: two threads of one process may
-            # race the same key's disk write (best-effort layer).
-            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            with open(tmp, "wb") as handle:
-                dump_trace_npz(trace, handle)
-            os.replace(tmp, path)  # atomic under concurrent workers
+            publish(path, lambda tmp: dump_trace_npz(trace, tmp))
             with self._lock:
                 self.stats.disk_writes += 1
         except OSError:

@@ -7,8 +7,6 @@ Locks the lossless round-trip contracts the columnar engine rests on:
 * the versioned columnar ``.npz`` container round-trips bytes-exactly,
   refuses future format versions, and its v1 schema is locked by a
   golden file committed under ``tests/data/``;
-* the trace cache's legacy pickle entries still load (with a
-  deprecation note) and are upgraded to ``.npz`` in place;
 * the ``np.repeat`` Baggy Bounds lowering produces exactly the
   dataclass :func:`~repro.sim.timing.expand_stream` streams;
 * :class:`KernelTrace` summary statistics are computed once and
@@ -17,8 +15,6 @@ Locks the lossless round-trip contracts the columnar engine rests on:
 
 from __future__ import annotations
 
-import pickle
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +223,7 @@ def test_golden_npz_matches_fresh_dump(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Trace-cache disk layer: npz-primary, pickle honoured + upgraded.
+# Trace-cache disk layer: npz entries.
 
 
 def test_disk_layer_writes_npz(tmp_path):
@@ -241,29 +237,6 @@ def test_disk_layer_writes_npz(tmp_path):
     other = TraceCache(disk_dir=str(tmp_path))
     other.get_or_synthesize("gaussian", warps=2, instructions_per_warp=80)
     assert other.stats.disk_hits == 1
-
-
-def test_legacy_pickle_loads_with_deprecation_and_upgrades(tmp_path):
-    trace = synthesize_trace("needle", warps=2, instructions_per_warp=90)
-    key = trace_key(profile("needle"), warps=2, instructions_per_warp=90)
-    with open(tmp_path / f"trace-{key}.pkl", "wb") as handle:
-        pickle.dump(trace, handle)
-    cache = TraceCache(disk_dir=str(tmp_path))
-    with pytest.deprecated_call(match="legacy pickle"):
-        loaded = cache.get_or_synthesize(
-            "needle", warps=2, instructions_per_warp=90
-        )
-    assert loaded.warps == trace.warps
-    assert cache.stats.disk_hits == 1
-    # Upgraded in place: the .npz now exists and wins next time.
-    assert (tmp_path / f"trace-{key}.npz").exists()
-    fresh = TraceCache(disk_dir=str(tmp_path))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        again = fresh.get_or_synthesize(
-            "needle", warps=2, instructions_per_warp=90
-        )
-    assert again.warps == trace.warps
 
 
 # ----------------------------------------------------------------------

@@ -40,8 +40,6 @@ from repro.experiments import run_fig12
 from repro.experiments.engine import SimJob
 from repro.experiments.fabric import (
     CELL_CACHE_ENV,
-    FAIL_CELL_ENV,
-    FAIL_DIR_ENV,
     SHARD_ENV,
     SHARD_WAIT_ENV,
     CellCache,
@@ -61,10 +59,7 @@ from repro.telemetry.runtime import capture
 @pytest.fixture(autouse=True)
 def _clean_fabric(monkeypatch):
     """Zeroed counters and no leaked fabric env between tests."""
-    for name in (
-        CELL_CACHE_ENV, SHARD_ENV, SHARD_WAIT_ENV,
-        FAIL_CELL_ENV, FAIL_DIR_ENV,
-    ):
+    for name in (CELL_CACHE_ENV, SHARD_ENV, SHARD_WAIT_ENV):
         monkeypatch.delenv(name, raising=False)
     reset_fabric_counters()
     yield
@@ -326,13 +321,12 @@ class TestByteIdentity:
         assert cache.load(digest, want_events=True) is not None
 
     def test_worker_death_redispatches_exactly_once(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, kill_worker_once
     ):
         baseline = _fig12_with_exports()
         reset_fabric_counters()
         monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 4)
-        monkeypatch.setenv(FAIL_CELL_ENV, "needle:gpushield")
-        monkeypatch.setenv(FAIL_DIR_ENV, str(tmp_path))
+        kill_worker_once("needle:gpushield")
         assert _fig12_with_exports(jobs=4) == baseline
         counts = fabric_counters()
         assert counts["cells_redispatched"] == 1
@@ -450,8 +444,7 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
-    for name in (CELL_CACHE_ENV, SHARD_ENV, SHARD_WAIT_ENV,
-                 FAIL_CELL_ENV, FAIL_DIR_ENV):
+    for name in (CELL_CACHE_ENV, SHARD_ENV, SHARD_WAIT_ENV):
         env.pop(name, None)
     return env
 

@@ -17,10 +17,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
+import time
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.telemetry import ledger as ledger_module
 from repro.telemetry.ledger import (
     LEDGER_ENV,
     LEDGER_MAX_MB_ENV,
@@ -185,6 +188,47 @@ class TestLedgerRotation:
         self._fill(ledger, 3)
         values = ledger.series("series")
         assert values == [2.0]
+
+    def test_record_appended_during_compaction_is_kept(
+        self, monkeypatch, tmp_path
+    ):
+        path = str(tmp_path / "l.jsonl")
+        self._fill(RunLedger(path), 4)  # ~1.2 KB under the default cap
+        monkeypatch.setenv(LEDGER_MAX_MB_ENV, "0.001")  # now over it
+        compacting = threading.Event()
+        real_loads = json.loads
+
+        def slow_loads(text, *args, **kwargs):
+            # Hold writer A's compaction open at its first parse.
+            if (
+                threading.current_thread().name == "A"
+                and not compacting.is_set()
+            ):
+                compacting.set()
+                time.sleep(0.3)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(ledger_module.json, "loads", slow_loads)
+
+        def writer_b():
+            compacting.wait(5)
+            RunLedger(path).record("benchmark", "B")
+
+        threads = [
+            threading.Thread(
+                target=lambda: RunLedger(path).record("benchmark", "A"),
+                name="A",
+            ),
+            threading.Thread(target=writer_b, name="B"),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert compacting.is_set()  # A's append did compact
+        names = [record["name"] for record in RunLedger(path).read()]
+        assert "A" in names
+        assert "B" in names  # not dropped by the compaction
 
 
 # ----------------------------------------------------------------------
@@ -547,6 +591,25 @@ class TestSegmentedLedger:
         ]
         assert len(segments) == 2  # no two writers share a file
         assert sorted(first.series("a")) == [1.0, 2.0]
+
+    def test_rotation_drops_oldest_segment_with_its_lock(
+        self, monkeypatch, tmp_path
+    ):
+        store = str(tmp_path / "segs") + os.sep
+        old, current = RunLedger(store), RunLedger(store)
+        old.record(
+            "benchmark", "a", metrics={"throughput": 1.0},
+            config={"pad": "x" * 2048}, created_at=_stamp(7),
+        )
+        monkeypatch.setenv(LEDGER_MAX_MB_ENV, str(2 / 1024))  # 2 KiB
+        current.record(
+            "benchmark", "a", metrics={"throughput": 2.0},
+            created_at=_stamp(8),
+        )
+        own = os.path.basename(current._segment)
+        # The old segment went, and its append lock with it.
+        assert sorted(os.listdir(store)) == [own, own + ".lock"]
+        assert current.series("a") == [2.0]
 
     def test_read_unions_segments_in_timestamp_order(self, tmp_path):
         store = str(tmp_path / "segs") + os.sep

@@ -13,10 +13,12 @@ Covers the contract the observability layer promises:
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from repro import IRType, KernelBuilder, run_lmi_pass
+from repro.common.files import publish
 from repro.exec.executor import GpuExecutor
 from repro.mechanisms.base import MechanismStats, MechanismStatsSnapshot
 from repro.mechanisms.lmi import LmiMechanism
@@ -35,7 +37,6 @@ from repro.telemetry import (
     metrics_json,
     write_json,
 )
-from repro.telemetry.export import write_text_atomic
 from repro.telemetry.runtime import (
     SAMPLE_ENV,
     resolve_sample_every,
@@ -485,10 +486,10 @@ class TestAtomicWrites:
         ]
         assert leftovers == []
 
-    def test_write_text_atomic_replaces_existing(self, tmp_path):
+    def test_publish_replaces_existing(self, tmp_path):
         target = tmp_path / "report.html"
-        write_text_atomic(str(target), "first")
-        write_text_atomic(str(target), "second")
+        for text in ("first", "second"):
+            publish(str(target), lambda tmp: Path(tmp).write_text(text))
         assert target.read_text() == "second"
         assert [p.name for p in tmp_path.iterdir()] == ["report.html"]
 

@@ -137,6 +137,7 @@ def test_corrupt_disk_entry_falls_back_to_synthesis(tmp_path):
 
 
 def test_foreign_pickle_rejected(tmp_path):
+    """The disk layer reads only ``.npz`` entries; a ``.pkl`` is ignored."""
     spec = profile("needle")
     key = trace_key(spec, warps=2, instructions_per_warp=50)
     (tmp_path / f"trace-{key}.pkl").write_bytes(

@@ -38,8 +38,6 @@ from repro.experiments.engine import (
 )
 from repro.experiments.fabric import (
     CELL_CACHE_ENV,
-    FAIL_CELL_ENV,
-    FAIL_DIR_ENV,
     GROUP_SIZE,
     fabric_counters,
     reset_fabric_counters,
@@ -68,8 +66,7 @@ LEAK_RE = re.compile(r"rtx-[0-9a-f]{16}")
 def _clean_tracing(monkeypatch):
     """Fresh id sequence, empty stores, no leaked env between tests."""
     for name in (
-        TRACE_SEED_ENV, TRACE_DISABLE_ENV,
-        CELL_CACHE_ENV, FAIL_CELL_ENV, FAIL_DIR_ENV,
+        TRACE_SEED_ENV, TRACE_DISABLE_ENV, CELL_CACHE_ENV,
     ):
         monkeypatch.delenv(name, raising=False)
     reset_trace_ids()
@@ -324,11 +321,10 @@ class TestEnginePropagation:
             assert doc["attrs"]["origin"] == "engine"
 
     def test_redispatch_after_crash_keeps_original_id(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, kill_worker_once
     ):
         monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 4)
-        monkeypatch.setenv(FAIL_CELL_ENV, "needle:baseline")
-        monkeypatch.setenv(FAIL_DIR_ENV, str(tmp_path))
+        kill_worker_once("needle:baseline")
         jobs = _jobs(6)
         expected = _expected_ids(6)
         results = run_sim_jobs(jobs, n_jobs=4)
