@@ -17,10 +17,10 @@ or one cell per dispatch on the work-stealing pool.  The
 * **Batched native dispatch.**  :func:`execute_group` fetches a
   group's traces in one deduped trace-cache pass, builds the
   simulators and issue plans, and runs the whole group through *one*
-  :func:`~repro.sim.native.run_native_batch` call — one FFI crossing
-  per codegen cell, fanned over threads when the kernel was compiled
-  with OpenMP/pthread support.  Any entry the kernel refused runs on
-  the pure-Python :func:`~repro.sim.columnar.run_columnar` loop.
+  :func:`~repro.sim.core.run_plans` call — one FFI crossing per
+  codegen cell, fanned over threads when the kernel was compiled with
+  OpenMP/pthread support; ``run_plans`` hands any plan the kernel
+  refused to the pure-Python issue loop.
 * **Telemetry capture and replay.**  Only when its caller asks, the
   core returns each job's fast-path telemetry as a blob — the
   ``sim.*``/``cache.*`` counters in a private registry plus the raw
@@ -40,7 +40,8 @@ or one cell per dispatch on the work-stealing pool.  The
   resolved traces through ``fork`` instead of reloading them.
 * **Phase attribution.**  Each job's wall time is split into
   ``trace_expand`` / ``compile`` / ``sim`` — a group's trace fetch
-  evenly across its jobs, the FFI call by instruction count — shipped
+  evenly across its jobs, its ``run_plans`` call by instruction
+  count, whichever executor ran it — shipped
   back on the :class:`JobResult` and folded into the live progress
   board's phase aggregates, which the CLI deltas into the run ledger.
 """
@@ -63,6 +64,7 @@ from ..sim import (
     SmSimulator,
     TimingModel,
 )
+from ..sim.core import run_plans
 from ..telemetry.progress import PROGRESS
 from ..telemetry.runtime import TELEMETRY
 from ..telemetry.tracectx import new_trace_id
@@ -181,9 +183,8 @@ def execute_group(
     Traces come from one deduped
     :meth:`~repro.workloads.trace_cache.TraceCache.get_or_synthesize_many`
     pass, or from *traces* when the caller already holds them.  Every
-    job's simulator and issue plan is built, then the whole group
-    crosses the FFI in one :func:`~repro.sim.native.run_native_batch`
-    call; entries the kernel refused run on the Python issue loop.
+    job's simulator and issue plan is built, then the whole group runs
+    in one :func:`~repro.sim.core.run_plans` call.
 
     *blob* is ``None`` unless *telemetry_wanted*: then it is the job's
     fast-path telemetry blob, for the caller to replay in submission
@@ -192,9 +193,6 @@ def execute_group(
     from threads that do not own it (the serve daemon's executors)
     are safe — the trace and codegen caches are lock-guarded.
     """
-    from ..sim.columnar import run_columnar
-    from ..sim.native import run_native_batch
-
     requests = [_trace_request(job) for job in jobs]
     started = time.perf_counter()
     if traces is None:
@@ -202,8 +200,8 @@ def execute_group(
     else:
         group_traces = [traces[request] for request in requests]
     trace_seconds = (time.perf_counter() - started) / len(jobs)
-    # One run_native_batch request per job: (simulator, plan, stats,
-    # events, sample_every, sample_phase).
+    # One run_plans request per job: (simulator, plan, stats, events,
+    # sample_every, sample_phase).
     batch = []
     job_phases: List[Dict[str, float]] = []
     for job, trace in zip(jobs, group_traces):
@@ -221,23 +219,15 @@ def execute_group(
             }
         )
     started = time.perf_counter()
-    cycles_list = run_native_batch(batch)
-    native_seconds = time.perf_counter() - started
+    cycles_list = run_plans(batch)
+    sim_seconds = time.perf_counter() - started
     weight = sum(request[1].total_instructions for request in batch) or 1
     outcomes: List[Tuple[JobResult, object]] = []
     for job, trace, request, phases, cycles in zip(
         jobs, group_traces, batch, job_phases, cycles_list
     ):
-        simulator, plan, stats, events, every, phase = request
-        if cycles is None:
-            started = time.perf_counter()
-            cycles = run_columnar(
-                simulator, trace, plan, stats,
-                events=events, sample_every=every, sample_phase=phase,
-            )
-            phases["sim"] = time.perf_counter() - started
-        else:
-            phases["sim"] = native_seconds * plan.total_instructions / weight
+        simulator, plan, stats, events = request[:4]
+        phases["sim"] = sim_seconds * plan.total_instructions / weight
         blob = None
         if events is not None:
             blob = simulator._fast_path_blob(trace.name, stats, events)

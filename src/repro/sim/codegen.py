@@ -22,7 +22,9 @@ This module replaces that kernel with *generated* C, specialized per
 * **One ABI for every cell.**  All cells export the same two entry
   points — ``lmi_cell_run`` (one trace) and ``lmi_cell_run_batch``
   (N traces through one crossing, optionally threaded) — taking a
-  scalar block and a pointer slab per trace.  The Python side
+  scalar block and a pointer slab per trace; the slab's first 20
+  slots are the issue plan's columns, in the order and under the
+  names :mod:`repro.sim.columnar` defines them.  The Python side
   (:mod:`repro.sim.native`) therefore marshals identically for every
   cell and can group mixed workloads by cell.
 * **Race-safe on-disk cache.**  Shared objects are keyed by (source
@@ -35,7 +37,7 @@ This module replaces that kernel with *generated* C, specialized per
 * **Threads.**  The batch entry point is compiled with OpenMP when
   the toolchain supports it, else a portable pthread fallback, else
   serial (``LMI_NO_THREADS``); :func:`resolve_threads` picks the
-  fan-out width (``REPRO_SIM_NATIVE_THREADS``, default = CPU count).
+  fan-out width (one thread per cell, up to the CPU count).
 
 Semantics are never specialized away: every generated kernel replays
 the exact GTO scheduler, LRU cache and DRAM-channel behaviour of
@@ -63,10 +65,10 @@ from shutil import which
 from typing import Dict, Optional, Tuple, Union
 
 from ..common.files import locked, publish
+from .columnar import PLAN_COLUMNS, PROBE_COLUMNS
 
 __all__ = [
     "CACHE_ENV",
-    "THREADS_ENV",
     "NPTRS",
     "NSCALARS",
     "OUT_SLOTS",
@@ -83,10 +85,6 @@ log = logging.getLogger("repro.sim.codegen")
 
 #: Overrides the on-disk directory for generated sources and ``.so``s.
 CACHE_ENV = "REPRO_NATIVE_CACHE"
-
-#: Thread count for the batched entry point (``auto``/unset = CPUs,
-#: ``1`` = serial batches).
-THREADS_ENV = "REPRO_SIM_NATIVE_THREADS"
 
 #: Pointer-slab slots per cell (run columns, record tables, line and
 #: probe geometry, cache tag/touched arrays, DRAM timeline, event
@@ -232,31 +230,19 @@ static int lru_hit_w{ways}(int64_t *row, int64_t tag)
 
 
 def _unpack_block(spec: CellSpec) -> str:
-    """Pointer-slab and scalar-block unpack prologue."""
+    """Pointer-slab and scalar-block unpack prologue.
+
+    Slots 0–19 are the issue plan's columns, under their
+    :class:`~repro.sim.columnar.IssuePlan` names and in its slab order
+    (the probe columns only in probe cells).
+    """
+    columns = PLAN_COLUMNS + (PROBE_COLUMNS if spec.has_probes else ())
     lines = [
-        "    const int64_t *run_start = (const int64_t *)pp[0];",
-        "    const int64_t *run_length = (const int64_t *)pp[1];",
-        "    const int64_t *run_comp = (const int64_t *)pp[2];",
-        "    const int64_t *run_mem_lo = (const int64_t *)pp[3];",
-        "    const int64_t *run_mem_hi = (const int64_t *)pp[4];",
-        "    const int64_t *rec_base = (const int64_t *)pp[5];",
-        "    const int64_t *rec_rel = (const int64_t *)pp[6];",
-        "    const int64_t *rec_line_start = (const int64_t *)pp[7];",
-        "    const int64_t *line_l1s = (const int64_t *)pp[8];",
-        "    const int64_t *line_l1t = (const int64_t *)pp[9];",
-        "    const int64_t *line_l2s = (const int64_t *)pp[10];",
-        "    const int64_t *line_l2t = (const int64_t *)pp[11];",
-        "    const int64_t *line_ch = (const int64_t *)pp[12];",
-        "    const int64_t *line_txo = (const int64_t *)pp[13];",
+        f"    const int64_t *{name} = (const int64_t *)pp[{slot}];"
+        for slot, name in enumerate(columns)
     ]
     if spec.has_probes:
         lines += [
-            "    const int64_t *rec_probe_start = (const int64_t *)pp[14];",
-            "    const int64_t *probe_rcs = (const int64_t *)pp[15];",
-            "    const int64_t *probe_rct = (const int64_t *)pp[16];",
-            "    const int64_t *probe_mls = (const int64_t *)pp[17];",
-            "    const int64_t *probe_mlt = (const int64_t *)pp[18];",
-            "    const int64_t *probe_mch = (const int64_t *)pp[19];",
             "    int64_t *rc_tags = (int64_t *)pp[22];",
             "    uint8_t *rc_touched = (uint8_t *)pp[25];",
         ]
@@ -996,21 +982,7 @@ def _reset_memo() -> None:
 def resolve_threads(batch_cells: int = 1) -> int:
     """Thread count for one batched native call.
 
-    ``REPRO_SIM_NATIVE_THREADS`` caps the fan-out (``auto`` or unset
-    = CPU count, ``1`` disables in-kernel threading); the batch size
-    caps it again, since a thread without a cell to run is pure spawn
-    overhead.
+    One thread per cell, up to the CPU count: a thread without a cell
+    to run is pure spawn overhead.
     """
-    raw = os.environ.get(THREADS_ENV, "").strip().lower()
-    if raw in ("", "auto"):
-        limit = os.cpu_count() or 1
-    else:
-        try:
-            limit = int(raw)
-        except ValueError:
-            limit = 1
-    if limit < 1:
-        limit = 1
-    if batch_cells < 1:
-        batch_cells = 1
-    return min(limit, batch_cells)
+    return min(os.cpu_count() or 1, max(batch_cells, 1))

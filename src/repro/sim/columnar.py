@@ -11,24 +11,25 @@ data plane as structure-of-arrays:
   addresses and buffer ids, with lossless converters from/to the
   dataclass form (and derived columns: transaction counts, memory-space
   codes, base latencies).
-* **Vectorized stream expansion** — each rewriting
-  :class:`~repro.sim.timing.TimingModel` lowers to per-instruction
-  replication counts applied with ``np.repeat`` (Baggy Bounds: one
-  original plus its check chain), memoized per ``(trace,
-  expansion_key)`` on the trace's bounded
+* **Vectorized stream expansion** — the Baggy Bounds family, the one
+  rewriting :class:`~repro.sim.timing.TimingModel` with a plan
+  lowering, lowers to per-instruction replication counts applied with
+  ``np.repeat`` (one original plus its check chain), memoized per
+  ``(trace, expansion_key)`` on the trace's bounded
   :class:`~repro.sim.trace.TraceMemo`.
-* :class:`IssuePlan` — pre-decoded per-warp issue descriptors.  The
-  GTO scheduler issues *runs*: maximal sequences of instructions the
-  current warp executes back-to-back (a run ends exactly where the
-  next instruction depends on an in-flight result, or at stream end).
-  Run boundaries, fixed result latencies (ALU, shared memory, the
-  state-free model penalties such as the LMI OCU cycles), and the
-  LSU-serialization / extra-transaction statistics are all functions
-  of trace content alone, so they are computed once, vectorized, and
-  the hot loop touches packed Python lists of ints instead of
-  dataclass attributes.
-* :func:`run_columnar` — the pure-Python issue loop, which executes a
-  plan when the generated C kernel of :mod:`repro.sim.native` is
+* :class:`IssuePlan` — pre-decoded issue descriptors, held as flat
+  ``int64`` columns in exactly the layout the generated C kernel of
+  :mod:`repro.sim.native` reads.  The GTO scheduler issues *runs*:
+  maximal sequences of instructions the current warp executes
+  back-to-back (a run ends exactly where the next instruction depends
+  on an in-flight result, or at stream end).  Run boundaries, fixed
+  result latencies (ALU, shared memory, the state-free model penalties
+  such as the LMI OCU cycles), per-transaction cache/DRAM geometry and
+  the LSU-serialization / extra-transaction statistics are all
+  functions of trace content alone, so :func:`decode_issue_plan`
+  computes them once, vectorized.
+* :func:`run_columnar` — the pure-Python issue loop over the same
+  columns, which executes a plan when the generated C kernel is
   unavailable (no C toolchain).  Only genuinely stateful work remains
   serial: L1/L2/DRAM interactions of global/local memory transactions
   (inlined against :class:`~repro.sim.cache.ArrayLruCache` rows) and
@@ -42,9 +43,10 @@ with the linear-scan oracle in :mod:`repro.sim.reference` is locked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +57,6 @@ from .timing import (
     SHARED_LATENCY_CYCLES,
     TRANSACTION_CYCLES,
     TimingModel,
-    expand_stream,
 )
 from .trace import KernelTrace, OpClass, TraceInstruction, trace_memo
 
@@ -272,22 +273,20 @@ def expand_columnar(
     Identity models return the input unchanged.  The Baggy Bounds
     family lowers to per-instruction replication counts applied with
     ``np.repeat`` (each checked record becomes itself plus its
-    serially-dependent check chain).  Unknown rewriting models fall
-    back to the dataclass :func:`~repro.sim.timing.expand_stream`
-    (correct, just not vectorized).
+    serially-dependent check chain).  Any other rewriting has no
+    columnar lowering and raises :class:`SimulationError`; the oracle
+    simulates such models.
     """
     key = model.expansion_key()
     if key == ("identity",):
         return columnar
     if isinstance(key, tuple) and key and key[0] == "baggy":
         return _expand_checked_chain(columnar, int(key[1]))
-    # Generic fallback: rewrite through the dataclass path.
-    trace = columnar.to_trace()
-    expanded = KernelTrace(
-        name=trace.name,
-        warps=[expand_stream(model, stream) for stream in trace.warps],
+    raise SimulationError(
+        f"timing model {type(model).__qualname__} has no columnar "
+        f"expansion (expansion_key() is {key!r}); simulate it with "
+        "repro.sim.reference.reference_simulate"
     )
-    return ColumnarTrace.from_trace(expanded)
 
 
 def expanded_columnar(
@@ -297,10 +296,8 @@ def expanded_columnar(
     key = model.expansion_key()
     if key == ("identity",):
         return columnar_of(trace)
-    if key is None:
-        return expand_columnar(columnar_of(trace), model)
     memo = trace_memo(trace)
-    mkey = ("columnar-expand",) + _model_namespace(model) + tuple(key)
+    mkey = ("columnar-expand",) + _model_namespace(model) + (key,)
     expanded = memo.get(mkey)
     if expanded is None:
         expanded = memo.put(
@@ -362,56 +359,118 @@ def _expand_checked_chain(
 
 
 # ----------------------------------------------------------------------
-# Pre-decoded per-warp issue descriptors.
+# Issue plans: flat int64 columns in the generated kernel's slab order.
+
+#: The columns of every plan, in pointer-slab order: slots 0–13 of a
+#: generated kernel's slab, unpacked under these names by
+#: :mod:`repro.sim.codegen`.
+PLAN_COLUMNS: Tuple[str, ...] = (
+    "run_start", "run_length", "run_comp", "run_mem_lo", "run_mem_hi",
+    "rec_base", "rec_rel", "rec_line_start",
+    "line_l1s", "line_l1t", "line_l2s", "line_l2t", "line_ch", "line_txo",
+)
+
+#: GPUShield's RCache probe columns: slab slots 14–19.
+PROBE_COLUMNS: Tuple[str, ...] = (
+    "rec_probe_start",
+    "probe_rcs", "probe_rct", "probe_mls", "probe_mlt", "probe_mch",
+)
+
+#: An empty column: one ``0``, so every slab pointer is valid.
+_EMPTY = np.zeros(1, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+def _column(values: Sequence[int]) -> np.ndarray:
+    """*values* as a C-contiguous ``int64`` plan column."""
+    if len(values) == 0:
+        return _EMPTY
+    return np.ascontiguousarray(values, dtype=np.int64)
 
 
 @dataclass
 class IssuePlan:
-    """Packed issue descriptors for one (trace, model, geometry) tuple.
+    """Issue descriptors for one (trace, model, geometry) tuple.
 
-    ``runs[w]`` holds one ``(length, comp_delta, mem_lo, mem_hi)``
-    tuple per issue run of warp *w*, **in reverse issue order** (the
-    hot loop copies each list once per simulation and consumes it with
-    ``list.pop()``): ``length`` instructions issue back-to-back,
-    ``comp_delta`` is ``length - 1 + final_latency`` for runs whose
-    final result latency is state-free (ALU, shared memory, the LMI
-    OCU penalty) or ``-1`` when the final instruction rides the
-    stateful L1/L2/DRAM path, and ``mem_lo:mem_hi`` indexes the warp's
-    memory tables: ``mem_rel[w]`` (issue offset within the run) and
-    ``mem_geom[w]`` — per memory instruction, a sequence of
-    pre-resolved per-line ``(l1_set, l1_tag, l2_set, l2_tag, channel,
-    lsu_offset)`` tuples, so the issue loop performs no address
-    arithmetic at all.  For GPUShield, ``mem_probes[w]`` carries
-    pre-resolved ``(rc_set, rc_tag, meta_l2_set, meta_l2_tag,
-    meta_channel)`` probe tuples (deduplicated per instruction,
-    preserving the reference engine's set iteration order).  All
-    containers hold plain Python ints: the hot loop never touches
-    NumPy scalars.
+    Every table is a C-contiguous ``int64`` column, and both executors
+    read the same arrays: the generated kernel through its pointer
+    slab (:attr:`pointers`), the Python loop through lists it makes
+    once per call.
+
+    **Runs**, warp-major and in issue order within a warp: warp *w*
+    owns runs ``run_start[w]:run_start[w + 1]`` (``run_start`` has
+    ``warps + 1`` entries).  Run *r* issues ``run_length[r]``
+    instructions back-to-back.  ``run_comp[r]`` is ``length - 1 +
+    final_latency`` when the run's final result latency is state-free
+    (ALU, shared memory, the LMI OCU penalty), or ``-(1 + extra)``
+    when its final instruction rides the stateful L1/L2/DRAM path
+    with a state-free latency addend ``extra``.  The run's memory
+    records are ``run_mem_lo[r]:run_mem_hi[r]``, counted from its
+    warp's first: record *m* of warp *w* is row ``rec_base[w] + m``.
+
+    **Memory records** (global/local instructions, warp-major):
+    ``rec_rel`` is the record's issue offset within its run, and
+    ``rec_line_start`` (``records + 1`` entries) indexes its coalesced
+    transactions in the line columns, each pre-resolved to L1 set and
+    tag (``line_l1s``, ``line_l1t``), L2 set and tag (``line_l2s``,
+    ``line_l2t``), DRAM channel (``line_ch``) and LSU serialization
+    offset (``line_txo``), so the issue loops do no address
+    arithmetic.
+
+    **RCache probes** (GPUShield, ``has_probes``): ``rec_probe_start``
+    indexes each record's probes in the probe columns, one per
+    distinct buffer id in the oracle's ``set()`` iteration order:
+    RCache set and tag (``probe_rcs``, ``probe_rct``), the metadata
+    line's L2 set and tag (``probe_mls``, ``probe_mlt``) and its DRAM
+    channel (``probe_mch``).
+
+    An empty column holds one ``0``, as do the probe columns of plans
+    without probes, so every slab pointer is valid.
     """
 
     total_instructions: int
     extra_transactions: int
     lsu_serialization_cycles: int
-    runs: List[List[Tuple[int, int, int, int]]]
-    mem_rel: List[List[int]]
-    mem_geom: List[List[List[Tuple[int, int, int, int, int, int]]]]
-    mem_probes: Optional[
-        List[List[Tuple[Tuple[int, int, int, int, int], ...]]]
-    ] = None
-    #: Lazily materialized per-warp op-name lists (telemetry only).
-    _op_names: Optional[List[List[str]]] = field(
-        default=None, repr=False, compare=False
-    )
+    has_probes: bool
+    run_start: np.ndarray
+    run_length: np.ndarray
+    run_comp: np.ndarray
+    run_mem_lo: np.ndarray
+    run_mem_hi: np.ndarray
+    rec_base: np.ndarray
+    rec_rel: np.ndarray
+    rec_line_start: np.ndarray
+    line_l1s: np.ndarray
+    line_l1t: np.ndarray
+    line_l2s: np.ndarray
+    line_l2t: np.ndarray
+    line_ch: np.ndarray
+    line_txo: np.ndarray
+    rec_probe_start: np.ndarray
+    probe_rcs: np.ndarray
+    probe_rct: np.ndarray
+    probe_mls: np.ndarray
+    probe_mlt: np.ndarray
+    probe_mch: np.ndarray
 
     @property
-    def total_runs(self) -> int:
-        """Issue runs across all warps (scheduler events per replay).
+    def warp_count(self) -> int:
+        """Number of warps."""
+        return len(self.run_start) - 1
 
-        One run is one uninterrupted issue burst; this is the unit the
-        sampled-event comb walks and the batch/throughput accounting
-        of the native executor reports against.
+    @cached_property
+    def pointers(self) -> np.ndarray:
+        """Every column's address, in pointer-slab order (slots 0–19).
+
+        Computed once per plan: the columns never move while it lives.
         """
-        return sum(len(runs) for runs in self.runs)
+        return np.array(
+            [
+                getattr(self, name).ctypes.data
+                for name in PLAN_COLUMNS + PROBE_COLUMNS
+            ],
+            dtype=np.uint64,
+        )
 
 
 #: Cache/DRAM geometry baked into a plan: ``(l1_line_bits, l1_sets,
@@ -446,20 +505,6 @@ def decode_issue_plan(
     ops = columnar.ops
     n = len(ops)
     wo = columnar.warp_offsets
-    warp_count = columnar.warp_count
-    if n == 0:
-        return IssuePlan(
-            total_instructions=0,
-            extra_transactions=0,
-            lsu_serialization_cycles=0,
-            runs=[[] for _ in range(warp_count)],
-            mem_rel=[[] for _ in range(warp_count)],
-            mem_geom=[[] for _ in range(warp_count)],
-            mem_probes=(
-                [[] for _ in range(warp_count)]
-                if family == "gpushield" else None
-            ),
-        )
 
     latencies = columnar.base_latencies()
     final_extra = None
@@ -467,7 +512,7 @@ def decode_issue_plan(
         # The OCU penalty rides on *every* checked instruction
         # (LmiTiming.extra_latency adds it regardless of op class).  Fixed-latency
         # records absorb it here; checked records on the stateful
-        # L1-path carry it through the sign-encoded ``comp_delta``.
+        # L1-path carry it through the sign-encoded ``run_comp``.
         ocu = int(plan_key[1])
         checked = columnar.checked
         latencies[checked & (latencies >= 0)] += ocu
@@ -483,138 +528,119 @@ def decode_issue_plan(
     warp_starts = wo[:-1]
     run_start_mask[warp_starts[warp_starts < n]] = True
     run_starts = np.nonzero(run_start_mask)[0]
-    run_ends = np.empty_like(run_starts)
-    run_ends[:-1] = run_starts[1:] - 1
-    run_ends[-1] = n - 1
-    run_lengths = run_ends - run_starts + 1
+    run_bounds = np.append(run_starts, n)
+    run_lengths = np.diff(run_bounds)
+    run_ends = run_bounds[1:] - 1
     run_last_latency = latencies[run_ends]
-    # comp_delta: completion cycle of the run's final instruction
+    # run_comp: completion cycle of the run's final instruction
     # relative to the run's first issue cycle.  Negative values flag a
     # stateful (L1-path) final record and encode its state-free extra
     # latency addend as ``-(1 + extra)`` (plain ``-1`` when none).
     if final_extra is None:
-        comp_delta = np.where(
+        run_comp = np.where(
             run_last_latency < 0, -1, run_lengths - 1 + run_last_latency
         )
     else:
-        comp_delta = np.where(
+        run_comp = np.where(
             run_last_latency < 0,
             -1 - final_extra[run_ends],
             run_lengths - 1 + run_last_latency,
         )
 
-    # Memory tables: only L1-path records stay stateful.
+    # Memory records: only L1-path records stay stateful.  Run bounds
+    # into them are warp-local, offset by the warp's ``rec_base``.
     l1_mask = (
         (ops == OP_LDG) | (ops == OP_STG) | (ops == OP_LDL) | (ops == OP_STL)
     )
     mem_positions = np.nonzero(l1_mask)[0]
     run_id = np.cumsum(run_start_mask) - 1
-    mem_rel_global = mem_positions - run_starts[run_id[mem_positions]]
-    mem_lo = np.searchsorted(mem_positions, run_starts)
-    mem_hi = np.searchsorted(mem_positions, run_ends + 1)
+    rec_rel = mem_positions - run_starts[run_id[mem_positions]]
+    rec_base = np.searchsorted(mem_positions, warp_starts)
     run_warp = np.searchsorted(wo, run_starts, side="right") - 1
-    warp_mem_start = np.searchsorted(mem_positions, wo[:-1])
-    mem_lo_local = mem_lo - warp_mem_start[run_warp]
-    mem_hi_local = mem_hi - warp_mem_start[run_warp]
-    warp_run_lo = np.searchsorted(run_starts, wo[:-1])
-    warp_run_hi = np.searchsorted(run_starts, wo[1:])
+    run_rec_base = rec_base[run_warp]
+    run_mem_lo = np.searchsorted(mem_positions, run_starts) - run_rec_base
+    run_mem_hi = np.searchsorted(mem_positions, run_ends + 1) - run_rec_base
 
-    # Python-int packing (NumPy scalars are ~3x slower in the loop).
-    # Per-warp run lists are stored in reverse issue order, so the hot
-    # loop consumes them with O(1) ``list.pop()``.
-    lengths_l = run_lengths.tolist()
-    comp_l = comp_delta.tolist()
-    mem_lo_l = mem_lo_local.tolist()
-    mem_hi_l = mem_hi_local.tolist()
-    run_lo_l = warp_run_lo.tolist()
-    run_hi_l = warp_run_hi.tolist()
-    runs: List[List[Tuple[int, int, int, int]]] = []
-    for w in range(warp_count):
-        lo, hi = run_lo_l[w], run_hi_l[w]
-        packed = list(zip(lengths_l[lo:hi], comp_l[lo:hi],
-                          mem_lo_l[lo:hi], mem_hi_l[lo:hi]))
-        packed.reverse()
-        runs.append(packed)
-
-    # Pre-resolved per-line geometry: set indices, tags, DRAM channel
-    # and the LSU serialization offset of every coalesced transaction.
+    # Pre-resolved geometry of every memory record's coalesced lines:
+    # set indices, tags, DRAM channel and LSU serialization offset.
     l1_bits, l1_sets, l2_bits, l2_sets, channels = geometry
-    lines = columnar.lines
+    line_offsets = columnar.line_offsets
+    line_counts = np.diff(line_offsets)
+    rec_line_start = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(line_counts[mem_positions]))
+    )
+    on_l1_path = np.repeat(l1_mask, line_counts)
+    lines = columnar.lines[on_l1_path]
+    line_index = np.arange(len(columnar.lines), dtype=np.int64) - np.repeat(
+        line_offsets[:-1], line_counts
+    )
     shifted1 = lines >> l1_bits
     shifted2 = lines >> l2_bits
-    line_counts = np.diff(columnar.line_offsets)
-    tx_offsets = (
-        np.arange(len(lines), dtype=np.int64)
-        - np.repeat(columnar.line_offsets[:-1], line_counts)
-    ) * TRANSACTION_CYCLES
-    geom_all = list(
-        zip(
-            (shifted1 % l1_sets).tolist(),
-            (shifted1 // l1_sets).tolist(),
-            (shifted2 % l2_sets).tolist(),
-            (shifted2 // l2_sets).tolist(),
-            ((lines >> 7) % channels).tolist(),
-            tx_offsets.tolist(),
-        )
-    )
 
-    mem_positions_l = mem_positions.tolist()
-    mem_rel_global_l = mem_rel_global.tolist()
-    line_offsets_l = columnar.line_offsets.tolist()
-    bounds = warp_mem_start.tolist() + [len(mem_positions_l)]
-    mem_rel: List[List[int]] = []
-    mem_geom: List[List[List[Tuple[int, int, int, int, int, int]]]] = []
-    for w in range(warp_count):
-        lo, hi = bounds[w], bounds[w + 1]
-        mem_rel.append(mem_rel_global_l[lo:hi])
-        mem_geom.append(
-            [
-                geom_all[line_offsets_l[j]:line_offsets_l[j + 1]]
-                for j in mem_positions_l[lo:hi]
-            ]
-        )
-
-    mem_probes = None
     if family == "gpushield":
-        entry_bytes = int(plan_key[1])
-        rc_sets = int(plan_key[2])
-        metadata_base = GPUShieldTiming.METADATA_BASE
-        buffer_offsets_l = columnar.buffer_offsets.tolist()
-        buffers_l = columnar.buffers.tolist()
-        mem_probes = []
-        for w in range(warp_count):
-            lo, hi = bounds[w], bounds[w + 1]
-            probes_w = []
-            for j in mem_positions_l[lo:hi]:
-                ids = buffers_l[buffer_offsets_l[j]:buffer_offsets_l[j + 1]]
-                probe_list = []
-                # set() built from the same values in the same order as
-                # the reference model's `set(instr.buffer_ids)`, so the
-                # probe (and RCache state) sequence matches exactly.
-                for bid in set(ids):
-                    meta_line = metadata_base + bid * entry_bytes
-                    meta_shift = meta_line >> l2_bits
-                    probe_list.append(
-                        (
-                            bid % rc_sets,
-                            bid // rc_sets,
-                            meta_shift % l2_sets,
-                            meta_shift // l2_sets,
-                            (meta_line >> 7) % channels,
-                        )
-                    )
-                probes_w.append(tuple(probe_list))
-            mem_probes.append(probes_w)
+        probes = _decode_probes(columnar, mem_positions, plan_key, geometry)
+    else:
+        probes = dict.fromkeys(PROBE_COLUMNS, _EMPTY)
 
     return IssuePlan(
         total_instructions=n,
         extra_transactions=extra_transactions,
         lsu_serialization_cycles=TRANSACTION_CYCLES * extra_transactions,
-        runs=runs,
-        mem_rel=mem_rel,
-        mem_geom=mem_geom,
-        mem_probes=mem_probes,
+        has_probes=family == "gpushield",
+        run_start=_column(np.searchsorted(run_starts, wo)),
+        run_length=_column(run_lengths),
+        run_comp=_column(run_comp),
+        run_mem_lo=_column(run_mem_lo),
+        run_mem_hi=_column(run_mem_hi),
+        rec_base=_column(rec_base),
+        rec_rel=_column(rec_rel),
+        rec_line_start=_column(rec_line_start),
+        line_l1s=_column(shifted1 % l1_sets),
+        line_l1t=_column(shifted1 // l1_sets),
+        line_l2s=_column(shifted2 % l2_sets),
+        line_l2t=_column(shifted2 // l2_sets),
+        line_ch=_column((lines >> 7) % channels),
+        line_txo=_column(line_index[on_l1_path] * TRANSACTION_CYCLES),
+        **probes,
     )
+
+
+def _decode_probes(
+    columnar: ColumnarTrace,
+    mem_positions: np.ndarray,
+    plan_key: Tuple,
+    geometry: PlanGeometry,
+) -> Dict[str, np.ndarray]:
+    """GPUShield's probe columns for the records at *mem_positions*.
+
+    A record probes each distinct buffer id once, in the iteration
+    order of a ``set`` built from its ids in trace order — the order of
+    the oracle's ``set(instr.buffer_ids)``, so the RCache state
+    sequence matches.  That order is hash-slot order, not sorted
+    order, so the deduplication stays a Python loop; the geometry is
+    vectorized.
+    """
+    entry_bytes = int(plan_key[1])
+    rc_sets = int(plan_key[2])
+    _, _, l2_bits, l2_sets, channels = geometry
+    buffers = columnar.buffers.tolist()
+    offsets = columnar.buffer_offsets.tolist()
+    ids: List[int] = []
+    starts = [0]
+    for j in mem_positions.tolist():
+        ids.extend(set(buffers[offsets[j]:offsets[j + 1]]))
+        starts.append(len(ids))
+    bids = np.asarray(ids, dtype=np.int64)
+    meta_line = GPUShieldTiming.METADATA_BASE + bids * entry_bytes
+    meta_shift = meta_line >> l2_bits
+    return {
+        "rec_probe_start": _column(starts),
+        "probe_rcs": _column(bids % rc_sets),
+        "probe_rct": _column(bids // rc_sets),
+        "probe_mls": _column(meta_shift % l2_sets),
+        "probe_mlt": _column(meta_shift // l2_sets),
+        "probe_mch": _column((meta_line >> 7) % channels),
+    }
 
 
 def plan_for(
@@ -656,16 +682,20 @@ def plan_for(
 # The columnar issue loop.
 
 
+def _rows(*columns: np.ndarray) -> List[tuple]:
+    """One tuple of plain ints per row of *columns*."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def run_columnar(
     simulator,
-    trace: KernelTrace,
     plan: IssuePlan,
     stats,
     events: Optional[List[Tuple[int, int, int]]] = None,
     sample_every: int = 1,
     sample_phase: int = 0,
 ) -> int:
-    """Simulate *trace* on *simulator* through *plan*.
+    """Simulate *plan* on *simulator*: the generated kernel's Python twin.
 
     Fills *stats* (a :class:`~repro.sim.core.SimStats`) and returns the
     finish cycle.  Requires the simulator's L1/L2 (and, for GPUShield,
@@ -687,6 +717,13 @@ def run_columnar(
 
     Loop structure
     --------------
+    The loop indexes the plan's columns as the generated kernel does:
+    warp *w*'s next run is ``ridx[w]``, and its memory record *m* is
+    row ``rec_base[w] + m``.  It first turns the columns into plain
+    Python lists (NumPy scalars are ~3x slower in the loop), zipping
+    the run, line and probe columns into one tuple per run,
+    transaction and probe; nothing it builds outlives the call.
+
     The scheduler state is a *ready bitmask* (oldest ready warp =
     lowest set bit) plus wake *buckets*: a dict mapping completion
     cycle to the bitmask of warps waking then, with a min-heap over
@@ -697,7 +734,7 @@ def run_columnar(
     simulated cycles.  Each iteration issues one whole run:
     fixed-latency runs collapse to O(1); runs touching global/local
     memory walk only their memory records through the pre-resolved
-    geometry tuples.  When the issuing warp is the only ready one and
+    geometry.  When the issuing warp is the only ready one and
     nothing wakes before its dependency resolves, the clock
     fast-forwards in place instead of a park round-trip (GTO gives
     the current warp priority on ties, so this is exact).
@@ -720,16 +757,29 @@ def run_columnar(
     line_cycles = dram.line_cycles
     tx = TRANSACTION_CYCLES
 
-    mem_rel_all = plan.mem_rel
-    mem_geom_all = plan.mem_geom
-    probes_all = plan.mem_probes
-    gpushield = probes_all is not None
-    probes_w = None
+    # The plan's columns as per-call Python lists.
+    run_start = plan.run_start.tolist()
+    run_rows = _rows(
+        plan.run_length, plan.run_comp, plan.run_mem_lo, plan.run_mem_hi
+    )
+    rec_base = plan.rec_base.tolist()
+    rec_rel = plan.rec_rel.tolist()
+    rec_line_start = plan.rec_line_start.tolist()
+    line_rows = _rows(
+        plan.line_l1s, plan.line_l1t, plan.line_l2s, plan.line_l2t,
+        plan.line_ch, plan.line_txo,
+    )
+    gpushield = plan.has_probes
     rc_hits = rc_misses = p_l2_hits = p_l2_misses = 0
     if gpushield:
         rcache = model.rcache
         rc_rows = rcache.rows
         rc_ways = rcache._ways
+        rec_probe_start = plan.rec_probe_start.tolist()
+        probe_rows = _rows(
+            plan.probe_rcs, plan.probe_rct, plan.probe_mls, plan.probe_mlt,
+            plan.probe_mch,
+        )
 
     # Sampled run-issue event recording (telemetry fast path).
     ev_append = events.append if events is not None else None
@@ -737,15 +787,15 @@ def run_columnar(
     ev_phase = sample_phase
     issue_seq = 0
 
-    # Per-simulation consumable copies of the (memoized) reversed
-    # per-warp run lists.
-    runs_left = [list(r) for r in plan.runs]
-    warp_count = len(runs_left)
+    # Warp w issues run ridx[w] next and retires after run_end[w] - 1.
+    ridx = run_start[:-1]
+    run_end = run_start[1:]
+    warp_count = len(ridx)
     finals = [0] * warp_count
     ready_mask = 0
     live = 0
     for w in range(warp_count):
-        if runs_left[w]:
+        if ridx[w] < run_end[w]:
             ready_mask |= 1 << w
             live += 1
 
@@ -800,8 +850,9 @@ def run_columnar(
             clock = next_wake
             continue
 
-        runs_w = runs_left[w]
-        length, comp_delta, mem_lo, mem_hi = runs_w.pop()
+        ri = ridx[w]
+        ridx[w] = ri + 1
+        length, comp_delta, mem_lo, mem_hi = run_rows[ri]
 
         if ev_append is not None:
             if issue_seq % ev_every == ev_phase:
@@ -815,18 +866,17 @@ def run_columnar(
             # (earlier completions are overwritten by later issues);
             # mid-run records still mutate cache/DRAM state and the
             # hit/miss counters, exactly as the oracle does.
-            rel_w = mem_rel_all[w]
-            geom_w = mem_geom_all[w]
-            if gpushield:
-                probes_w = probes_all[w]
-            last_mem = mem_hi if comp_delta >= 0 else mem_hi - 1
-            for mi in range(mem_lo, last_mem):
+            base = rec_base[w]
+            last = base + (mem_hi if comp_delta >= 0 else mem_hi - 1)
+            for rec in range(base + mem_lo, last):
                 # State-only memory record (result latency discarded).
                 # Cache rows are insertion-ordered dicts whose stored
                 # value is always ``None``, so a single ``pop`` both
                 # answers "was it resident?" (``None`` vs the ``0``
                 # default) and unlinks it for the MRU reinsert.
-                for l1s, l1t, l2s, l2t, ch, txo in geom_w[mi]:
+                for l1s, l1t, l2s, l2t, ch, txo in line_rows[
+                    rec_line_start[rec]:rec_line_start[rec + 1]
+                ]:
                     row = l1_rows[l1s]
                     if row.pop(l1t, 0) is None:
                         row[l1t] = None
@@ -845,14 +895,16 @@ def run_columnar(
                             row2[l2t] = None
                             if len(row2) > l2_ways:
                                 del row2[next(iter(row2))]
-                            now = clock + rel_w[mi]
+                            now = clock + rec_rel[rec]
                             free = free_at[ch]
                             start = now if now >= free else free
                             free_at[ch] = start + line_cycles
                             dram_requests += 1
                             dram_queue_delay += start - now
-                if probes_w is not None:
-                    for rcs, rct, mls, mlt, mch in probes_w[mi]:
+                if gpushield:
+                    for rcs, rct, mls, mlt, mch in probe_rows[
+                        rec_probe_start[rec]:rec_probe_start[rec + 1]
+                    ]:
                         rrow = rc_rows[rcs]
                         if rrow.pop(rct, 0) is None:
                             rrow[rct] = None
@@ -871,7 +923,7 @@ def run_columnar(
                             row2[mlt] = None
                             if len(row2) > l2_ways:
                                 del row2[next(iter(row2))]
-                            now = clock + rel_w[mi]
+                            now = clock + rec_rel[rec]
                             free = free_at[mch]
                             start = now if now >= free else free
                             free_at[mch] = start + line_cycles
@@ -881,9 +933,11 @@ def run_columnar(
                 # Run-final memory record: its slowest transaction
                 # (plus the LSU serialization offset, plus GPUShield's
                 # probe penalty) is the run's completion latency.
-                now = clock + rel_w[last_mem]
+                now = clock + rec_rel[last]
                 slowest = 0
-                for l1s, l1t, l2s, l2t, ch, txo in geom_w[last_mem]:
+                for l1s, l1t, l2s, l2t, ch, txo in line_rows[
+                    rec_line_start[last]:rec_line_start[last + 1]
+                ]:
                     row = l1_rows[l1s]
                     if row.pop(l1t, 0) is None:
                         row[l1t] = None
@@ -913,10 +967,12 @@ def run_columnar(
                     candidate = latency + txo
                     if candidate > slowest:
                         slowest = candidate
-                if probes_w is not None:
+                if gpushield:
                     extra_misses = 0
                     probe_slowest = 0
-                    for rcs, rct, mls, mlt, mch in probes_w[last_mem]:
+                    for rcs, rct, mls, mlt, mch in probe_rows[
+                        rec_probe_start[last]:rec_probe_start[last + 1]
+                    ]:
                         rrow = rc_rows[rcs]
                         if rrow.pop(rct, 0) is None:
                             rrow[rct] = None
@@ -955,7 +1011,7 @@ def run_columnar(
 
         complete = clock + comp_delta
         clock += length
-        if not runs_w:
+        if ri + 1 == run_end[w]:
             # Warp retired; only its final completion matters for the
             # finish cycle.
             live -= 1

@@ -15,12 +15,14 @@ instructions (software schemes) and extra latencies (OCU, RCache).
 One fast path, one oracle
 -------------------------
 :class:`SmSimulator` runs every trace through one fast path: the trace
-is pre-decoded into an :class:`~repro.sim.columnar.IssuePlan` (issue
-runs plus pre-resolved cache/DRAM geometry), which the generated C
-kernel of :mod:`repro.sim.native` executes — or, when no C toolchain
-is available, the pure-Python :func:`~repro.sim.columnar.run_columnar`
-loop.  Both operate on the same :class:`~repro.sim.cache.ArrayLruCache`
-and DRAM state.  The ground truth they are locked against
+is pre-decoded into an :class:`~repro.sim.columnar.IssuePlan` (flat
+``int64`` columns of issue runs plus pre-resolved cache/DRAM
+geometry), which :func:`run_plans` hands to the generated C kernel of
+:mod:`repro.sim.native` — or, for any plan the kernel refuses (no C
+toolchain, say), to the pure-Python
+:func:`~repro.sim.columnar.run_columnar` loop over the same columns.
+Both operate on the same :class:`~repro.sim.cache.ArrayLruCache` and
+DRAM state.  The ground truth they are locked against
 (``tests/test_sim_columnar_equivalence.py``) is the linear-scan
 scheduler in :mod:`repro.sim.reference`.
 
@@ -35,7 +37,7 @@ models run on the oracle,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
 from ..common.errors import SimulationError
@@ -45,7 +47,7 @@ from ..telemetry.runtime import TELEMETRY, resolve_sample_every, sample_phase
 from .cache import ArrayLruCache
 from .columnar import plan_for, run_columnar
 from .dram import DramModel
-from .native import run_native
+from .native import run_native_batch
 from .timing import (
     ALU_LATENCY_CYCLES,
     BaselineTiming,
@@ -163,7 +165,7 @@ class SmSimulator:
         warps.
         """
         plan = plan_for(trace, self.model, self.config)
-        if not plan.runs:
+        if not plan.warp_count:
             raise SimulationError("trace has no warps")
         return plan
 
@@ -189,19 +191,7 @@ class SmSimulator:
         stats = SimStats()
         telem = TELEMETRY
         events, every, phase = self._fast_telemetry(trace, telem.enabled)
-        # The generated C kernel replays the plan against this
-        # simulator's cache/DRAM state; it returns None (no toolchain,
-        # compile failure, kernel error) to hand the plan to the
-        # pure-Python issue loop.
-        cycles = run_native(
-            self, plan, stats,
-            events=events, sample_every=every, sample_phase=phase,
-        )
-        if cycles is None:
-            cycles = run_columnar(
-                self, trace, plan, stats,
-                events=events, sample_every=every, sample_phase=phase,
-            )
+        (cycles,) = run_plans([(self, plan, stats, events, every, phase)])
         if events is not None:
             publish_fast_path(
                 self._fast_path_blob(trace.name, stats, events), telem
@@ -224,6 +214,23 @@ class SmSimulator:
         self.l1.stats.publish(registry, unit="l1", trace=trace_name)
         self.l2.stats.publish(registry, unit="l2", trace=trace_name)
         return registry, trace_name, events
+
+
+def run_plans(requests: Sequence[Tuple]) -> List[int]:
+    """Execute issue plans; one finish cycle per request.
+
+    *requests* are :func:`~repro.sim.native.run_native_batch` tuples,
+    ``(simulator, plan, stats, events, sample_every, sample_phase)``.
+    The whole batch goes to the generated C kernels at once, and every
+    plan they refuse (no toolchain, compile failure, kernel error)
+    runs on the pure-Python :func:`~repro.sim.columnar.run_columnar`
+    loop instead — the one place the two executors meet.
+    """
+    results = run_native_batch(requests)
+    for index, cycles in enumerate(results):
+        if cycles is None:
+            results[index] = run_columnar(*requests[index])
+    return results
 
 
 def publish_fast_path(blob, telem) -> None:

@@ -3,15 +3,14 @@
 The fast path's pure-Python issue loop (:func:`repro.sim.
 columnar.run_columnar`) bottoms out at CPython bytecode dispatch;
 this module removes that floor when a C toolchain is present.  The
-issue plan's per-warp run descriptors, memory-record tables and
-pre-resolved line/probe geometry are flattened into contiguous
-``int64`` columns (:class:`NativePlan`) and handed — as a pointer
-slab — to a kernel *generated for the exact (timing-model,
-mechanism) cell* by :mod:`repro.sim.codegen`: latencies and cache
-way counts are compile-time constants, the GPUShield probe path is
-compiled out of cells that never take it, and every cell carries
-both a single-word (≤64 warps) and a multi-word ready-mask
-scheduler, so wide traces no longer fall back to Python.
+issue plan's flat ``int64`` columns (:class:`~repro.sim.columnar.
+IssuePlan`) are handed — as a pointer slab, without a copy — to a
+kernel *generated for the exact (timing-model, mechanism) cell* by
+:mod:`repro.sim.codegen`: latencies and cache way counts are
+compile-time constants, the GPUShield probe path is compiled out of
+cells that never take it, and every cell carries both a single-word
+(≤64 warps) and a multi-word ready-mask scheduler, so wide traces no
+longer fall back to Python.
 
 Design constraints:
 
@@ -31,8 +30,8 @@ Design constraints:
 * **Batching.**  :func:`run_native_batch` ships N independent traces
   through **one** FFI crossing per cell group — and, when the cell
   was compiled with OpenMP or pthreads, fans the group out across
-  cores (``REPRO_SIM_NATIVE_THREADS``).
-* **Observable refusal.**  Every fallback to the Python loop (no
+  cores (one thread per cell, up to the CPU count).
+* **Observable refusal.**  Every plan the kernels refuse (no
   toolchain, compile failure, kernel error) is counted in
   :data:`NATIVE_DIAG` (``sim.native_fallback{reason=…}``) and logged
   once per reason per process.  The diagnostics registry
@@ -72,12 +71,10 @@ from .timing import TRANSACTION_CYCLES
 
 __all__ = [
     "NATIVE_DIAG",
-    "NativePlan",
     "cell_spec_for",
     "fallback_counts",
     "native_available",
     "note_fallback",
-    "pack_native_plan",
     "run_native",
     "run_native_batch",
 ]
@@ -133,7 +130,7 @@ def cell_spec_for(simulator, plan) -> CellSpec:
     """
     config = simulator.config
     dram = simulator.dram
-    has_probes = plan.mem_probes is not None
+    has_probes = plan.has_probes
     return CellSpec(
         has_probes=has_probes,
         l1_ways=config.l1.ways,
@@ -171,112 +168,6 @@ def native_available() -> bool:
     return isinstance(load_cell(spec), CompiledCell)
 
 
-def _flat(values: List[int]) -> np.ndarray:
-    return np.asarray(values if values else [0], dtype=np.int64)
-
-
-@dataclass
-class NativePlan:
-    """Flattened, C-contiguous ``int64`` columns of an IssuePlan."""
-
-    warp_count: int
-    run_start: np.ndarray
-    run_length: np.ndarray
-    run_comp: np.ndarray
-    run_mem_lo: np.ndarray
-    run_mem_hi: np.ndarray
-    rec_base: np.ndarray
-    rec_rel: np.ndarray
-    rec_line_start: np.ndarray
-    line_cols: List[np.ndarray]
-    has_probes: bool
-    rec_probe_start: np.ndarray
-    probe_cols: List[np.ndarray]
-    #: Slab slots 0–19 (the plan-owned pointers), precomputed once:
-    #: per-run marshalling then only fills the per-run state slots.
-    slab_prefix: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.slab_prefix is None:
-            columns = [
-                self.run_start,
-                self.run_length,
-                self.run_comp,
-                self.run_mem_lo,
-                self.run_mem_hi,
-                self.rec_base,
-                self.rec_rel,
-                self.rec_line_start,
-                *self.line_cols,
-                self.rec_probe_start,
-                *self.probe_cols,
-            ]
-            prefix = np.zeros(20, dtype=np.uint64)
-            for index, column in enumerate(columns):
-                prefix[index] = column.ctypes.data
-            self.slab_prefix = prefix
-
-
-def pack_native_plan(plan) -> NativePlan:
-    """Flatten *plan* (memoized on the plan object)."""
-    packed = getattr(plan, "_native_plan", None)
-    if packed is not None:
-        return packed
-    warp_count = len(plan.runs)
-    run_start = [0]
-    lengths: List[int] = []
-    comps: List[int] = []
-    los: List[int] = []
-    his: List[int] = []
-    rec_base: List[int] = []
-    rec_rel: List[int] = []
-    rec_line_start = [0]
-    line_cols: List[List[int]] = [[], [], [], [], [], []]
-    has_probes = plan.mem_probes is not None
-    rec_probe_start = [0]
-    probe_cols: List[List[int]] = [[], [], [], [], []]
-    for w in range(warp_count):
-        for run in reversed(plan.runs[w]):
-            lengths.append(run[0])
-            comps.append(run[1])
-            los.append(run[2])
-            his.append(run[3])
-        run_start.append(len(lengths))
-        rec_base.append(len(rec_rel))
-        rec_rel.extend(plan.mem_rel[w])
-        for lines in plan.mem_geom[w]:
-            for line in lines:
-                for c, v in zip(line_cols, line):
-                    c.append(v)
-            rec_line_start.append(len(line_cols[0]))
-        if has_probes:
-            for probes in plan.mem_probes[w]:
-                for probe in probes:
-                    for c, v in zip(probe_cols, probe):
-                        c.append(v)
-                rec_probe_start.append(len(probe_cols[0]))
-    packed = NativePlan(
-        warp_count=warp_count,
-        run_start=_flat(run_start),
-        run_length=_flat(lengths),
-        run_comp=_flat(comps),
-        run_mem_lo=_flat(los),
-        run_mem_hi=_flat(his),
-        rec_base=_flat(rec_base),
-        rec_rel=_flat(rec_rel),
-        rec_line_start=_flat(rec_line_start),
-        line_cols=[_flat(c) for c in line_cols],
-        has_probes=has_probes,
-        rec_probe_start=_flat(rec_probe_start),
-        probe_cols=[_flat(c) for c in probe_cols],
-    )
-    try:
-        plan._native_plan = packed
-    except AttributeError:  # pragma: no cover - slotted plans
-        pass
-    return packed
-
-
 #: Placeholder RCache arrays for probe-free cells: the generated
 #: kernel contains no code that reads slab slots 22/25, so one shared
 #: (never-dereferenced) pair serves every cell — including cells
@@ -311,19 +202,20 @@ def _prepare(
     sample_every: int,
     sample_phase: int,
 ) -> _PreparedCell:
-    """Export state and build the pointer slab for one trace."""
-    npl = pack_native_plan(plan)
+    """Export state and build the pointer slab for one trace.
+
+    Slots 0–19 point straight at the plan's columns.
+    """
     l1_state = simulator.l1.native_export()
     l2_state = simulator.l2.native_export()
-    if npl.has_probes:
+    if plan.has_probes:
         rc_state = simulator.model.rcache.native_export()
     else:
         rc_state = None
     free_at = np.asarray(simulator.dram.channel_free_at, dtype=np.int64)
     out = np.zeros(OUT_SLOTS, dtype=np.int64)
     if events is not None:
-        total_runs = int(npl.run_start[-1])
-        ev_cap = total_runs // sample_every + 1
+        ev_cap = int(plan.run_start[-1]) // sample_every + 1
         ev_buf = np.empty(ev_cap * 3, dtype=np.int64)
         ev_addr = ev_buf.ctypes.data
     else:
@@ -331,7 +223,7 @@ def _prepare(
         ev_buf = None
         ev_addr = 0
     slab = np.empty(NPTRS, dtype=np.uint64)
-    slab[:20] = npl.slab_prefix
+    slab[:20] = plan.pointers
     slab[20] = l1_state[0].ctypes.data
     slab[21] = l2_state[0].ctypes.data
     slab[23] = l1_state[1].ctypes.data
@@ -346,7 +238,7 @@ def _prepare(
     slab[27] = ev_addr
     slab[28] = out.ctypes.data
     scalars = np.array(
-        [npl.warp_count, sample_every, sample_phase, ev_cap],
+        [plan.warp_count, sample_every, sample_phase, ev_cap],
         dtype=np.int64,
     )
     return _PreparedCell(
@@ -485,9 +377,9 @@ def run_native_batch(
     mutate exported cache state concurrently.
 
     Returns one finish-cycle (or ``None`` for any trace whose cell is
-    unavailable or whose kernel refused — the caller runs those
-    through the Python loop; the refusal is recorded via
-    :func:`note_fallback`).  All refusal checks — and the wide
+    unavailable or whose kernel refused —
+    :func:`repro.sim.core.run_plans` runs those through the Python
+    loop; the refusal is recorded via :func:`note_fallback`).  All refusal checks — and the wide
     variant's scratch allocation — happen before any state is touched.
     Per-trace results, state mutations and event lists are identical
     to ``[run_native(*r) for r in requests]``.

@@ -8,7 +8,8 @@ Locks the lossless round-trip contracts the columnar engine rests on:
   refuses future format versions, and its v1 schema is locked by a
   golden file committed under ``tests/data/``;
 * the ``np.repeat`` Baggy Bounds lowering produces exactly the
-  dataclass :func:`~repro.sim.timing.expand_stream` streams;
+  dataclass :func:`~repro.sim.timing.expand_stream` streams, and a
+  rewriting without a columnar lowering is refused;
 * :class:`KernelTrace` summary statistics are computed once and
   cached, and returned copies are safe to mutate.
 """
@@ -20,9 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.common.errors import TraceFormatError
+from repro.common.errors import SimulationError, TraceFormatError
 from repro.sim import (
     KernelTrace,
     OpClass,
@@ -31,62 +31,22 @@ from repro.sim import (
     load_trace_npz,
     simulate,
 )
-from repro.sim.columnar import ColumnarTrace, columnar_of, expand_columnar
-from repro.sim.timing import BaggyBoundsTiming, expand_stream
+from repro.sim.columnar import (
+    ColumnarTrace,
+    columnar_of,
+    expand_columnar,
+    expanded_columnar,
+)
+from repro.sim.timing import BaggyBoundsTiming, TimingModel, expand_stream
 from repro.sim.tracefile import NPZ_FORMAT_VERSION
 from repro.workloads import synthesize_trace
 from repro.workloads.trace_cache import TraceCache, trace_key
 from repro.workloads.profiles import profile
 
+from .trace_strategies import kernel_traces
+
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_NPZ = DATA_DIR / "golden_trace_v1.npz"
-
-_MEMORY_OPS = [op for op in OpClass if op.is_memory]
-
-
-@st.composite
-def trace_instructions(draw):
-    """One random, invariant-respecting trace instruction."""
-    op = draw(st.sampled_from(list(OpClass)))
-    depends = draw(st.booleans())
-    if op.is_memory:
-        lines = tuple(
-            draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=1 << 40),
-                    min_size=1,
-                    max_size=4,
-                )
-            )
-        )
-        buffer_ids = tuple(
-            draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=64),
-                    min_size=1,
-                    max_size=3,
-                )
-            )
-        )
-        return TraceInstruction(
-            op=op, depends=depends, lines=lines, buffer_ids=buffer_ids
-        )
-    checked = op is OpClass.INT and draw(st.booleans())
-    return TraceInstruction(op=op, depends=depends, checked=checked)
-
-
-@st.composite
-def kernel_traces(draw):
-    """A random trace: 1–4 warps, any of which may be empty."""
-    warps = draw(
-        st.lists(
-            st.lists(trace_instructions(), min_size=0, max_size=12),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    return KernelTrace(name=draw(st.sampled_from(["t", "κ-trace"])),
-                       warps=warps)
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +223,23 @@ def test_expand_columnar_matches_expand_stream_property(trace):
     assert vectorized.warps == [
         expand_stream(model, stream) for stream in trace.warps
     ]
+
+
+class _DoublingTiming(TimingModel):
+    """Rewrites every instruction into two; no columnar lowering."""
+
+    def expand(self, instr):  # noqa: D102
+        yield instr
+        yield instr
+
+
+def test_expansion_without_lowering_raises():
+    """Only identity and Baggy Bounds expansions lower to columns."""
+    trace = synthesize_trace("nn", warps=2, instructions_per_warp=40)
+    with pytest.raises(SimulationError, match="reference_simulate"):
+        expand_columnar(columnar_of(trace), _DoublingTiming())
+    with pytest.raises(SimulationError, match="reference_simulate"):
+        expanded_columnar(trace, _DoublingTiming())
 
 
 # ----------------------------------------------------------------------

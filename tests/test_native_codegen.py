@@ -37,7 +37,6 @@ from repro.sim.codegen import (
     CODEGEN_STATS,
     CellSpec,
     CompiledCell,
-    THREADS_ENV,
     generate_cell_source,
     load_cell,
     resolve_threads,
@@ -194,15 +193,14 @@ def test_warm_load_never_recompiles(tmp_path, monkeypatch, fresh_memo):
     assert CODEGEN_STATS.memo_hits > memo_before
 
 
-def test_resolve_threads_env_and_batch_clamp(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "4")
+def test_resolve_threads_batch_clamp(monkeypatch):
+    """One thread per cell, up to the CPU count."""
+    monkeypatch.setattr(codegen.os, "cpu_count", lambda: 4)
     assert resolve_threads(8) == 4
     assert resolve_threads(2) == 2
     assert resolve_threads(0) == 1
-    monkeypatch.setenv(THREADS_ENV, "garbage")
+    monkeypatch.setattr(codegen.os, "cpu_count", lambda: None)
     assert resolve_threads(8) == 1
-    monkeypatch.setenv(THREADS_ENV, "auto")
-    assert resolve_threads(1) == 1
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,9 @@ Coverage:
 * a seeded (profile × warps × instructions) grid × all four timing
   models × both executors (``native``; ``python``, pinned by hiding
   every C compiler from the codegen layer);
+* random traces (hypothesis) × all four models × both executors over
+  two warm runs, and a GPUShield trace whose cycles depend on the
+  order in which a record probes its buffer ids;
 * warm-run parity (cache/DRAM state carried across runs);
 * edge shapes the grid cannot hit: empty warp streams, >64-warp traces
   (past the native executor's bitmask width), ``hit_latency=1``
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.common.config import DEFAULT_GPU_CONFIG, CacheConfig, GpuConfig
 from repro.common.errors import SimulationError
@@ -52,6 +56,8 @@ from repro.telemetry import capture, chrome_trace, dumps, metrics_json
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.runtime import SAMPLE_ENV
 from repro.workloads import synthesize_trace
+
+from .trace_strategies import kernel_traces
 
 # ----------------------------------------------------------------------
 # The equivalence grid.
@@ -203,6 +209,68 @@ def test_past_native_bitmask_width(monkeypatch, fresh_memo):
             assert got.cycles == want.cycles, (mechanism, python_loop)
             assert got.stats == want.stats, (mechanism, python_loop)
             assert got_state == want_state, (mechanism, python_loop)
+
+
+# ----------------------------------------------------------------------
+# Beyond the fixed grid: probe order and random traces.
+
+#: One GPUShield warp.  The first LDG probes five buffer ids that all
+#: map to set 1 of the 4-way RCache, so the first id probed is evicted
+#: by the last; ``set()`` iterates them as [65, 129, 97, 1, 33], so 65
+#: goes, and the first dependent re-read of 65 misses the RCache again.
+#: Probing in sorted order would evict 1 instead (788 cycles, not 988).
+PROBE_ORDER_TRACE = KernelTrace(
+    name="probe-order",
+    warps=[
+        [
+            TraceInstruction(
+                op=OpClass.LDG, lines=(0x1000,),
+                buffer_ids=(65, 1, 33, 97, 129),
+            ),
+            TraceInstruction(
+                op=OpClass.LDG, lines=(0x1000,), buffer_ids=(65,),
+                depends=True,
+            ),
+            TraceInstruction(
+                op=OpClass.LDG, lines=(0x1000,), buffer_ids=(65,),
+                depends=True,
+            ),
+        ]
+    ],
+)
+
+
+@pytest.mark.parametrize("path", PATHS, indirect=True)
+def test_gpushield_probes_in_set_order(path):
+    """A record probes its buffer ids in the oracle's ``set()``
+    iteration order, which is not sorted order."""
+    ids = PROBE_ORDER_TRACE.warps[0][0].buffer_ids
+    assert list(set(ids)) == [65, 129, 97, 1, 33]
+    got, want, got_state, want_state = _run_both(
+        PROBE_ORDER_TRACE, "gpushield"
+    )
+    assert want.cycles == 988
+    assert got.cycles == want.cycles
+    assert got.stats == want.stats
+    assert got_state == want_state
+
+
+@pytest.mark.parametrize("path", PATHS, indirect=True)
+@pytest.mark.parametrize("mechanism", MODELS)
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(trace=kernel_traces())
+@example(trace=PROBE_ORDER_TRACE)
+def test_random_traces_match_reference(trace, mechanism, path):
+    """Random traces — any op mix, empty warps, multi-line and
+    multi-buffer records — match the oracle over two warm runs."""
+    got, want, got_state, want_state = _run_both(trace, mechanism, runs=2)
+    assert got.cycles == want.cycles
+    assert got.stats == want.stats
+    assert got_state == want_state
 
 
 # ----------------------------------------------------------------------
