@@ -8,9 +8,11 @@ data plane as structure-of-arrays:
 
 * :class:`ColumnarTrace` — NumPy columns for op-class codes, dependency
   and checked flags, plus CSR-packed per-instruction coalesced line
-  addresses and buffer ids, with lossless converters from/to the
-  dataclass form (and derived columns: transaction counts, memory-space
-  codes, base latencies).
+  addresses and buffer ids, validated on construction, with lossless
+  converters from/to the dataclass form (and derived columns:
+  transaction counts, memory-space codes, base latencies).  Every
+  :class:`~repro.sim.trace.KernelTrace` is backed by one; the
+  dataclass lists are built only for the readers that walk them.
 * **Vectorized stream expansion** — the Baggy Bounds family, the one
   rewriting :class:`~repro.sim.timing.TimingModel` with a plan
   lowering, lowers to per-instruction replication counts applied with
@@ -58,22 +60,12 @@ from .timing import (
     TRANSACTION_CYCLES,
     TimingModel,
 )
-from .trace import KernelTrace, OpClass, TraceInstruction, trace_memo
+from .trace import OP_ORDER, KernelTrace, TraceInstruction, trace_memo
 
 # ----------------------------------------------------------------------
-# Op-class codes (the columnar encoding of OpClass).
+# Op-class codes (the columnar encoding of OpClass; the code order is
+# :data:`~repro.sim.trace.OP_ORDER`).
 
-#: Code order; index in this tuple == stored uint8 code.
-OP_ORDER: Tuple[OpClass, ...] = (
-    OpClass.INT,
-    OpClass.FP,
-    OpClass.LDG,
-    OpClass.STG,
-    OpClass.LDS,
-    OpClass.STS,
-    OpClass.LDL,
-    OpClass.STL,
-)
 OP_CODE = {op: code for code, op in enumerate(OP_ORDER)}
 (OP_INT, OP_FP, OP_LDG, OP_STG, OP_LDS, OP_STS, OP_LDL, OP_STL) = range(8)
 
@@ -92,6 +84,13 @@ class ColumnarTrace:
     flattened ``lines`` / ``buffers`` columns.  The converters are
     lossless: ``to_trace(from_trace(t)) == t`` for every field,
     including default buffer ids on ALU records.
+
+    Construction validates the columns, so a bad trace is rejected
+    where it is built or loaded: the CSR offset arrays start at 0,
+    never decrease and end at their column's length; op codes index
+    :data:`~repro.sim.trace.OP_ORDER`; and the
+    :class:`~repro.sim.trace.TraceInstruction` record rules hold for
+    every row.
     """
 
     name: str
@@ -105,15 +104,36 @@ class ColumnarTrace:
     buffers: np.ndarray        #: int64 flattened buffer ids
 
     def __post_init__(self) -> None:
-        n = len(self.ops)
+        ops = self.ops
+        n = len(ops)
         if len(self.depends) != n or len(self.checked) != n:
             raise TraceFormatError("columnar flag columns disagree on length")
         if len(self.line_offsets) != n + 1 or len(self.buffer_offsets) != n + 1:
             raise TraceFormatError("columnar CSR offsets disagree on length")
-        if len(self.warp_offsets) == 0 or self.warp_offsets[0] != 0:
-            raise TraceFormatError("warp offsets must start at 0")
-        if self.warp_offsets[-1] != n:
-            raise TraceFormatError("warp offsets must end at the record count")
+        for label, offsets, size, end in (
+            ("warp", self.warp_offsets, n, "the record count"),
+            ("line", self.line_offsets, len(self.lines), "len(lines)"),
+            ("buffer", self.buffer_offsets, len(self.buffers), "len(buffers)"),
+        ):
+            if len(offsets) == 0 or offsets[0] != 0:
+                raise TraceFormatError(f"{label} offsets must start at 0")
+            if np.any(offsets[1:] < offsets[:-1]):
+                raise TraceFormatError(f"{label} offsets must not decrease")
+            if offsets[-1] != size:
+                raise TraceFormatError(f"{label} offsets must end at {end}")
+        if n and (int(ops.min()) < 0 or int(ops.max()) >= len(OP_ORDER)):
+            raise TraceFormatError(f"op codes must be below {len(OP_ORDER)}")
+        # TraceInstruction's record rules, one vectorized pass each.
+        memory = ops > OP_FP
+        transactions = np.diff(self.line_offsets)
+        if np.any(self.checked & (ops != OP_INT)):
+            raise TraceFormatError("only INT ops can carry the A hint")
+        if np.any(transactions[~memory]):
+            raise TraceFormatError("ALU ops cannot carry memory transactions")
+        if not np.all(transactions[memory]):
+            raise TraceFormatError("memory ops need at least one transaction")
+        if not np.all(np.diff(self.buffer_offsets)[memory]):
+            raise TraceFormatError("memory ops need at least one buffer id")
 
     # ------------------------------------------------------------------
 
@@ -211,11 +231,15 @@ class ColumnarTrace:
         )
 
     def to_trace(self) -> KernelTrace:
-        """Lossless columnar → dataclass conversion.
+        """The column-backed :class:`KernelTrace` over these columns.
 
-        The produced trace's derived-data memo is pre-seeded with this
-        columnar object, so a follow-up simulation skips re-conversion.
+        No instruction object is built: the trace's ``warps`` lists are
+        made from the columns (:meth:`streams`) only if a reader asks.
         """
+        return KernelTrace(self.name, columnar=self)
+
+    def streams(self) -> List[List[TraceInstruction]]:
+        """Lossless columnar → per-warp :class:`TraceInstruction` lists."""
         ops = self.ops.tolist()
         depends = self.depends.tolist()
         checked = self.checked.tolist()
@@ -240,18 +264,12 @@ class ColumnarTrace:
                     )
                 )
             warps.append(stream)
-        trace = KernelTrace(name=self.name, warps=warps)
-        trace_memo(trace).put(("columnar",), self)
-        return trace
+        return warps
 
 
 def columnar_of(trace: KernelTrace) -> ColumnarTrace:
-    """The columnar form of *trace*, memoized on the trace."""
-    memo = trace_memo(trace)
-    columnar = memo.get(("columnar",))
-    if columnar is None:
-        columnar = memo.put(("columnar",), ColumnarTrace.from_trace(trace))
-    return columnar
+    """The columnar form of *trace*: its :attr:`KernelTrace.columnar`."""
+    return trace.columnar
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,11 @@ latency-hiding lever), whether it is LMI-checked pointer arithmetic
 (the A hint bit), and — for memory operations — the cache-line
 addresses of its coalesced transactions plus the buffer it targets
 (for GPUShield's RCache).
+
+A :class:`KernelTrace` holds its records as columns
+(:class:`~repro.sim.columnar.ColumnarTrace`); a
+:class:`TraceInstruction` per record is built only for the readers
+that walk the per-warp lists.
 """
 
 from __future__ import annotations
@@ -15,23 +20,27 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
+
+import numpy as np
 
 from ..common.errors import MemorySpace, TraceFormatError
 
+if TYPE_CHECKING:
+    from .columnar import ColumnarTrace
+
 #: Attribute name the per-trace derived-data memo hides behind.  The
-#: leading ``_repro`` namespace keeps it from colliding with the
-#: historical ad-hoc ``_expansion_memo`` attribute (possibly present on
-#: traces un-pickled from old disk caches — those stale dicts are now
-#: simply ignored).
+#: leading ``_repro`` namespace keeps it clear of any other attribute a
+#: caller sets on a trace (an ``_expansion_memo`` dict, say, is simply
+#: ignored).
 _TRACE_MEMO_ATTR = "_repro_trace_memo"
 
 #: Default cap on derived-data entries memoised per trace.  A fig12-
-#: style sweep needs one columnar conversion, one issue plan per
-#: timing-model family and one expansion per rewriting model — well
-#: under the cap — while pathological callers (e.g. a parameter sweep
-#: over ``BaggyBoundsTiming(instructions_per_check=n)``) can no longer
-#: grow an unbounded dict on a cached trace.
+#: style sweep needs one issue plan per timing-model family and one
+#: expansion per rewriting model — well under the cap — while
+#: pathological callers (e.g. a parameter sweep over
+#: ``BaggyBoundsTiming(instructions_per_check=n)``) can no longer grow
+#: an unbounded dict on a cached trace.
 TRACE_MEMO_CAPACITY = 16
 
 
@@ -149,48 +158,99 @@ class TraceInstruction:
             raise TraceFormatError("memory ops need at least one buffer id")
 
 
-@dataclass
+#: Columnar op-class codes: index in this tuple == stored ``uint8`` code
+#: (:class:`~repro.sim.columnar.ColumnarTrace`, the ``.npz`` files).
+OP_ORDER: Tuple[OpClass, ...] = (
+    OpClass.INT,
+    OpClass.FP,
+    OpClass.LDG,
+    OpClass.STG,
+    OpClass.LDS,
+    OpClass.STS,
+    OpClass.LDL,
+    OpClass.STL,
+)
+
+
 class KernelTrace:
     """Per-warp instruction streams for one kernel.
 
-    Traces are immutable once constructed (instructions are frozen and
-    no code path mutates ``warps``), so the summary statistics below
-    are computed once and cached on the instance — invalidation-free.
-    Cached values are copied on the way out, so callers may mutate the
-    returned dicts freely.
+    A trace is column-backed: :attr:`columnar` holds its
+    :class:`~repro.sim.columnar.ColumnarTrace`, the form synthesis, the
+    ``.npz`` loader, the summaries below and the simulator's plan
+    decode read.  :attr:`warps`, the per-warp :class:`TraceInstruction`
+    lists that the oracle (:mod:`repro.sim.reference`),
+    :class:`~repro.sim.gpu.GpuSimulator` and the JSON tracefile walk,
+    is built from the columns once, on first access.  A trace built by
+    hand from ``warps`` converts the other way, through
+    :meth:`~repro.sim.columnar.ColumnarTrace.from_trace`, on first use
+    of :attr:`columnar`.
+
+    Traces are immutable once built, so the columns, the instruction
+    lists and the summary statistics are each computed once and cached
+    on the instance.  Cached summaries are copied on the way out, so
+    callers may mutate the returned dicts freely.
     """
 
-    name: str
-    warps: List[List[TraceInstruction]] = field(default_factory=list)
+    def __init__(
+        self,
+        name: str,
+        warps: Optional[List[List[TraceInstruction]]] = None,
+        *,
+        columnar: Optional["ColumnarTrace"] = None,
+    ) -> None:
+        if warps is not None and columnar is not None:
+            raise ValueError("a trace takes warps or columns, not both")
+        self.name = name
+        self._warps = [] if warps is None and columnar is None else warps
+        self._columnar = columnar
+        self._summary_cache: Dict[str, Any] = {}
+
+    @property
+    def columnar(self) -> "ColumnarTrace":
+        """The trace's columns (converted from :attr:`warps` once)."""
+        if self._columnar is None:
+            from .columnar import ColumnarTrace
+
+            self._columnar = ColumnarTrace.from_trace(self)
+        return self._columnar
+
+    @property
+    def warps(self) -> List[List[TraceInstruction]]:
+        """Per-warp instruction lists (built from the columns once)."""
+        if self._warps is None:
+            self._warps = self._columnar.streams()
+        return self._warps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KernelTrace):
+            return NotImplemented
+        return self.name == other.name and self.columnar == other.columnar
+
+    def __repr__(self) -> str:
+        return (
+            f"KernelTrace(name={self.name!r}, "
+            f"warps={self.columnar.warp_count}, "
+            f"instructions={self.total_instructions})"
+        )
 
     def _summaries(self) -> Dict[str, Any]:
-        cache = getattr(self, "_summary_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_summary_cache", cache)
-        return cache
+        return self._summary_cache
 
     @property
     def total_instructions(self) -> int:
         """Dynamic instruction count across all warps."""
-        cache = self._summaries()
-        total = cache.get("total")
-        if total is None:
-            total = cache["total"] = sum(
-                len(stream) for stream in self.warps
-            )
-        return total
+        return self.columnar.total_instructions
 
     def op_histogram(self) -> Dict[OpClass, int]:
         """Dynamic count per op class (the Figure 1 raw data)."""
         cache = self._summaries()
         counts = cache.get("histogram")
         if counts is None:
-            counts = {op: 0 for op in OpClass}
-            for stream in self.warps:
-                for instr in stream:
-                    counts[instr.op] += 1
-            cache["histogram"] = counts
+            per_code = np.bincount(
+                self.columnar.ops, minlength=len(OP_ORDER)
+            ).tolist()
+            counts = cache["histogram"] = dict(zip(OP_ORDER, per_code))
         return dict(counts)
 
     def memory_region_mix(self) -> Dict[str, float]:
@@ -219,8 +279,8 @@ class KernelTrace:
         cache = self._summaries()
         checked = cache.get("checked")
         if checked is None:
-            checked = cache["checked"] = sum(
-                1 for stream in self.warps for instr in stream if instr.checked
+            checked = cache["checked"] = int(
+                np.count_nonzero(self.columnar.checked)
             )
         return checked
 

@@ -17,9 +17,10 @@ Next to the JSON-lines form there is a **columnar ``.npz`` format**
 (:func:`dump_trace_npz` / :func:`load_trace_npz`): the
 :class:`~repro.sim.columnar.ColumnarTrace` arrays plus a versioned
 header, written with ``np.savez_compressed``.  It is the on-disk shape
-of the trace cache's disk layer (``--trace-cache``) — loading it seeds
-the trace's columnar memo, so a follow-up simulation pays no
-dataclass→array conversion.
+of the trace cache's disk layer (``--trace-cache``).  Loading it
+returns a column-backed trace over the stored arrays: no instruction
+object is built, and a follow-up simulation decodes its plan straight
+from them.
 """
 
 from __future__ import annotations
@@ -152,9 +153,7 @@ def dump_trace_npz(
     and the (UTF-8 encoded) kernel name, so the file is self-describing
     and refuses to load under an incompatible schema.
     """
-    from .columnar import columnar_of
-
-    columnar = columnar_of(trace)
+    columnar = trace.columnar
     payload = {name: getattr(columnar, name) for name in _NPZ_COLUMNS}
     payload["header"] = np.frombuffer(
         json.dumps(
@@ -174,9 +173,12 @@ def dump_trace_npz(
 def load_trace_npz(source: Union[str, Path, BinaryIO]) -> KernelTrace:
     """Read a trace written by :func:`dump_trace_npz`.
 
-    The returned :class:`KernelTrace` has its columnar memo pre-seeded,
-    so simulating it under the columnar engine performs no
-    dataclass→array conversion.
+    The returned :class:`KernelTrace` is backed by the loaded columns,
+    which :class:`~repro.sim.columnar.ColumnarTrace` validates on
+    construction: a container with bad columns (an offset past its
+    column, an unknown op code, a record breaking the
+    :class:`~repro.sim.trace.TraceInstruction` rules) raises
+    :class:`TraceFormatError` here, not in a later plan decode.
     """
     from .columnar import ColumnarTrace
 

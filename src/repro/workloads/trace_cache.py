@@ -24,9 +24,9 @@ content-addressed key so identical requests pay synthesis once:
   synthesis.  Only ``.npz`` entries are read; any other file in the
   directory is ignored.
 
-Traces are treated as immutable once synthesized (instructions are
-frozen dataclasses and the simulator never mutates streams), which is
-what makes sharing one object between simulators safe.
+Traces are immutable once synthesized (a trace's columns, and the
+instruction lists built from them on demand, are never mutated), which
+is what makes sharing one object between simulators safe.
 """
 
 from __future__ import annotations
@@ -185,9 +185,9 @@ class TraceCache:
         if path is None or not os.path.exists(path):
             return None
         try:
-            # Loading an .npz pre-seeds the trace's columnar memo, so
-            # the simulator's plan decode starts from the same arrays
-            # that crossed the process boundary.
+            # The loaded trace is backed by the stored columns, which
+            # are validated on load, so the simulator's plan decode
+            # starts from those arrays.
             return load_trace_npz(path)
         except Exception:
             return None  # corrupt/foreign entry: fall back

@@ -11,7 +11,11 @@ Locks the lossless round-trip contracts the columnar engine rests on:
   dataclass :func:`~repro.sim.timing.expand_stream` streams, and a
   rewriting without a columnar lowering is refused;
 * :class:`KernelTrace` summary statistics are computed once and
-  cached, and returned copies are safe to mutate.
+  cached, and returned copies are safe to mutate;
+* :class:`ColumnarTrace` rejects bad columns on construction;
+* traces are column-backed: synthesis, the ``.npz`` loader, the
+  simulator's fast path, the engine and Figure 1 build no
+  :class:`TraceInstruction`; only the oracle's ``warps`` does.
 """
 
 from __future__ import annotations
@@ -22,13 +26,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.common.config import DEFAULT_GPU_CONFIG
 from repro.common.errors import SimulationError, TraceFormatError
+from repro.experiments import run_fig1
+from repro.experiments.engine import SimJob, execute_group, model_factory
 from repro.sim import (
     KernelTrace,
     OpClass,
+    SmSimulator,
     TraceInstruction,
     dump_trace_npz,
     load_trace_npz,
+    reference_simulate,
     simulate,
 )
 from repro.sim.columnar import (
@@ -43,7 +52,7 @@ from repro.workloads import synthesize_trace
 from repro.workloads.trace_cache import TraceCache, trace_key
 from repro.workloads.profiles import profile
 
-from .trace_strategies import kernel_traces
+from .trace_strategies import BAD_COLUMNS, corrupted_columns, kernel_traces
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_NPZ = DATA_DIR / "golden_trace_v1.npz"
@@ -265,3 +274,73 @@ def test_summaries_cached_and_copies_safe():
         for op, count in trace.op_histogram().items()
         if op.is_memory
     )
+
+
+# ----------------------------------------------------------------------
+# Column validation.
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_COLUMNS))
+def test_columnar_trace_rejects_bad_columns(kind):
+    good = synthesize_trace("needle", warps=2, instructions_per_warp=50)
+    columns = corrupted_columns(good.columnar, kind)
+    with pytest.raises(TraceFormatError, match=BAD_COLUMNS[kind][1]):
+        ColumnarTrace(name="bad", **columns)
+
+
+# ----------------------------------------------------------------------
+# Column-backed traces: no instruction objects off the oracle's path.
+
+MECHANISMS = ("baseline", "baggy", "gpushield", "lmi")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every TraceInstruction constructed from here on."""
+    instructions = []
+    check = TraceInstruction.__post_init__
+
+    def counting(self):
+        instructions.append(self)
+        check(self)
+
+    monkeypatch.setattr(TraceInstruction, "__post_init__", counting)
+    return instructions
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_fast_path_builds_no_instructions(mechanism, built):
+    trace = synthesize_trace("needle", warps=3, instructions_per_warp=200)
+    got = SmSimulator(DEFAULT_GPU_CONFIG, model_factory(mechanism)).run(trace)
+    assert len(built) == 0
+    # The oracle walks warps, built from the columns on first access.
+    want = reference_simulate(trace, model_factory(mechanism))
+    assert len(built) == trace.total_instructions
+    assert (got.cycles, got.stats) == (want.cycles, want.stats)
+
+
+def test_disk_round_trip_builds_no_instructions(tmp_path, built):
+    request = dict(warps=2, instructions_per_warp=80, seed_salt=5)
+    TraceCache(disk_dir=str(tmp_path)).get_or_synthesize("bfs", **request)
+    cache = TraceCache(disk_dir=str(tmp_path))
+    trace = cache.get_or_synthesize("bfs", **request)
+    assert cache.stats.disk_hits == 1
+    simulate(trace)
+    assert len(built) == 0
+
+
+def test_execute_group_builds_no_instructions(built):
+    jobs = [
+        SimJob(benchmark, mechanism, 2, 100, seed_salt=6)
+        for benchmark in ("gaussian", "LSTM")
+        for mechanism in MECHANISMS
+    ]
+    results = execute_group(jobs, DEFAULT_GPU_CONFIG, telemetry_wanted=True)
+    assert len(results) == len(jobs)
+    assert len(built) == 0
+
+
+def test_fig1_builds_no_instructions(built):
+    result = run_fig1(["bert"], warps=2, instructions_per_warp=100)
+    assert result.row("bert").global_frac > 0.9
+    assert len(built) == 0

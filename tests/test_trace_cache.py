@@ -6,9 +6,10 @@ import dataclasses
 import os
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.sim import KernelTrace, load_trace_npz
+from repro.sim import KernelTrace, dump_trace_npz, load_trace_npz
 from repro.workloads import (
     TraceCache,
     cached_trace,
@@ -19,6 +20,8 @@ from repro.workloads import (
     trace_key,
 )
 from repro.workloads.trace_cache import TRACE_CACHE
+
+from .trace_strategies import corrupted_columns
 
 
 @pytest.fixture(autouse=True)
@@ -120,20 +123,31 @@ def test_disk_roundtrip(tmp_path):
     assert loaded.warps == trace.warps
 
 
-def test_corrupt_disk_entry_falls_back_to_synthesis(tmp_path):
-    spec = profile("gaussian")
+@pytest.mark.parametrize(
+    "corruption", ["garbage", "checked-fp", "csr-overrun", "op-code-9"]
+)
+def test_corrupt_disk_entry_falls_back_to_synthesis(tmp_path, corruption):
+    """A bad entry is rejected at load, not in a later plan decode."""
+    spec = profile("needle")
     key = trace_key(spec, warps=2, instructions_per_warp=50)
-    (tmp_path / f"trace-{key}.npz").write_bytes(b"not an npz")
+    path = tmp_path / f"trace-{key}.npz"
+    fresh = synthesize_trace("needle", warps=2, instructions_per_warp=50)
+    if corruption == "garbage":
+        path.write_bytes(b"not an npz")
+    else:
+        dump_trace_npz(fresh, path)
+        with np.load(path) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        payload.update(corrupted_columns(fresh.columnar, corruption))
+        np.savez_compressed(path, **payload)
     cache = TraceCache(disk_dir=str(tmp_path))
     trace = cache.get_or_synthesize(
-        "gaussian", warps=2, instructions_per_warp=50
+        "needle", warps=2, instructions_per_warp=50
     )
-    assert isinstance(trace, KernelTrace)
     assert cache.stats.disk_hits == 0
+    assert trace == fresh
     # The good trace replaced the corrupt file.
-    assert load_trace_npz(
-        tmp_path / f"trace-{key}.npz"
-    ).name == trace.name
+    assert load_trace_npz(path) == fresh
 
 
 def test_foreign_pickle_rejected(tmp_path):

@@ -1,5 +1,11 @@
 """Tests for the benchmark profiles and trace synthesis."""
 
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -10,6 +16,15 @@ from repro.workloads import (
     all_benchmarks,
     profile,
     synthesize_trace,
+)
+from repro.workloads.synthetic import _LINE, _randbelow
+
+from .trace_strategies import COLUMNS
+
+#: SHA-256 of every benchmark's synthesized columns, keyed
+#: ``benchmark/seed_salt``, as the per-instruction generator drew them.
+DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "synthesis_digests.json").read_text()
 )
 
 
@@ -68,6 +83,12 @@ class TestTraceSynthesis:
         b = synthesize_trace("bert", warps=1, instructions_per_warp=200,
                              seed_salt=1)
         assert a.warps != b.warps
+
+    def test_zero_buffers_rejected(self):
+        spec = BenchmarkProfile("x", "t", mem_fraction=0.5, global_frac=1.0,
+                                shared_frac=0.0, local_frac=0.0, n_buffers=0)
+        with pytest.raises(ValueError):
+            synthesize_trace("x", warps=1, instructions_per_warp=10, spec=spec)
 
     def test_shape(self):
         trace = synthesize_trace("hotspot", warps=4, instructions_per_warp=300)
@@ -132,3 +153,51 @@ class TestTraceSynthesis:
                 space = instr.op.space
                 lo, hi = layout.region_bounds(space)
                 assert all(lo <= line < hi for line in instr.lines)
+
+
+def _column_digest(trace) -> str:
+    """SHA-256 over the eight columns, in field order."""
+    digest = hashlib.sha256()
+    for name in COLUMNS:
+        column = getattr(trace.columnar, name)
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+class TestSynthesisPinned:
+    @pytest.mark.parametrize("seed_salt", [0, 2])
+    def test_columns_match_pinned_digests(self, seed_salt):
+        got = {
+            f"{name}/{seed_salt}": _column_digest(
+                synthesize_trace(
+                    name,
+                    warps=DIGESTS["warps"],
+                    instructions_per_warp=DIGESTS["instructions_per_warp"],
+                    seed_salt=seed_salt,
+                )
+            )
+            for name in all_benchmarks()
+        }
+        want = {
+            key: value
+            for key, value in DIGESTS["sha256"].items()
+            if key.endswith(f"/{seed_salt}")
+        }
+        assert len(want) == 28
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 0x7FFFFFFF])
+    def test_randbelow_matches_randrange(self, seed):
+        bounds = {1, 2, 3} | {
+            bound
+            for spec in PROFILES.values()
+            for bound in (
+                spec.n_buffers,
+                max(1, spec.working_set_kb * 1024 // _LINE),
+            )
+        }
+        for n in sorted(bounds):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [_randbelow(ours.getrandbits, n) for _ in range(300)] == [
+                theirs.randrange(n) for _ in range(300)
+            ], n

@@ -1,11 +1,16 @@
 """Hypothesis strategies for random kernel traces, shared by the suites
-that check the trace substrate and the simulator against its oracle."""
+that check the trace substrate and the simulator against its oracle,
+plus the column corruptions a trace must be rejected for."""
 
 from __future__ import annotations
 
+from typing import Callable, Dict, Tuple
+
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.sim import KernelTrace, OpClass, TraceInstruction
+from repro.sim.columnar import OP_FP, OP_INT, OP_LDG, ColumnarTrace
 
 
 @st.composite
@@ -51,3 +56,77 @@ def kernel_traces(draw):
     )
     return KernelTrace(name=draw(st.sampled_from(["t", "κ-trace"])),
                        warps=warps)
+
+
+# ----------------------------------------------------------------------
+# Bad columns.
+
+#: The eight array fields of a :class:`ColumnarTrace`.
+COLUMNS = (
+    "ops", "depends", "checked", "warp_offsets",
+    "line_offsets", "lines", "buffer_offsets", "buffers",
+)
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
+def _checked_fp(c: Dict[str, np.ndarray]) -> None:
+    c["checked"][_first(c["ops"] == OP_FP)] = True
+
+
+def _csr_overrun(c: Dict[str, np.ndarray]) -> None:
+    c["line_offsets"][-1] += 1
+
+
+def _op_code_9(c: Dict[str, np.ndarray]) -> None:
+    c["ops"][0] = 9
+
+
+def _alu_with_line(c: Dict[str, np.ndarray]) -> None:
+    c["ops"][_first(c["ops"] > OP_FP)] = OP_FP
+
+
+def _memory_without_line(c: Dict[str, np.ndarray]) -> None:
+    c["ops"][_first(c["ops"] == OP_INT)] = OP_LDG
+
+
+def _memory_without_buffer(c: Dict[str, np.ndarray]) -> None:
+    counts = np.diff(c["buffer_offsets"])
+    row = _first((c["ops"] > OP_FP) & (counts == 1))
+    c["buffers"] = np.delete(c["buffers"], c["buffer_offsets"][row])
+    c["buffer_offsets"][row + 1:] -= 1
+
+
+def _offsets_decrease(c: Dict[str, np.ndarray]) -> None:
+    offsets = c["buffer_offsets"]
+    offsets[1], offsets[2] = offsets[2], offsets[1]
+
+
+def _offsets_start(c: Dict[str, np.ndarray]) -> None:
+    c["warp_offsets"][0] = 1
+
+
+#: Corruption name -> (in-place edit of a valid trace's columns, the
+#: :class:`~repro.common.errors.TraceFormatError` message it must draw).
+#: The edits need a trace with FP, INT and single-buffer memory records.
+BAD_COLUMNS: Dict[str, Tuple[Callable[[Dict[str, np.ndarray]], None], str]] = {
+    "checked-fp": (_checked_fp, "only INT ops"),
+    "csr-overrun": (_csr_overrun, "line offsets must end"),
+    "op-code-9": (_op_code_9, "op codes must be below 8"),
+    "alu-with-line": (_alu_with_line, "ALU ops cannot carry"),
+    "memory-without-line": (_memory_without_line, "at least one transaction"),
+    "memory-without-buffer": (_memory_without_buffer, "at least one buffer"),
+    "offsets-decrease": (_offsets_decrease, "offsets must not decrease"),
+    "offsets-start": (_offsets_start, "warp offsets must start at 0"),
+}
+
+
+def corrupted_columns(
+    columnar: ColumnarTrace, kind: str
+) -> Dict[str, np.ndarray]:
+    """Copies of *columnar*'s arrays with the *kind* of damage applied."""
+    columns = {name: getattr(columnar, name).copy() for name in COLUMNS}
+    BAD_COLUMNS[kind][0](columns)
+    return columns
