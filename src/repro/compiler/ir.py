@@ -448,7 +448,7 @@ class Function:
     def block_indices(self) -> Dict[str, int]:
         """``label -> block index`` map, built once and cached.
 
-        Replaces the per-jump linear label scan both executors used to
+        Replaces the per-jump linear label scan the executor used to
         do.  The cache is invalidated automatically when blocks are
         appended (builders grow functions incrementally), keyed on the
         block count.  First occurrence wins on duplicate labels,

@@ -1,21 +1,16 @@
 """Functional SIMT executor.
 
-Two interchangeable engines step threads: the closure-compiled
-direct-threaded engine (:mod:`repro.exec.compile`, the default) and the
-original isinstance-chain interpreter (:mod:`repro.exec.reference`,
-``REPRO_EXEC=reference``), locked together by the executor-equivalence
-suite.
+One engine steps threads: the interpreter in
+:mod:`repro.exec.reference`, driven by :class:`GpuExecutor` and checked
+against the :class:`~repro.memory.tracker.AllocationTracker` oracle on
+every access.
 """
 
-from .compile import CompiledProgram, compile_executor
-from .executor import GpuExecutor, resolve_engine
+from .executor import GpuExecutor
 from .result import LaunchResult, OracleEvent
 
 __all__ = [
-    "CompiledProgram",
     "GpuExecutor",
     "LaunchResult",
     "OracleEvent",
-    "compile_executor",
-    "resolve_engine",
 ]

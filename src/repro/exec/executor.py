@@ -13,26 +13,14 @@ producer→consumer ordering across a single barrier phase and is
 sufficient for the security and fragmentation experiments; timing is
 the job of :mod:`repro.sim`.
 
-Execution engines
------------------
-:class:`GpuExecutor` owns everything both engines share — host-side
-allocation, launch orchestration, shared-memory setup, per-thread
-stacks, the oracle — and delegates per-thread *stepping* to one of two
-interchangeable engines:
-
-``compiled`` (default)
-    The closure-compiled direct-threaded engine in
-    :mod:`repro.exec.compile`: each function is lowered once per
-    ``(module, mechanism)`` pairing into per-basic-block lists of
-    specialized Python closures with dense frame slots.
-``reference``
-    The original isinstance-chain interpreter, preserved verbatim in
-    :mod:`repro.exec.reference` and locked against the compiled engine
-    by ``tests/test_executor_equivalence.py``.
-
-Select with the ``executor=`` keyword or the ``REPRO_EXEC``
-environment variable (``REPRO_EXEC=reference`` restores the old
-path everywhere with zero call-site changes).
+Execution engine
+----------------
+:class:`GpuExecutor` owns host-side allocation, launch orchestration,
+shared-memory setup, per-thread stacks and the oracle, and hands
+per-thread *stepping* to the interpreter in
+:mod:`repro.exec.reference`.  Table III, the only artefact that
+launches kernels, makes 168 launches that step 785 IR instructions in
+all, so the engine is kept simple rather than fast.
 
 Design notes
 ------------
@@ -48,7 +36,6 @@ Design notes
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..allocator.aligned import AlignedAllocator
@@ -58,7 +45,6 @@ from ..allocator.rss import FootprintMeter
 from ..allocator.shared import SharedAllocator
 from ..allocator.stack import StackAllocator
 from ..common.errors import (
-    ConfigurationError,
     MemorySafetyViolation,
     MemorySpace,
     SimulationError,
@@ -72,7 +58,6 @@ from ..mechanisms.base import ExecContext, Mechanism
 from ..telemetry import EventKind
 from ..telemetry.runtime import TELEMETRY
 from . import reference
-from .compile import compile_executor
 from .result import LaunchResult, OracleEvent
 
 #: Span given to the global and heap allocators (64 MiB is plenty for
@@ -88,36 +73,6 @@ _LOCAL_SPAN = 1 << layout.LOCAL_WINDOW_BITS
 #: window (which is why region-granular schemes miss it).
 _STACK_HEADROOM = 64 * 1024
 
-#: Engine registry names accepted by ``executor=`` / ``REPRO_EXEC``.
-_ENGINE_ALIASES = {
-    "": "compiled",
-    "default": "compiled",
-    "compiled": "compiled",
-    "closure": "compiled",
-    "fast": "compiled",
-    "reference": "reference",
-    "ref": "reference",
-    "interp": "reference",
-    "interpreter": "reference",
-}
-
-
-def resolve_engine(choice: Optional[str] = None) -> str:
-    """Map an ``executor=`` knob / ``REPRO_EXEC`` value to an engine.
-
-    ``None`` consults the environment; unknown names raise.
-    """
-    if choice is None:
-        choice = os.environ.get("REPRO_EXEC", "")
-    try:
-        return _ENGINE_ALIASES[choice.strip().lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown executor engine {choice!r}; "
-            "choices: compiled, reference"
-        ) from None
-
-
 class GpuExecutor:
     """Functional executor for one module + mechanism pairing."""
 
@@ -129,7 +84,6 @@ class GpuExecutor:
         grid_blocks: int = 1,
         block_threads: int = 1,
         max_steps: int = 200_000,
-        executor: Optional[str] = None,
     ) -> None:
         if grid_blocks <= 0 or block_threads <= 0:
             raise SimulationError("grid/block dimensions must be positive")
@@ -139,10 +93,6 @@ class GpuExecutor:
         self.grid_blocks = grid_blocks
         self.block_threads = block_threads
         self.max_steps = max_steps
-        self.engine = resolve_engine(executor)
-        #: Closure program, compiled lazily on the first launch so the
-        #: compile pass runs exactly once per (module, mechanism).
-        self._program = None
 
         self.memory = SparseMemory()
         self.tracker = AllocationTracker()
@@ -289,6 +239,7 @@ class GpuExecutor:
 
         telem = TELEMETRY
         oracle_start = len(self._oracle_events)
+        steps_start = self._steps
         if telem.enabled:
             telem.emit(
                 EventKind.KERNEL_BEGIN,
@@ -335,7 +286,7 @@ class GpuExecutor:
             completed=violation is None,
             violation=violation,
             oracle_events=list(self._oracle_events),
-            steps=self._steps,
+            steps=self._steps - steps_start,
             threads_completed=threads_done,
             mechanism=self.mechanism.name,
             mechanism_stats=self.mechanism.stats.snapshot(),
@@ -444,7 +395,7 @@ class GpuExecutor:
                 self._dyn_shared_ptr[block_id] = (pointer, record)
 
     # ------------------------------------------------------------------
-    # Per-thread engines
+    # Per-thread execution
 
     def _stack_for(self, thread: int) -> StackAllocator:
         stack = self._stacks.get(thread)
@@ -460,13 +411,8 @@ class GpuExecutor:
     def _make_runner(
         self, thread: int, block_id: int, args: Dict[str, Union[int, float]]
     ):
-        """Build the per-thread runner for the selected engine."""
-        if self.engine == "reference":
-            return reference.make_runner(self, thread, block_id, args)
-        program = self._program
-        if program is None:
-            program = self._program = compile_executor(self)
-        return program.make_runner(self, thread, block_id, args)
+        """Build the per-thread interpreter runner."""
+        return reference.make_runner(self, thread, block_id, args)
 
     def _run_thread(
         self, thread: int, block_id: int, args: Dict[str, Union[int, float]]
@@ -477,7 +423,7 @@ class GpuExecutor:
             pass
 
     # ------------------------------------------------------------------
-    # Scope lifecycle (shared by both engines)
+    # Scope lifecycle
 
     def _close_scope(self, frame, stack: StackAllocator, thread: int) -> None:
         if frame.open_scopes <= 0:

@@ -1,24 +1,22 @@
-"""Reference SIMT interpreter: the original isinstance-chain engine.
+"""SIMT interpreter: the functional executor's one engine.
 
-This is the interpreter :class:`~repro.exec.executor.GpuExecutor`
-shipped with before the closure-compiled rewrite, kept verbatim (same
-pattern as :mod:`repro.sim.reference`) as the ground truth for the
-executor-equivalence suite (``tests/test_executor_equivalence.py``).
-It re-decides the instruction class with an ``isinstance`` ladder on
-every step, keeps thread state in ``id(Value)``-keyed dict
-environments, and re-derives type/direction/telemetry labels on every
-memory access — exactly the per-step overhead the compiled engine
-removes.  The two must agree byte-for-byte on oracle events,
-violations, mechanism stats, step counts and final memory digests.
-
-Select it with ``REPRO_EXEC=reference`` or
-``GpuExecutor(..., executor="reference")``.
+:class:`~repro.exec.executor.GpuExecutor` steps every thread through
+this module.  It re-decides the instruction class with an
+``isinstance`` ladder on every step, keeps thread state in
+``id(Value)``-keyed dict environments, and re-derives
+type/direction/telemetry labels on every memory access.
+``tests/test_executor_fingerprints.py`` pins what it observably does:
+oracle events, violations, mechanism stats, step counts, final memory
+digests and the telemetry a launch publishes.
 
 Do not "optimise" this module: its value is being the slow, obviously
-correct implementation.  (The one sanctioned change from the original:
+correct implementation, and its traffic does not pay for anything
+faster.  Table III, the only artefact that launches kernels, makes 168
+launches that step 785 IR instructions in all, too few for a compile
+pass per launched program to pay for itself.
 ``_goto`` resolves labels through the precomputed
 :meth:`~repro.compiler.ir.Function.block_indices` map instead of a
-per-jump linear scan — the map is shared with the compiled engine.)
+per-jump linear scan.
 """
 
 from __future__ import annotations

@@ -121,9 +121,9 @@ class SparseMemory:
     def digest(self) -> str:
         """SHA-256 over all materialised pages (sorted by page id).
 
-        The byte-for-byte fingerprint the executor-equivalence suite
-        locks the compiled and reference engines against: two runs
-        that performed the same stores produce identical digests.
+        The byte-for-byte fingerprint the executor's pinned-fingerprint
+        test checks: two runs that performed the same stores produce
+        identical digests.
         """
         import hashlib
 

@@ -301,12 +301,17 @@ class ServeDaemon:
             if tenant_rps is not None
             else _env_float(TENANT_RPS_ENV, 0.0)
         )
+        if not self.tenant_rps >= 0:  # also rejects NaN
+            raise ValueError("tenant_rps must be non-negative")
         default_burst = max(1.0, 2.0 * self.tenant_rps)
         self.tenant_burst = (
             tenant_burst
             if tenant_burst is not None
             else _env_float(TENANT_BURST_ENV, default_burst)
         )
+        # A bucket shallower than one token never admits a request.
+        if self.tenant_rps > 0 and not self.tenant_burst >= 1:
+            raise ValueError("tenant_burst must be at least 1")
         self.memory_cells = (
             memory_cells
             if memory_cells is not None
@@ -1095,9 +1100,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"error: invalid value {value!r} for {flag}", file=sys.stderr
             )
             return 2
-    daemon = ServeDaemon(
-        port, host, cache_dir=cache_dir, track_progress=True, **overrides
-    )
+    try:
+        daemon = ServeDaemon(
+            port, host, cache_dir=cache_dir, track_progress=True, **overrides
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     # Bind before announcing, so the printed URL is real.  run_forever
     # resolves port 0 once the server socket exists.

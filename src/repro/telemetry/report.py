@@ -6,9 +6,10 @@ into something a human (or a CI gate) reads:
 
 * :func:`build_html` — one dependency-free HTML file (inline CSS,
   inline SVG sparklines, **no network access**) with three sections:
-  per-mechanism simulator-overhead bars, the latest benchmark metric
-  tables from ``BENCH_engine/exec/sim.json``, and perf-trajectory
-  sparklines over the ledger history of every recorded series.
+  per-mechanism simulator-overhead bars, the latest metric table of
+  every ``BENCH_*.json`` document (engine, sim, fabric, serve), and
+  perf-trajectory sparklines over the ledger history of every
+  recorded series.
 * :func:`check_regressions` — the ``repro report --check`` gate: for
   every ledger series, compare the latest ``throughput`` (or other
   chosen metric) against the **median of the prior history**; a drop

@@ -7,6 +7,8 @@ from repro.common.errors import SimulationError
 from repro.compiler import CmpKind, IRType, KernelBuilder, run_lmi_pass
 from repro.exec import GpuExecutor
 from repro.mechanisms import BaselineMechanism, LmiMechanism
+from repro.telemetry.runtime import capture
+from repro.workloads.kernels import KERNEL_CORPUS
 
 
 class TestErrorPaths:
@@ -189,6 +191,24 @@ class TestStepAccounting:
         one = GpuExecutor(module, BaselineMechanism(), block_threads=1).launch({})
         four = GpuExecutor(module, BaselineMechanism(), block_threads=4).launch({})
         assert four.steps == 4 * one.steps
+
+    def test_steps_count_each_launch_once(self):
+        # LaunchResult.steps is the launch's own instructions, not the
+        # executor's running total, and exec.steps adds them up.
+        with capture() as telem:
+            executor = GpuExecutor(
+                KERNEL_CORPUS["vector_add"](), LmiMechanism(), block_threads=4
+            )
+            args = {
+                p.name: executor.host_alloc(64)
+                for p in executor.module.kernel.params
+            }
+            first = executor.launch(args)
+            second = executor.launch(args)
+            counters = telem.registry.snapshot()["counters"]
+        assert first.steps == second.steps == 40
+        assert counters["exec.steps{mechanism=lmi}"] == 80
+        assert counters["exec.launches{mechanism=lmi}"] == 2
 
     def test_threads_completed_on_mid_grid_fault(self):
         b = KernelBuilder("third_fails")

@@ -21,6 +21,8 @@ from repro.serve import (
     build_config,
     parse_simulate,
 )
+from repro.serve.daemon import TENANT_BURST_ENV
+from repro.serve.daemon import main as serve_main
 from repro.serve.loadgen import build_cells, run_swarm_sync, zipf_schedule
 from repro.serve.protocol import TRACE_HEADER
 
@@ -224,6 +226,42 @@ class TestDaemon:
             # A different tenant is not throttled.
             status, _ = _post(daemon.url, _body(tenant="patient"))
             assert status == 200
+
+    def test_tenant_bucket_below_one_token_rejected(self, monkeypatch):
+        # A bucket shallower than one token never holds the token a
+        # request needs, so every request would get 429 forever.
+        for burst in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="tenant_burst"):
+                ServeDaemon(0, tenant_rps=5, tenant_burst=burst)
+        monkeypatch.setenv(TENANT_BURST_ENV, "0.5")
+        with pytest.raises(ValueError, match="tenant_burst"):
+            ServeDaemon(0, tenant_rps=5)
+        # With throttling off the bucket depth is never read.
+        assert ServeDaemon(0, tenant_rps=0).tenant_burst == 0.5
+
+    @pytest.mark.parametrize("rps", [-1.0, float("nan")])
+    def test_negative_tenant_rps_rejected(self, rps):
+        # Either value used to switch throttling off silently.
+        with pytest.raises(ValueError, match="tenant_rps"):
+            ServeDaemon(0, tenant_rps=rps)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--max-batch", "0"], "error: max_batch must be positive"),
+            (
+                ["--tenant-rps", "5", "--tenant-burst", "0.5"],
+                "error: tenant_burst must be at least 1",
+            ),
+            (["--tenant-rps", "-1"], "error: tenant_rps must be non-negative"),
+            (["--port", "x"], "error: invalid value 'x' for --port"),
+        ],
+    )
+    def test_cli_rejects_bad_settings_with_exit_2(self, argv, message, capsys):
+        assert serve_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert "Traceback" not in captured.err
 
     def test_pending_bound_rejects_excess_distinct_cells(self):
         with ServeDaemon(0, max_pending=1, window_ms=50.0) as daemon:
