@@ -1,14 +1,18 @@
 """The ``repro`` command-line front end.
 
-Subcommands::
+Subcommands (``repro <command> --help`` lists each one's flags)::
 
     repro report [--ledger PATH] [--bench-dir DIR] [--out PATH]
                  [--metric NAME] [--threshold FRACTION] [--check]
                  [--json PATH] [--bisect]
     repro top [--url URL | --port PORT [--host HOST]]
               [--interval SECS] [--limit N] [--once]
+    repro trace show ID [--url URL | --port PORT [--host HOST]] [--width N]
+    repro trace list [--url URL | --port PORT [--host HOST]] [--limit N]
     repro ledger merge SRC [SRC ...] --out DEST
     repro experiments [...]   # forwards to python -m repro.experiments
+    repro serve [...]         # the simulation daemon (repro.serve.daemon)
+    repro loadgen [...]       # the load generator (repro.serve.loadgen)
 
 ``repro report`` renders a self-contained HTML report (no network
 access: inline CSS and SVG only) from the run ledger plus any
@@ -26,9 +30,13 @@ the multi-shard companion of the segmented
 :class:`~repro.telemetry.ledger.RunLedger`.
 
 ``repro top`` is the live companion: it polls the ``/progress``
-endpoint of a run started with ``--serve`` (or
-``REPRO_METRICS_PORT``) and redraws a terminal table of in-flight
-jobs — state, phase, wall time, throughput, ETA, violation counts.
+endpoint of a run started with ``--serve`` and redraws a terminal
+table of in-flight jobs — state, phase, wall time, throughput, ETA,
+violation counts.
+
+Every command declares its flags once with :mod:`argparse`; ``--help``
+exits 0 and a usage error exits 2.  ``experiments``, ``serve`` and
+``loadgen`` hand their arguments to their own modules' parsers.
 
 Installed as a console script via ``pyproject.toml``; also reachable
 as ``python -m repro`` when the package is only on ``PYTHONPATH``.
@@ -36,6 +44,8 @@ as ``python -m repro`` when the package is only on ``PYTHONPATH``.
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
 import os
 import sys
@@ -56,131 +66,203 @@ from .telemetry.report import (
 )
 from .telemetry.server import port_from_env
 
-_REPORT_USAGE = """\
-usage: repro report [--ledger PATH] [--bench-dir DIR] [--out PATH]
-                    [--metric NAME] [--threshold FRACTION] [--check]
-                    [--json PATH] [--bisect]
-
-Renders a self-contained HTML report from the run ledger and any
-BENCH_*.json benchmark documents; --check exits 1 on a throughput
-regression against the ledger median (and says so explicitly when the
-ledger has too little history to gate anything).  --json PATH also
-writes the machine-readable summary document.  --bisect walks the
-ledger's commit-anchored history and prints, per series, the first
-commit whose median value regressed past the threshold."""
-
-_LEDGER_USAGE = """\
-usage: repro ledger merge SRC [SRC ...] --out DEST
-
-Folds the ledger(s) SRC — flat .jsonl files or segment directories —
-into DEST, deduplicating identical records and ordering by timestamp.
-Idempotent: re-merging the same sources adds nothing."""
-
-_TOP_USAGE = """\
-usage: repro top [--url URL | --port PORT [--host HOST]]
-                 [--interval SECS] [--limit N] [--once]
-
-Polls the /progress endpoint of a run started with
-`python -m repro.experiments ... --serve PORT` and redraws a live
-table of jobs, phases, throughput and ETA.  --once prints a single
-snapshot and exits (nonzero if the server is unreachable)."""
-
-_TRACE_USAGE = """\
-usage: repro trace show ID [--url URL | --port PORT [--host HOST]]
-                          [--width N]
-       repro trace list [--url URL | --port PORT [--host HOST]]
-                        [--limit N]
-
-`show` fetches /trace/ID from a running serve daemon (or a --serve'd
-experiments run) and renders the request's stage waterfall as a
-terminal Gantt; `list` prints the most recent traces.  The trace id
-comes from the X-Repro-Trace-Id response header (curl -D-) or from
-`repro loadgen`'s slowest/failed listing.  Default server:
---url, else --port/--host, else REPRO_METRICS_PORT, else port 8080
-(the serve default)."""
-
-_USAGE = """\
-usage: repro <command> [...]
-
-commands:
-  report        render the HTML run report / regression check
-  top           live terminal view of a --serve'd experiments run
-  trace         show a request's stage waterfall from /trace/<id>
-  ledger        merge shard/machine run ledgers
-  experiments   run the paper-reproduction experiments CLI
-  serve         run the multi-tenant simulation daemon
-  loadgen       swarm a running daemon with zipf-distributed requests"""
+#: Commands whose modules parse their own arguments: ``module`` and
+#: the one-line help ``repro --help`` shows.  The experiments CLI
+#: parses with ``parse_intermixed_args`` (experiment names may sit
+#: between flags), which argparse does not support under subparsers;
+#: serve and loadgen keep their parser next to what it configures
+#: (``python -m repro.serve`` runs the same one).
+_FORWARDED = {
+    "experiments": (
+        "repro.experiments.__main__",
+        "run the paper-reproduction experiments CLI",
+    ),
+    "serve": ("repro.serve.daemon", "run the multi-tenant simulation daemon"),
+    "loadgen": (
+        "repro.serve.loadgen",
+        "swarm a running daemon with zipf-distributed requests",
+    ),
+}
 
 
-def _report_main(argv: List[str]) -> int:
-    ledger_path = default_ledger_path()
-    bench_dir = os.path.dirname(ledger_path) or "."
-    bench_dir_given = False
-    out_path: Optional[str] = None
-    json_path: Optional[str] = None
-    metric = "throughput"
-    threshold = DEFAULT_REGRESSION_THRESHOLD
-    check = False
-    bisect = False
+def _fraction(text: str) -> float:
+    """``--threshold``: a fraction strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction, got {text!r}"
+        ) from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
+    return value
 
-    value_flags = (
-        "--ledger", "--bench-dir", "--out", "--metric", "--threshold",
-        "--json",
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="repro", allow_abbrev=False)
+    commands = parser.add_subparsers(
+        dest="command", metavar="<command>", required=True
     )
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg in ("-h", "--help"):
-            print(_REPORT_USAGE)
-            return 0
-        if arg == "--check":
-            check = True
-        elif arg == "--bisect":
-            bisect = True
-        elif arg in value_flags or arg.startswith(
-            tuple(f"{flag}=" for flag in value_flags)
-        ):
-            if "=" in arg:
-                flag, value = arg.split("=", 1)
-            else:
-                flag = arg
-                if index + 1 >= len(argv):
-                    print(f"{flag} requires a value")
-                    return 2
-                index += 1
-                value = argv[index]
-            if flag == "--ledger":
-                ledger_path = value
-                if not bench_dir_given:
-                    bench_dir = os.path.dirname(value) or "."
-            elif flag == "--bench-dir":
-                bench_dir = value
-                bench_dir_given = True
-            elif flag == "--out":
-                out_path = value
-            elif flag == "--json":
-                json_path = value
-            elif flag == "--metric":
-                metric = value
-            else:  # --threshold
-                try:
-                    threshold = float(value)
-                except ValueError:
-                    print(f"--threshold expects a fraction, got {value!r}")
-                    return 2
-                if not 0 < threshold < 1:
-                    print("--threshold must be in (0, 1)")
-                    return 2
-        else:
-            print(f"unknown report argument {arg!r}")
-            print(_REPORT_USAGE)
-            return 2
-        index += 1
 
+    report = commands.add_parser(
+        "report",
+        allow_abbrev=False,
+        help="render the HTML run report / regression check",
+        description=(
+            "Renders a self-contained HTML report from the run ledger and "
+            "any BENCH_*.json benchmark documents; --check exits 1 on a "
+            "throughput regression against the ledger median (and says so "
+            "explicitly when the ledger has too little history to gate "
+            "anything).  --json PATH also writes the machine-readable "
+            "summary document.  --bisect walks the ledger's commit-anchored "
+            "history and prints, per series, the first commit whose median "
+            "value regressed past the threshold."
+        ),
+    )
+    report.add_argument(
+        "--ledger", default=default_ledger_path(), metavar="PATH",
+        help="run ledger file or segment directory (default %(default)s)",
+    )
+    report.add_argument(
+        "--bench-dir", metavar="DIR",
+        help="where the BENCH_*.json documents are (default: the "
+        "ledger's directory)",
+    )
+    report.add_argument(
+        "--out", metavar="PATH",
+        help="HTML report path (default BENCH_DIR/report.html)",
+    )
+    report.add_argument(
+        "--metric", default="throughput", metavar="NAME",
+        help="ledger metric to gate (default %(default)s)",
+    )
+    report.add_argument(
+        "--threshold", type=_fraction,
+        default=DEFAULT_REGRESSION_THRESHOLD, metavar="FRACTION",
+        help="regression threshold in (0, 1) (default %(default)s)",
+    )
+    report.add_argument(
+        "--check", action="store_true", help="exit 1 on a regression"
+    )
+    report.add_argument(
+        "--json", metavar="PATH", help="also write the JSON summary"
+    )
+    report.add_argument(
+        "--bisect", action="store_true",
+        help="name the first regressing commit of each series",
+    )
+    report.set_defaults(run=_report_main)
+
+    # --url/--port/--host: the server `top` and `trace` talk to.
+    server = argparse.ArgumentParser(add_help=False)
+    server.add_argument("--url", help="server base URL (wins over --port)")
+    server.add_argument(
+        "--host", default="127.0.0.1", help="server host (default %(default)s)"
+    )
+    server.add_argument(
+        "--port", type=int, help="server port (default REPRO_METRICS_PORT)"
+    )
+
+    top = commands.add_parser(
+        "top",
+        parents=[server],
+        allow_abbrev=False,
+        help="live terminal view of a --serve'd experiments run",
+        description=(
+            "Polls the /progress endpoint of a run started with "
+            "`python -m repro.experiments ... --serve PORT` and redraws a "
+            "live table of jobs, phases, throughput and ETA.  --once prints "
+            "a single snapshot and exits (nonzero if the server is "
+            "unreachable)."
+        ),
+    )
+    top.add_argument(
+        "--interval", type=float, default=1.0, metavar="SECS",
+        help="seconds between polls (default %(default)s)",
+    )
+    top.add_argument(
+        "--limit", type=int, default=12, metavar="N",
+        help="job rows shown (default %(default)s)",
+    )
+    top.add_argument(
+        "--once", action="store_true", help="print one snapshot and exit"
+    )
+    top.set_defaults(run=_top_main)
+
+    trace = commands.add_parser(
+        "trace",
+        allow_abbrev=False,
+        help="show a request's stage waterfall from /trace/<id>",
+        description=(
+            "`show` fetches /trace/ID from a running serve daemon (or a "
+            "--serve'd experiments run) and renders the request's stage "
+            "waterfall as a terminal Gantt; `list` prints the most recent "
+            "traces.  The trace id comes from the X-Repro-Trace-Id response "
+            "header (curl -D-) or from `repro loadgen`'s slowest/failed "
+            "listing.  Default server: --url, else --port/--host, else "
+            "REPRO_METRICS_PORT, else port 8080 (the serve default)."
+        ),
+    )
+    actions = trace.add_subparsers(
+        dest="action", metavar="<action>", required=True
+    )
+    show = actions.add_parser(
+        "show", parents=[server], allow_abbrev=False,
+        help="render one request's waterfall",
+    )
+    show.add_argument("trace_id", metavar="ID")
+    show.add_argument(
+        "--width", type=int, default=48, metavar="N",
+        help="waterfall width in characters (default %(default)s)",
+    )
+    show.set_defaults(run=_trace_main)
+    listing = actions.add_parser(
+        "list", parents=[server], allow_abbrev=False,
+        help="print the most recent traces",
+    )
+    listing.add_argument(
+        "--limit", type=int, default=16, metavar="N",
+        help="traces listed (default %(default)s)",
+    )
+    listing.set_defaults(run=_trace_main)
+
+    ledger = commands.add_parser(
+        "ledger", allow_abbrev=False, help="merge shard/machine run ledgers"
+    )
+    ledger_actions = ledger.add_subparsers(
+        dest="action", metavar="<action>", required=True
+    )
+    merge = ledger_actions.add_parser(
+        "merge",
+        allow_abbrev=False,
+        help="fold ledgers into one",
+        description=(
+            "Folds the ledger(s) SRC — flat .jsonl files or segment "
+            "directories — into DEST, deduplicating identical records and "
+            "ordering by timestamp.  Idempotent: re-merging the same "
+            "sources adds nothing."
+        ),
+    )
+    merge.add_argument("sources", nargs="+", metavar="SRC")
+    merge.add_argument("--out", required=True, metavar="DEST")
+    merge.set_defaults(run=_ledger_main)
+
+    # Listed for --help only: main() hands these to their own parsers.
+    for name, (_, text) in _FORWARDED.items():
+        commands.add_parser(name, help=text, add_help=False)
+    return parser
+
+
+def _report_main(args: argparse.Namespace) -> int:
+    metric, threshold = args.metric, args.threshold
+    bench_dir = args.bench_dir
+    if bench_dir is None:
+        bench_dir = os.path.dirname(args.ledger) or "."
+    out_path = args.out
     if out_path is None:
         out_path = os.path.join(bench_dir, "report.html")
 
-    ledger = RunLedger(ledger_path)
+    ledger = RunLedger(args.ledger)
     bench_docs = load_bench_documents(bench_dir)
     path, failures = write_report(
         out_path, ledger, bench_docs, metric=metric, threshold=threshold
@@ -189,18 +271,18 @@ def _report_main(argv: List[str]) -> int:
         f"[report] {len(ledger.read())} ledger records, "
         f"{len(bench_docs)} benchmark documents -> {path}"
     )
-    if json_path:
+    if args.json:
         _, summary = write_summary(
-            json_path, ledger, bench_docs,
+            args.json, ledger, bench_docs,
             metric=metric, threshold=threshold,
         )
         print(
             f"[report] JSON summary "
-            f"({len(summary['series'])} series) -> {json_path}"
+            f"({len(summary['series'])} series) -> {args.json}"
         )
     for message in failures:
         print(f"[report] REGRESSION: {message}")
-    if bisect:
+    if args.bisect:
         culprits = bisect_regressions(
             ledger, metric=metric, threshold=threshold
         )
@@ -220,10 +302,10 @@ def _report_main(argv: List[str]) -> int:
                 f"ledger history (metric {metric!r}, threshold "
                 f"{threshold * 100:.0f}%)"
             )
-    if check and failures:
+    if args.check and failures:
         print(f"[report] --check failed ({len(failures)} regression(s))")
         return 1
-    if check:
+    if args.check:
         gateable = gateable_series(ledger, metric=metric)
         if not gateable:
             print(
@@ -243,42 +325,8 @@ def _report_main(argv: List[str]) -> int:
 # repro ledger — segment-store maintenance
 
 
-def _ledger_main(argv: List[str]) -> int:
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_LEDGER_USAGE)
-        return 0 if argv else 2
-    if argv[0] != "merge":
-        print(f"unknown ledger subcommand {argv[0]!r}")
-        print(_LEDGER_USAGE)
-        return 2
-    sources: List[str] = []
-    dest: Optional[str] = None
-    index = 1
-    while index < len(argv):
-        arg = argv[index]
-        if arg in ("-h", "--help"):
-            print(_LEDGER_USAGE)
-            return 0
-        if arg == "--out" or arg.startswith("--out="):
-            if "=" in arg:
-                dest = arg.split("=", 1)[1]
-            else:
-                if index + 1 >= len(argv):
-                    print("--out requires a value")
-                    return 2
-                index += 1
-                dest = argv[index]
-        elif arg.startswith("-"):
-            print(f"unknown ledger merge argument {arg!r}")
-            print(_LEDGER_USAGE)
-            return 2
-        else:
-            sources.append(arg)
-        index += 1
-    if not sources or dest is None:
-        print("ledger merge needs at least one SRC and --out DEST")
-        print(_LEDGER_USAGE)
-        return 2
+def _ledger_main(args: argparse.Namespace) -> int:
+    sources, dest = args.sources, args.out
     missing = [src for src in sources if not os.path.exists(src)]
     if missing:
         for src in missing:
@@ -394,57 +442,11 @@ def _fetch_snapshot(url: str, timeout: float = 2.0) -> Dict[str, object]:
     return payload
 
 
-def _top_main(argv: List[str]) -> int:
-    url: Optional[str] = None
-    host = "127.0.0.1"
-    port: Optional[int] = None
-    interval = 1.0
-    limit = 12
-    once = False
-
-    value_flags = ("--url", "--host", "--port", "--interval", "--limit")
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg in ("-h", "--help"):
-            print(_TOP_USAGE)
-            return 0
-        if arg == "--once":
-            once = True
-        elif arg in value_flags or arg.startswith(
-            tuple(f"{flag}=" for flag in value_flags)
-        ):
-            if "=" in arg:
-                flag, value = arg.split("=", 1)
-            else:
-                flag = arg
-                if index + 1 >= len(argv):
-                    print(f"{flag} requires a value")
-                    return 2
-                index += 1
-                value = argv[index]
-            if flag == "--url":
-                url = value
-            elif flag == "--host":
-                host = value
-            elif flag in ("--port", "--interval", "--limit"):
-                try:
-                    number = float(value)
-                except ValueError:
-                    print(f"{flag} expects a number, got {value!r}")
-                    return 2
-                if flag == "--port":
-                    port = int(number)
-                elif flag == "--interval":
-                    interval = max(0.05, number)
-                else:
-                    limit = max(1, int(number))
-        else:
-            print(f"unknown top argument {arg!r}")
-            print(_TOP_USAGE)
-            return 2
-        index += 1
-
+def _top_main(args: argparse.Namespace) -> int:
+    url, port = args.url, args.port
+    interval = max(0.05, args.interval)
+    limit = max(1, args.limit)
+    once = args.once
     if url is None:
         if port is None:
             try:
@@ -458,7 +460,7 @@ def _top_main(argv: List[str]) -> int:
                 "REPRO_METRICS_PORT"
             )
             return 2
-        url = f"http://{host}:{port}"
+        url = f"http://{args.host}:{port}"
     progress_url = url.rstrip("/") + f"/progress?jobs={limit}"
 
     try:
@@ -549,71 +551,14 @@ def _trace_server_url(
     return f"http://{host}:{port if port is not None else 8080}"
 
 
-def _trace_main(argv: List[str]) -> int:
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_TRACE_USAGE)
-        return 0 if argv else 2
-    action, rest = argv[0], argv[1:]
-    if action not in ("show", "list"):
-        print(f"unknown trace action {action!r}")
-        print(_TRACE_USAGE)
-        return 2
-    trace_id: Optional[str] = None
-    url: Optional[str] = None
-    host = "127.0.0.1"
-    port: Optional[int] = None
-    width = 48
-    limit = 16
-    value_flags = ("--url", "--host", "--port", "--width", "--limit")
-    index = 0
-    while index < len(rest):
-        arg = rest[index]
-        if arg in ("-h", "--help"):
-            print(_TRACE_USAGE)
-            return 0
-        if "=" in arg and arg.split("=", 1)[0] in value_flags:
-            flag, value = arg.split("=", 1)
-        elif arg in value_flags:
-            if index + 1 >= len(rest):
-                print(f"{arg} requires a value")
-                return 2
-            index += 1
-            flag, value = arg, rest[index]
-        elif not arg.startswith("-") and trace_id is None:
-            trace_id = arg
-            index += 1
-            continue
-        else:
-            print(f"unknown trace argument {arg!r}")
-            print(_TRACE_USAGE)
-            return 2
-        index += 1
-        if flag == "--url":
-            url = value
-        elif flag == "--host":
-            host = value
-        elif flag in ("--port", "--width", "--limit"):
-            try:
-                number = int(value)
-            except ValueError:
-                print(f"{flag} expects an integer, got {value!r}")
-                return 2
-            if flag == "--port":
-                port = number
-            elif flag == "--width":
-                width = max(8, number)
-            else:
-                limit = max(1, number)
+def _trace_main(args: argparse.Namespace) -> int:
     try:
-        base = _trace_server_url(url, host, port)
+        base = _trace_server_url(args.url, args.host, args.port)
     except ValueError as exc:
         print(f"repro trace: {exc}")
         return 2
-    if action == "show":
-        if trace_id is None:
-            print("repro trace show: missing trace id")
-            print(_TRACE_USAGE)
-            return 2
+    if args.action == "show":
+        trace_id = args.trace_id
         target = f"{base}/trace/{trace_id}"
         try:
             document = _fetch_snapshot(target, timeout=5.0)
@@ -626,9 +571,9 @@ def _trace_main(argv: List[str]) -> int:
         except (urllib.error.URLError, OSError, ValueError) as exc:
             print(f"repro trace: cannot reach {target}: {exc}")
             return 1
-        print(format_trace(document, width=width))
+        print(format_trace(document, width=max(8, args.width)))
         return 0
-    target = f"{base}/trace?limit={limit}"
+    target = f"{base}/trace?limit={max(1, args.limit)}"
     try:
         document = _fetch_snapshot(target, timeout=5.0)
     except (urllib.error.URLError, OSError, ValueError) as exc:
@@ -654,35 +599,15 @@ def _trace_main(argv: List[str]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_USAGE)
-        return 0 if argv else 2
-    command, rest = argv[0], argv[1:]
-    if command == "report":
-        return _report_main(rest)
-    if command == "top":
-        return _top_main(rest)
-    if command == "trace":
-        return _trace_main(rest)
-    if command == "ledger":
-        return _ledger_main(rest)
-    if command == "experiments":
-        from .experiments.__main__ import main as experiments_main
-
-        return experiments_main(rest)
-    if command == "serve":
-        from .serve.daemon import main as serve_main
-
-        return serve_main(rest)
-    if command == "loadgen":
-        from .serve.loadgen import main as loadgen_main
-
-        return loadgen_main(rest)
-    print(f"unknown command {command!r}")
-    print(_USAGE)
-    return 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _FORWARDED:
+        module = importlib.import_module(_FORWARDED[argv[0]][0])
+        return module.main(argv[1:])
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -152,10 +152,15 @@ class FunctionBuilder:
         return instr.result
 
     def _binop(
-        self, op: BinOpKind, a: Operand, b: Union[int, Operand], type_: IRType
+        self,
+        op: BinOpKind,
+        a: Union[int, float, Operand],
+        b: Union[int, float, Operand],
+        type_: IRType,
     ) -> Value:
-        operand = self.const(b, type_) if isinstance(b, (int, float)) else b
-        instr = BinOp(op=op, lhs=a, rhs=operand, name=self._fresh("t"), type=type_)
+        lhs = self.const(a, type_) if isinstance(a, (int, float)) else a
+        rhs = self.const(b, type_) if isinstance(b, (int, float)) else b
+        instr = BinOp(op=op, lhs=lhs, rhs=rhs, name=self._fresh("t"), type=type_)
         self.emit(instr)
         return instr.result
 
@@ -187,10 +192,13 @@ class FunctionBuilder:
         """Float multiply."""
         return self._binop(BinOpKind.FMUL, a, b, IRType.F32)
 
-    def cmp(self, op: CmpKind, a: Operand, b: Union[int, Operand]) -> Value:
+    def cmp(
+        self, op: CmpKind, a: Union[int, Operand], b: Union[int, Operand]
+    ) -> Value:
         """Comparison yielding an i32 boolean."""
-        operand = self.const(b) if isinstance(b, int) else b
-        instr = Cmp(op=op, lhs=a, rhs=operand, name=self._fresh("c"))
+        lhs = self.const(a) if isinstance(a, int) else a
+        rhs = self.const(b) if isinstance(b, int) else b
+        instr = Cmp(op=op, lhs=lhs, rhs=rhs, name=self._fresh("c"))
         self.emit(instr)
         return instr.result
 

@@ -285,28 +285,25 @@ class GpuExecutor:
         result = LaunchResult(
             completed=violation is None,
             violation=violation,
-            oracle_events=list(self._oracle_events),
+            oracle_events=self._oracle_events[oracle_start:],
             steps=self._steps - steps_start,
             threads_completed=threads_done,
             mechanism=self.mechanism.name,
             mechanism_stats=self.mechanism.stats.snapshot(),
         )
         if telem.enabled:
-            self._publish_launch_telemetry(
-                telem, kernel.name, result, oracle_start
-            )
+            self._publish_launch_telemetry(telem, kernel.name, result)
         return result
 
     def _publish_launch_telemetry(
-        self, telem, kernel_name: str, result: LaunchResult, oracle_start: int
+        self, telem, kernel_name: str, result: LaunchResult
     ) -> None:
         """Roll launch counters/events up into the global telemetry hub."""
         mech_name = self.mechanism.name
         self.mechanism.publish_stats(telem.registry)
         telem.counter("exec.launches", mechanism=mech_name).inc()
         telem.counter("exec.steps", mechanism=mech_name).inc(result.steps)
-        fresh_events = result.oracle_events[oracle_start:]
-        for event in fresh_events:
+        for event in result.oracle_events:
             telem.emit(
                 EventKind.ORACLE_VIOLATION,
                 kernel=kernel_name,
@@ -323,9 +320,9 @@ class GpuExecutor:
                 space=str(event.space),
             ).inc()
         mismatch = None
-        if result.detected and not fresh_events:
+        if result.false_positive:
             mismatch = "false_positive"
-        elif fresh_events and not result.detected:
+        elif result.false_negative:
             mismatch = "false_negative"
         if mismatch is not None:
             telem.emit(
@@ -413,14 +410,6 @@ class GpuExecutor:
     ):
         """Build the per-thread interpreter runner."""
         return reference.make_runner(self, thread, block_id, args)
-
-    def _run_thread(
-        self, thread: int, block_id: int, args: Dict[str, Union[int, float]]
-    ) -> None:
-        """Run one thread to completion (single-thread convenience)."""
-        runner = self._make_runner(thread, block_id, args)
-        while runner.run_phase() != "done":
-            pass
 
     # ------------------------------------------------------------------
     # Scope lifecycle

@@ -64,10 +64,17 @@ read-only over telemetry state, so ``--metrics``/``--trace`` exports
 stay byte-identical to a no-server run.  ``REPRO_SERVE_LINGER=SECS``
 keeps the server (and process) alive that long after the experiments
 finish, so scrapers racing a short run still get their snapshot.
+
+Flags are parsed with ``argparse`` (``--help`` lists them) and
+experiment names may sit anywhere between them.  An unknown flag, a
+malformed value, or a malformed ``REPRO_METRICS_PORT``,
+``REPRO_SHARD_WAIT`` or ``REPRO_SERVE_LINGER`` exits 2 before any
+experiment runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 import time
@@ -83,9 +90,11 @@ from ..workloads import configure_trace_cache
 from .fabric import (
     CELL_CACHE_ENV,
     SHARD_ENV,
+    env_seconds,
     fabric_counters,
     resolve_cell_cache,
     resolve_shard,
+    shard_wait_seconds,
 )
 from .feasibility_study import run_feasibility_study
 from .fig1_memory_mix import run_fig1
@@ -161,96 +170,61 @@ EXPERIMENTS: Dict[str, Callable[[bool, int], str]] = {
 }
 
 
-class _CliOptions:
-    """Parsed command-line state."""
-
-    def __init__(self) -> None:
-        self.fast = False
-        self.verbose = False
-        self.metrics_path: Optional[str] = None
-        self.trace_path: Optional[str] = None
-        self.ledger_path: Optional[str] = None
-        self.trace_cache_dir: Optional[str] = None
-        self.jobs = 1
-        self.serve_port: Optional[int] = None
-        self.cell_cache_dir: Optional[str] = None
-        self.shard: Optional[str] = None
-        self.resume = False
-        self.error: Optional[str] = None
-        self.selected: List[str] = []
-
-
-def _parse_args(argv) -> _CliOptions:
-    """Hand-rolled parse (argparse-free, as the seed CLI was)."""
-    options = _CliOptions()
-    value_flags = (
-        "--metrics", "--trace", "--jobs", "--trace-cache",
-        "--ledger", "--serve", "--cell-cache", "--shard",
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Run the paper's experiments and print the "
+        "reproduction report (see the module docstring for details).",
+        allow_abbrev=False,
     )
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == "--fast":
-            options.fast = True
-        elif arg == "--verbose-telemetry":
-            options.verbose = True
-        elif arg == "--resume":
-            options.resume = True
-        elif arg in value_flags or arg.startswith(
-            tuple(f"{flag}=" for flag in value_flags)
-        ):
-            if "=" in arg:
-                flag, value = arg.split("=", 1)
-            else:
-                flag = arg
-                if index + 1 >= len(argv):
-                    metavar = (
-                        "N" if flag == "--jobs"
-                        else "PORT" if flag == "--serve"
-                        else "PATH"
-                    )
-                    options.error = f"{flag} requires a {metavar} argument"
-                    return options
-                index += 1
-                value = argv[index]
-            if flag == "--metrics":
-                options.metrics_path = value
-            elif flag == "--trace":
-                options.trace_path = value
-            elif flag == "--ledger":
-                options.ledger_path = value
-            elif flag == "--trace-cache":
-                options.trace_cache_dir = value
-            elif flag == "--cell-cache":
-                options.cell_cache_dir = value
-            elif flag == "--shard":
-                options.shard = value
-            elif flag == "--serve":
-                try:
-                    options.serve_port = int(value)
-                except ValueError:
-                    options.error = (
-                        f"--serve expects a port number, got {value!r}"
-                    )
-                    return options
-                if not 0 <= options.serve_port <= 65535:
-                    options.error = "--serve port must be in [0, 65535]"
-                    return options
-            else:  # --jobs
-                try:
-                    options.jobs = int(value)
-                except ValueError:
-                    options.error = f"--jobs expects an integer, got {value!r}"
-                    return options
-                if options.jobs < 1:
-                    options.error = "--jobs must be >= 1"
-                    return options
-        elif arg.startswith("-"):
-            pass  # unknown flags are ignored, as before
-        else:
-            options.selected.append(arg)
-        index += 1
-    return options
+    parser.add_argument(
+        "names", nargs="*", metavar="EXPERIMENT",
+        help=f"experiments to run (default all: {' '.join(EXPERIMENTS)})",
+    )
+    parser.add_argument(
+        "--fast", action="store_true", help="reduced trace sizes"
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="work-stealing worker processes for the grid cells "
+        "(default 1: in process)",
+    )
+    parser.add_argument(
+        "--trace-cache", metavar="DIR",
+        help="persist synthesized traces (or REPRO_TRACE_CACHE)",
+    )
+    parser.add_argument(
+        "--cell-cache", metavar="DIR",
+        help="memoize grid cells (or REPRO_CELL_CACHE)",
+    )
+    parser.add_argument(
+        "--shard", metavar="I/N",
+        help="own every N-th cell of the grid; needs --cell-cache",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="continue an interrupted --cell-cache run",
+    )
+    parser.add_argument(
+        "--metrics", metavar="PATH", help="write the metrics export"
+    )
+    parser.add_argument(
+        "--trace", metavar="PATH", help="write the Perfetto trace export"
+    )
+    parser.add_argument(
+        "--ledger", metavar="PATH",
+        help="append one record per experiment to the run ledger",
+    )
+    parser.add_argument(
+        "--verbose-telemetry", action="store_true",
+        help="print the telemetry summary",
+    )
+    parser.add_argument(
+        "--serve", type=int, metavar="PORT",
+        help="serve the live observability plane during the run "
+        "(or REPRO_METRICS_PORT; 0 picks a free port)",
+    )
+    return parser
 
 
 #: Registry totals tracked per experiment for the run ledger.
@@ -272,30 +246,34 @@ def _sim_totals(registry) -> Dict[str, float]:
 SERVE_LINGER_ENV = "REPRO_SERVE_LINGER"
 
 
-def _serve_linger_seconds() -> float:
-    """How long ``--serve`` keeps the server up after the run (>= 0)."""
-    raw = os.environ.get(SERVE_LINGER_ENV, "").strip()
-    if not raw:
-        return 0.0
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = _parser()
     try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return 0.0
-
-
-def main(argv) -> int:
-    options = _parse_args(argv)
-    if options.error:
-        print(options.error)
+        # Intermixed: experiment names may sit between flags.
+        options = parser.parse_intermixed_args(argv)
+        if options.jobs < 1:
+            parser.error("--jobs must be >= 1")
+        if options.serve is not None and not 0 <= options.serve <= 65535:
+            parser.error("--serve port must be in [0, 65535]")
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
+    try:
+        shard_wait_seconds()  # read again by the grid; fail before it runs
+        linger = env_seconds(SERVE_LINGER_ENV)
+        serve_port = options.serve
+        if serve_port is None:
+            serve_port = port_from_env()
+    except ValueError as exc:
+        print(str(exc))
         return 2
     fast = options.fast
-    verbose = options.verbose
-    metrics_path = options.metrics_path
-    trace_path = options.trace_path
-    if options.trace_cache_dir:
-        configure_trace_cache(disk_dir=options.trace_cache_dir)
-    if options.cell_cache_dir:
-        os.environ[CELL_CACHE_ENV] = options.cell_cache_dir
+    verbose = options.verbose_telemetry
+    metrics_path = options.metrics
+    trace_path = options.trace
+    if options.trace_cache:
+        configure_trace_cache(disk_dir=options.trace_cache)
+    if options.cell_cache:
+        os.environ[CELL_CACHE_ENV] = options.cell_cache
     if options.shard:
         os.environ[SHARD_ENV] = options.shard
         try:
@@ -316,21 +294,13 @@ def main(argv) -> int:
         print(f"[fabric] resuming: journal holds "
               f"{len(cache.journal_digests())} completed cell(s) "
               f"at {cache.directory}")
-    names = options.selected if options.selected else list(EXPERIMENTS)
+    names = options.names or list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}; choices: {list(EXPERIMENTS)}")
         return 2
 
-    serve_port = options.serve_port
-    if serve_port is None:
-        try:
-            serve_port = port_from_env()
-        except ValueError as exc:
-            print(str(exc))
-            return 2
-
-    ledger_path = options.ledger_path
+    ledger_path = options.ledger
     telemetry_wanted = bool(
         metrics_path or trace_path or verbose or ledger_path
         or serve_port is not None
@@ -450,7 +420,6 @@ def main(argv) -> int:
     finally:
         PROGRESS.end_run("failed" if run_failed else "done")
         if server is not None:
-            linger = _serve_linger_seconds()
             if linger > 0 and not run_failed:
                 print(
                     f"[observability server lingering {linger:.0f}s "

@@ -249,7 +249,7 @@ def run_jobs_batched(
     fabric (cell cache, shards), never registers jobs on the progress
     board, and never touches the telemetry hub.  The ``repro.serve``
     daemon's executor threads dispatch every micro-batch through here
-    (its ``REPRO_SERVE_MAX_BATCH`` bounds the group), concurrently,
+    (its ``max_batch`` setting bounds the group), concurrently,
     while a CLI experiment could be using the global hub in the same
     process.
     """

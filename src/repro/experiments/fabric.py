@@ -63,6 +63,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -442,15 +443,29 @@ def resolve_shard(
     return index, total
 
 
-def shard_wait_seconds() -> float:
-    """How long a shard polls the cache for foreign cells."""
-    raw = os.environ.get(SHARD_WAIT_ENV, "").strip()
+def env_seconds(name: str) -> float:
+    """Seconds from the environment variable *name*; 0 when unset.
+
+    Anything but a finite number >= 0 raises, so a typo such as ``3m``
+    fails loudly instead of silently reading as 0.
+    """
+    raw = os.environ.get(name, "").strip()
     if not raw:
         return 0.0
     try:
-        return max(0.0, float(raw))
+        seconds = float(raw)
     except ValueError:
-        return 0.0
+        seconds = math.nan
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(
+            f"invalid {name} value {raw!r} (expected seconds >= 0)"
+        )
+    return seconds
+
+
+def shard_wait_seconds() -> float:
+    """How long a shard polls the cache for foreign cells."""
+    return env_seconds(SHARD_WAIT_ENV)
 
 
 # ----------------------------------------------------------------------
@@ -875,5 +890,6 @@ __all__ = [
     "resolve_cell_cache",
     "resolve_shard",
     "run_grid",
+    "env_seconds",
     "shard_wait_seconds",
 ]

@@ -9,21 +9,20 @@ multi-tenant request mix almost every request is answered without
 simulating anything —
 
 1. **Admission control** — per-tenant token buckets
-   (``REPRO_SERVE_TENANT_RPS`` / ``_BURST``) and a bound on distinct
-   in-flight cells (``REPRO_SERVE_MAX_PENDING``).  Rejections are
-   explicit ``429`` responses with ``Retry-After``, never dropped
-   connections.
+   (``--tenant-rps`` / ``--tenant-burst``) and a bound on distinct
+   in-flight cells (``--max-pending``).  Rejections are explicit
+   ``429`` responses with ``Retry-After``, never dropped connections.
 2. **Coalescing** — requests are content-addressed by
    :func:`~repro.experiments.fabric.cell_digest`; a request whose cell
    is already in flight attaches to the existing future and shares one
    computation.  Distinct cells are micro-batched: the batcher
-   collects up to ``REPRO_SERVE_MAX_BATCH`` cells within a
-   ``REPRO_SERVE_WINDOW_MS`` deadline window, and each micro-batch's
-   misses run as one engine group per GPU config, so one FFI crossing
-   amortises across the batch exactly as for a CLI grid's cells.
+   collects up to ``--max-batch`` cells within a ``--window-ms``
+   deadline window, and each micro-batch's misses run as one engine
+   group per GPU config, so one FFI crossing amortises across the
+   batch exactly as for a CLI grid's cells.
 3. **Result cache** — a per-daemon in-memory LRU of cell records in
    front of the shared on-disk :class:`~repro.experiments.fabric.CellCache`
-   (``REPRO_SERVE_CACHE``, falling back to ``REPRO_CELL_CACHE``).  The
+   (``--cache``, falling back to ``REPRO_CELL_CACHE``).  The
    disk layer uses the *same* digests and record schema as CLI/fabric
    runs, so a grid swept overnight pre-warms the service and vice
    versa.
@@ -41,9 +40,9 @@ simulating anything —
    publish → serialize, with an ``unattributed`` remainder so the sum
    always equals the end-to-end latency) is served by ``/trace/<id>``;
    ``/logs`` exposes the structured log ring, and requests breaching
-   the slow threshold (``REPRO_SERVE_SLOW_MS`` fixed, or the live
-   ``REPRO_SERVE_SLOW_QUANTILE`` once enough samples exist) are
-   captured automatically — counter, ``/stats`` ``slow_requests``
+   the slow threshold (``--slow-ms`` fixed, or the live
+   ``--slow-quantile`` once enough samples exist) are captured
+   automatically — counter, ``/stats`` ``slow_requests``
    entry, and a ``slow_request`` log record carrying the waterfall.
    Trace ids live only in the diagnostics stores, never in the
    byte-identical response bodies or exports.
@@ -51,15 +50,21 @@ simulating anything —
 Every answer is byte-identical to what a direct engine call returns
 for the same job and config — cached, coalesced or executed — which
 ``tests/test_serve.py`` locks request-by-request.
+
+Each setting is a :class:`ServeDaemon` keyword argument whose default
+lives in its signature; ``repro serve`` sets it by its flag alone
+(``repro serve --help``) and passes only the flags given.
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import concurrent.futures
 import dataclasses
 import math
 import os
+import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -99,49 +104,10 @@ from .protocol import (
     result_document,
 )
 
-# ----------------------------------------------------------------------
-# Environment knobs (every one also a ServeDaemon constructor argument)
-
-#: Cells per micro-batch (one executor dispatch / FFI crossing).
-MAX_BATCH_ENV = "REPRO_SERVE_MAX_BATCH"
-#: Batch formation deadline in milliseconds: how long the batcher
-#: waits for more distinct cells before dispatching a partial batch.
-WINDOW_ENV = "REPRO_SERVE_WINDOW_MS"
-#: Executor threads = concurrently running batches.
-WORKERS_ENV = "REPRO_SERVE_WORKERS"
-#: Bound on distinct in-flight cells before new cells get 429.
-MAX_PENDING_ENV = "REPRO_SERVE_MAX_PENDING"
-#: Per-tenant sustained requests/second (0 disables throttling).
-TENANT_RPS_ENV = "REPRO_SERVE_TENANT_RPS"
-#: Per-tenant burst allowance (token bucket depth).
-TENANT_BURST_ENV = "REPRO_SERVE_TENANT_BURST"
-#: In-memory result-cache entries (cell records).
-MEMORY_ENV = "REPRO_SERVE_MEMORY_CELLS"
-#: Shared on-disk cell-cache directory (falls back to REPRO_CELL_CACHE).
-CACHE_ENV = "REPRO_SERVE_CACHE"
-#: Per-request tracing ("0"/"false" disables; default on — the cost
-#: is one id mint plus a handful of dict writes per request, inside
-#: the ≤5% telemetry budget the serve bench enforces).
-TRACING_ENV = "REPRO_SERVE_TRACING"
-#: Fixed slow-request threshold in milliseconds.  0 (the default)
-#: switches to quantile mode: a request is slow when it exceeds the
-#: live latency histogram's ``REPRO_SERVE_SLOW_QUANTILE``.
-SLOW_MS_ENV = "REPRO_SERVE_SLOW_MS"
-#: Latency quantile (0..1) above which a request counts as slow in
-#: quantile mode; the capture arms only once the histogram has seen
-#: enough requests to make the quantile meaningful.
-SLOW_QUANTILE_ENV = "REPRO_SERVE_SLOW_QUANTILE"
 #: Test/CI hook: ``benchmark:mechanism:ms`` sleeps that long inside
 #: the execute path of every matching cell, so slow-request capture
 #: can be exercised deterministically.
 INJECT_DELAY_ENV = "REPRO_SERVE_INJECT_DELAY"
-
-_DEFAULT_MAX_BATCH = 8
-_DEFAULT_WINDOW_MS = 5.0
-_DEFAULT_WORKERS = 2
-_DEFAULT_MAX_PENDING = 1024
-_DEFAULT_MEMORY_CELLS = 256
-_DEFAULT_SLOW_QUANTILE = 0.99
 
 #: Requests the latency histogram must hold before quantile-mode slow
 #: capture arms (a p99 over a handful of samples is noise).
@@ -157,33 +123,6 @@ _SLOW_REFRESH_EVERY = 32
 
 class ServiceStopped(RuntimeError):
     """The daemon shut down while the request was in flight (503)."""
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"invalid {name} value {raw!r}") from None
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"invalid {name} value {raw!r}") from None
-
-
-def _env_bool(name: str, default: bool) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "no", "off")
 
 
 def _parse_inject_delay(
@@ -253,100 +192,67 @@ class ServeDaemon:
         host: str = "127.0.0.1",
         *,
         cache_dir: Optional[str] = None,
-        max_batch: Optional[int] = None,
-        window_ms: Optional[float] = None,
-        workers: Optional[int] = None,
-        max_pending: Optional[int] = None,
-        tenant_rps: Optional[float] = None,
+        max_batch: int = 8,
+        window_ms: float = 5.0,
+        workers: int = 2,
+        max_pending: int = 1024,
+        tenant_rps: float = 0.0,
         tenant_burst: Optional[float] = None,
-        memory_cells: Optional[int] = None,
+        memory_cells: int = 256,
         track_progress: bool = False,
-        tracing: Optional[bool] = None,
-        slow_ms: Optional[float] = None,
-        slow_quantile: Optional[float] = None,
+        tracing: bool = True,
+        slow_ms: float = 0.0,
+        slow_quantile: float = 0.99,
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise ValueError("port must be in [0, 65535]")
         self.requested_port = port
         self.host = host
         self.port = port
-        self.max_batch = (
-            max_batch
-            if max_batch is not None
-            else _env_int(MAX_BATCH_ENV, _DEFAULT_MAX_BATCH)
-        )
-        if self.max_batch <= 0:
+        if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        self.window_seconds = (
-            window_ms
-            if window_ms is not None
-            else _env_float(WINDOW_ENV, _DEFAULT_WINDOW_MS)
-        ) / 1000.0
+        self.max_batch = max_batch
+        self.window_seconds = window_ms / 1000.0
         if self.window_seconds < 0:
             raise ValueError("window_ms must be non-negative")
-        self.workers = (
-            workers
-            if workers is not None
-            else _env_int(WORKERS_ENV, _DEFAULT_WORKERS)
-        )
-        if self.workers <= 0:
+        if workers <= 0:
             raise ValueError("workers must be positive")
-        self.max_pending = (
-            max_pending
-            if max_pending is not None
-            else _env_int(MAX_PENDING_ENV, _DEFAULT_MAX_PENDING)
-        )
-        if self.max_pending <= 0:
+        self.workers = workers
+        if max_pending <= 0:
             raise ValueError("max_pending must be positive")
-        self.tenant_rps = (
-            tenant_rps
-            if tenant_rps is not None
-            else _env_float(TENANT_RPS_ENV, 0.0)
-        )
-        if not self.tenant_rps >= 0:  # also rejects NaN
+        self.max_pending = max_pending
+        if not tenant_rps >= 0:  # also rejects NaN
             raise ValueError("tenant_rps must be non-negative")
-        default_burst = max(1.0, 2.0 * self.tenant_rps)
-        self.tenant_burst = (
-            tenant_burst
-            if tenant_burst is not None
-            else _env_float(TENANT_BURST_ENV, default_burst)
-        )
+        self.tenant_rps = tenant_rps
+        if tenant_burst is None:
+            tenant_burst = max(1.0, 2.0 * tenant_rps)
         # A bucket shallower than one token never admits a request.
-        if self.tenant_rps > 0 and not self.tenant_burst >= 1:
+        if tenant_rps > 0 and not tenant_burst >= 1:
             raise ValueError("tenant_burst must be at least 1")
-        self.memory_cells = (
-            memory_cells
-            if memory_cells is not None
-            else _env_int(MEMORY_ENV, _DEFAULT_MEMORY_CELLS)
-        )
-        if self.memory_cells <= 0:
+        self.tenant_burst = tenant_burst
+        if memory_cells <= 0:
             raise ValueError("memory_cells must be positive")
+        self.memory_cells = memory_cells
         self.track_progress = track_progress
-        self.tracing = (
-            tracing
-            if tracing is not None
-            else _env_bool(TRACING_ENV, True)
-        )
-        self.slow_ms = (
-            slow_ms if slow_ms is not None else _env_float(SLOW_MS_ENV, 0.0)
-        )
-        if self.slow_ms < 0:
+        #: Per-request tracing: one id mint plus a handful of dict
+        #: writes per request, inside the serve bench's 5% budget.
+        self.tracing = tracing
+        if slow_ms < 0:
             raise ValueError("slow_ms must be non-negative")
-        self.slow_quantile = (
-            slow_quantile
-            if slow_quantile is not None
-            else _env_float(SLOW_QUANTILE_ENV, _DEFAULT_SLOW_QUANTILE)
-        )
-        if not 0.0 < self.slow_quantile < 1.0:
+        #: Fixed slow-request floor in ms; 0 switches to quantile mode,
+        #: where a request is slow above the live latency histogram's
+        #: ``slow_quantile`` once it holds enough samples.
+        self.slow_ms = slow_ms
+        if not 0.0 < slow_quantile < 1.0:
             raise ValueError("slow_quantile must be in (0, 1)")
+        self.slow_quantile = slow_quantile
         self._inject_delay = _parse_inject_delay(
             os.environ.get(INJECT_DELAY_ENV, "")
         )
 
-        if cache_dir is None:
-            cache_dir = (
-                os.environ.get(CACHE_ENV) or None
-            )  # resolve_cell_cache falls back to REPRO_CELL_CACHE
         #: Shared handle: same memoized instance CLI/fabric runs use
-        #: for this directory, or None when no cache is configured.
+        #: for this directory (None falls back to REPRO_CELL_CACHE), or
+        #: None when no cache is configured.
         self.cell_cache: Optional[CellCache] = resolve_cell_cache(cache_dir)
 
         #: Per-daemon diagnostic registry; joins DIAG_REGISTRIES only
@@ -434,9 +340,12 @@ class ServeDaemon:
         self._loop = None
 
     def run_forever(self) -> None:
-        """Serve from the calling thread until SIGINT/SIGTERM."""
+        """Serve from the calling thread until SIGINT/SIGTERM; raises
+        the error that kept the daemon from binding, if any."""
         self._install_signals = True
         self._thread_main()
+        if self._start_error is not None:
+            raise self._start_error
 
     def __enter__(self) -> "ServeDaemon":
         return self.start()
@@ -1020,90 +929,57 @@ class ServeDaemon:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """``repro serve`` — run a daemon until SIGINT/SIGTERM."""
-    import sys
-
-    args = list(argv) if argv is not None else sys.argv[1:]
-    port = 8080
-    host = "127.0.0.1"
-    cache_dir: Optional[str] = None
-    overrides: Dict[str, object] = {}
-    value_flags = (
-        "--port",
-        "--host",
-        "--cache",
-        "--max-batch",
-        "--window-ms",
-        "--workers",
-        "--max-pending",
-        "--tenant-rps",
-        "--tenant-burst",
-        "--memory-cells",
-        "--slow-ms",
-        "--slow-quantile",
+    # Unset flags stay out of the namespace, so ServeDaemon's
+    # signature holds every default; its constructor validates.
+    parser = argparse.ArgumentParser(
+        prog="repro serve",
+        description="Run the multi-tenant simulation daemon until "
+        "SIGINT/SIGTERM.",
+        argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,
     )
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if "=" in arg and arg.split("=", 1)[0] in value_flags:
-            flag, value = arg.split("=", 1)
-        elif arg in value_flags:
-            if index + 1 >= len(args):
-                print(f"error: {arg} requires a value", file=sys.stderr)
-                return 2
-            flag, value = arg, args[index + 1]
-            index += 1
-        elif arg == "--no-tracing":
-            overrides["tracing"] = False
-            index += 1
-            continue
-        elif arg in ("-h", "--help"):
-            print(
-                "usage: repro serve [--port N] [--host H] [--cache DIR]\n"
-                "                   [--max-batch N] [--window-ms MS]\n"
-                "                   [--workers N] [--max-pending N]\n"
-                "                   [--tenant-rps R] [--tenant-burst B]\n"
-                "                   [--memory-cells N] [--no-tracing]\n"
-                "                   [--slow-ms MS] [--slow-quantile Q]"
-            )
-            return 0
-        else:
-            print(f"error: unknown argument {arg!r}", file=sys.stderr)
-            return 2
-        index += 1
-        try:
-            if flag == "--port":
-                port = int(value)
-            elif flag == "--host":
-                host = value
-            elif flag == "--cache":
-                cache_dir = value
-            elif flag == "--max-batch":
-                overrides["max_batch"] = int(value)
-            elif flag == "--window-ms":
-                overrides["window_ms"] = float(value)
-            elif flag == "--workers":
-                overrides["workers"] = int(value)
-            elif flag == "--max-pending":
-                overrides["max_pending"] = int(value)
-            elif flag == "--tenant-rps":
-                overrides["tenant_rps"] = float(value)
-            elif flag == "--tenant-burst":
-                overrides["tenant_burst"] = float(value)
-            elif flag == "--memory-cells":
-                overrides["memory_cells"] = int(value)
-            elif flag == "--slow-ms":
-                overrides["slow_ms"] = float(value)
-            elif flag == "--slow-quantile":
-                overrides["slow_quantile"] = float(value)
-        except ValueError:
-            print(
-                f"error: invalid value {value!r} for {flag}", file=sys.stderr
-            )
-            return 2
+    parser.add_argument(
+        "--port", type=int, default=8080,
+        help="listen port; 0 picks a free one (default %(default)s)",
+    )
+    parser.add_argument("--host", help="bind address (default 127.0.0.1)")
+    parser.add_argument(
+        "--cache", dest="cache_dir", metavar="DIR",
+        help="on-disk result cache shared with --cell-cache runs "
+        "(default REPRO_CELL_CACHE, else none)",
+    )
+    defaults = ServeDaemon.__init__.__kwdefaults__
+    for flag, kind, metavar, text in (
+        ("--max-batch", int, "N", "max cells packed into one engine batch"),
+        ("--window-ms", float, "MS", "how long the batcher waits to fill "
+         "a batch"),
+        ("--workers", int, "N", "executor threads running batches"),
+        ("--max-pending", int, "N", "distinct in-flight cells before new "
+         "ones get 429"),
+        ("--tenant-rps", float, "R", "per-tenant token-bucket refill rate; "
+         "0 turns throttling off"),
+        ("--tenant-burst", float, "B", "per-tenant bucket depth, at least 1 "
+         "when throttling (default max(1, 2 x RPS))"),
+        ("--memory-cells", int, "N", "in-memory result LRU entries"),
+        ("--slow-ms", float, "MS", "fixed slow-request floor; 0 flags "
+         "requests above --slow-quantile"),
+        ("--slow-quantile", float, "Q", "live latency quantile that flags "
+         "slow requests"),
+    ):
+        default = defaults[flag[2:].replace("-", "_")]
+        if default is not None:
+            text += f" (default {default})"
+        parser.add_argument(flag, type=kind, metavar=metavar, help=text)
+    parser.add_argument(
+        "--no-tracing", dest="tracing", action="store_false",
+        help="turn per-request tracing off",
+    )
     try:
-        daemon = ServeDaemon(
-            port, host, cache_dir=cache_dir, track_progress=True, **overrides
-        )
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
+    try:
+        daemon = ServeDaemon(track_progress=True, **vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1111,6 +987,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Bind before announcing, so the printed URL is real.  run_forever
     # resolves port 0 once the server socket exists.
     def _announce() -> None:
+        if daemon._start_error is not None:
+            return  # run_forever raises it
         cache = daemon.cell_cache.directory if daemon.cell_cache else "off"
         print(
             f"repro serve: listening on {daemon.url} "
@@ -1130,23 +1008,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         daemon.run_forever()
     except KeyboardInterrupt:
         pass
+    except OSError as exc:  # the port is taken, the host unknown, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print("repro serve: shut down cleanly", flush=True)
     return 0
 
 
 __all__ = [
-    "CACHE_ENV",
     "INJECT_DELAY_ENV",
-    "MAX_BATCH_ENV",
-    "MAX_PENDING_ENV",
-    "MEMORY_ENV",
-    "SLOW_MS_ENV",
-    "SLOW_QUANTILE_ENV",
-    "TENANT_BURST_ENV",
-    "TENANT_RPS_ENV",
-    "TRACING_ENV",
-    "WINDOW_ENV",
-    "WORKERS_ENV",
     "ServeDaemon",
     "ServiceStopped",
     "main",

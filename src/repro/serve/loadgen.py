@@ -20,9 +20,11 @@ the acceptance bar the benchmark and the CI smoke assert.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import json
 import random
+import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -281,91 +283,50 @@ def run_swarm_sync(host: str, port: int, **kwargs) -> Dict[str, object]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """``repro loadgen`` — swarm a running daemon, print the summary."""
-    import sys
-
-    args = list(argv) if argv is not None else sys.argv[1:]
-    host, port = "127.0.0.1", 8080
-    requests_n, concurrency, tenants = 1000, 100, 4
-    zipf_s, population, seed = 1.1, 16, 1234
-    warps, instructions = DEFAULT_WARPS, DEFAULT_INSTRUCTIONS
-    as_json = False
-    value_flags = (
-        "--host",
-        "--port",
-        "--requests",
-        "--concurrency",
-        "--tenants",
-        "--zipf",
-        "--population",
-        "--seed",
-        "--warps",
-        "--instructions",
+    # Unset swarm flags stay out of the namespace, so run_swarm's
+    # signature holds their defaults.
+    parser = argparse.ArgumentParser(
+        prog="repro loadgen",
+        description="Swarm a running repro serve daemon with "
+        "zipf-distributed simulate requests and print the summary; "
+        "exits 1 on any transport error or dropped response.",
+        argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,
     )
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == "--json":
-            as_json = True
-            index += 1
-            continue
-        if arg in ("-h", "--help"):
-            print(
-                "usage: repro loadgen [--host H] [--port N] [--requests N]\n"
-                "                     [--concurrency N] [--tenants N]\n"
-                "                     [--zipf S] [--population N] [--seed N]\n"
-                "                     [--warps N] [--instructions N] [--json]"
-            )
-            return 0
-        if "=" in arg and arg.split("=", 1)[0] in value_flags:
-            flag, value = arg.split("=", 1)
-        elif arg in value_flags:
-            if index + 1 >= len(args):
-                print(f"error: {arg} requires a value", file=sys.stderr)
-                return 2
-            flag, value = arg, args[index + 1]
-            index += 1
-        else:
-            print(f"error: unknown argument {arg!r}", file=sys.stderr)
-            return 2
-        index += 1
-        try:
-            if flag == "--host":
-                host = value
-            elif flag == "--port":
-                port = int(value)
-            elif flag == "--requests":
-                requests_n = int(value)
-            elif flag == "--concurrency":
-                concurrency = int(value)
-            elif flag == "--tenants":
-                tenants = int(value)
-            elif flag == "--zipf":
-                zipf_s = float(value)
-            elif flag == "--population":
-                population = int(value)
-            elif flag == "--seed":
-                seed = int(value)
-            elif flag == "--warps":
-                warps = int(value)
-            elif flag == "--instructions":
-                instructions = int(value)
-        except ValueError:
-            print(
-                f"error: invalid value {value!r} for {flag}", file=sys.stderr
-            )
-            return 2
-    summary = run_swarm_sync(
-        host,
-        port,
-        requests=requests_n,
-        concurrency=concurrency,
-        tenants=tenants,
-        zipf_s=zipf_s,
-        population=population,
-        seed=seed,
-        warps=warps,
-        instructions_per_warp=instructions,
+    parser.add_argument(
+        "--host", default="127.0.0.1",
+        help="daemon address (default %(default)s)",
     )
+    parser.add_argument(
+        "--port", type=int, default=8080,
+        help="daemon port (default %(default)s)",
+    )
+    defaults = run_swarm.__kwdefaults__
+    for flag, dest, kind, text in (
+        ("--requests", "requests", int, "requests in the schedule"),
+        ("--concurrency", "concurrency", int, "connections in flight"),
+        ("--tenants", "tenants", int, "tenants the requests rotate over"),
+        ("--zipf", "zipf_s", float, "zipf exponent over the cells"),
+        ("--population", "population", int, "distinct cells"),
+        ("--seed", "seed", int, "seed of the cells and the schedule"),
+        ("--warps", "warps", int, "warps per cell trace"),
+        ("--instructions", "instructions_per_warp", int,
+         "instructions per warp"),
+    ):
+        parser.add_argument(
+            flag, dest=dest, type=kind, metavar="S" if kind is float else "N",
+            help=f"{text} (default {defaults[dest]})",
+        )
+    parser.add_argument(
+        "--json", dest="as_json", action="store_true", default=False,
+        help="print the summary as JSON",
+    )
+    try:
+        swarm = vars(parser.parse_args(argv))
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
+    as_json = swarm.pop("as_json")
+    summary = run_swarm_sync(swarm.pop("host"), swarm.pop("port"), **swarm)
     if as_json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -392,8 +353,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - direct module entry
-    import sys
-
     sys.exit(main())
 
 

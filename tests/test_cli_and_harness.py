@@ -1,7 +1,9 @@
-"""Tests for the run-all CLI and the security harness internals."""
+"""Tests for the run-all CLI, the ``repro`` commands' argument
+parsing, and the security harness internals."""
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.compiler import InvalidateExtent, KernelBuilder, run_lmi_pass
 from repro.experiments.__main__ import EXPERIMENTS, main
 from repro.security.harness import CaseResult, SecurityReport
@@ -28,6 +30,62 @@ class TestCli:
     def test_feasibility_runs(self, capsys):
         assert main(["feasibility"]) == 0
         assert "vector_add" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_prints_usage_and_runs_nothing(self, flag, capsys):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: python -m repro.experiments")
+        assert "=" * 72 not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--jbos", "2"], ["--job=4"], ["--jobs=0"], ["--jobs", "x"],
+         ["--serve", "70000"], ["fig4", "--fast", "--bogus"]],
+    )
+    def test_usage_errors_exit_2_before_any_experiment(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "python -m repro.experiments: error:" in captured.err
+
+    def test_names_on_both_sides_of_a_flag_all_run(self, capsys):
+        assert main(["fig4", "--fast", "fig1"]) == 0
+        out = capsys.readouterr().out
+        assert "[fig4 done in" in out and "[fig1 done in" in out
+
+    @pytest.mark.parametrize(
+        "variable,value",
+        [("REPRO_SHARD_WAIT", "3m"), ("REPRO_SHARD_WAIT", "-1"),
+         ("REPRO_SERVE_LINGER", "10s"), ("REPRO_SERVE_LINGER", "nan")],
+    )
+    def test_malformed_env_seconds_exit_2(
+        self, variable, value, monkeypatch, capsys
+    ):
+        # Both used to read as 0: a shard took over its peer's half at
+        # once, and the --serve linger disappeared.
+        monkeypatch.setenv(variable, value)
+        assert main(["fig4"]) == 2
+        out = capsys.readouterr().out
+        assert out.strip() == (
+            f"invalid {variable} value {value!r} (expected seconds >= 0)"
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        ["report", "top", "trace", "ledger", "experiments", "serve",
+         "loadgen"],
+    )
+    def test_every_repro_command_has_help(self, command, capsys):
+        assert cli_main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
+    def test_serve_help_shows_the_constructor_defaults(self, capsys):
+        assert cli_main(["serve", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--max-batch N max cells packed into one engine batch " \
+            "(default 8)" in out
+        assert "(default 0.99)" in out
 
 
 class TestLmiPassIdempotency:

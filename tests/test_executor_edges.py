@@ -1,11 +1,14 @@
 """Executor edge cases: error paths, pointer comparison semantics,
-scope misuse, and barrier-phase behaviour."""
+operator coverage, scope misuse, per-launch accounting and
+barrier-phase behaviour."""
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.compiler import CmpKind, IRType, KernelBuilder, run_lmi_pass
+from repro.compiler.ir import BinOpKind
 from repro.exec import GpuExecutor
+from repro.exec.reference import _apply_binop
 from repro.mechanisms import BaselineMechanism, LmiMechanism
 from repro.telemetry.runtime import capture
 from repro.workloads.kernels import KERNEL_CORPUS
@@ -99,6 +102,37 @@ class TestPointerComparisonSemantics:
         out = executor.host_alloc(256)
         executor.launch({"out": out})
         assert executor.memory.load(executor.mechanism.translate(out), 4) == 1
+
+
+class TestOperators:
+    """Every comparison and shift the interpreter implements, on
+    literal operands (the builder wraps an int on either side)."""
+
+    def test_comparisons_and_shifts(self):
+        b = KernelBuilder("ops", params=[("out", IRType.PTR)])
+        values = [
+            b.cmp(CmpKind.LE, 3, 3),
+            b.cmp(CmpKind.GE, 3, 3),
+            b.cmp(CmpKind.LT, 3, 3),
+            b.cmp(CmpKind.GE, 2, 3),
+            b.cmp(CmpKind.LE, 3, 2),
+            b.shl(3, 5),
+            b.shr(200, 3),
+        ]
+        for index, value in enumerate(values):
+            b.store(b.ptradd(b.param("out"), 8 * index), value, width=8)
+        b.ret()
+        executor = GpuExecutor(b.module(), BaselineMechanism())
+        out = executor.host_alloc(64)
+        assert executor.launch({"out": out}).completed
+        got = [executor.memory.load(out + 8 * i, 8) for i in range(7)]
+        assert got == [1, 1, 0, 0, 0, 96, 25]
+
+    def test_bitwise_binops(self):
+        # No builder method emits AND/OR/XOR; check the semantics directly.
+        assert _apply_binop(BinOpKind.AND, 0b1100, 0b1010) == 0b1000
+        assert _apply_binop(BinOpKind.OR, 0b1100, 0b1010) == 0b1110
+        assert _apply_binop(BinOpKind.XOR, 0b1100, 0b1010) == 0b0110
 
 
 class TestBarrierPhases:
@@ -209,6 +243,28 @@ class TestStepAccounting:
         assert first.steps == second.steps == 40
         assert counters["exec.steps{mechanism=lmi}"] == 80
         assert counters["exec.launches{mechanism=lmi}"] == 2
+
+    def test_oracle_events_belong_to_their_launch(self):
+        # An out-of-bounds store the baseline misses, then an in-bounds
+        # one on the same executor: the clean launch reports no event.
+        b = KernelBuilder(
+            "poke", params=[("buf", IRType.PTR), ("offset", IRType.I64)]
+        )
+        b.store(b.ptradd(b.param("buf"), b.param("offset")), 1, width=4)
+        b.ret()
+        with capture() as telem:
+            executor = GpuExecutor(b.module(), BaselineMechanism())
+            buf = executor.host_alloc(256)
+            first = executor.launch({"buf": buf, "offset": 4096})
+            second = executor.launch({"buf": buf, "offset": 0})
+            counters = telem.registry.snapshot()["counters"]
+        assert len(first.oracle_events) == 1 and first.false_negative
+        assert second.oracle_events == []
+        assert not second.oracle_violated and not second.false_negative
+        assert counters["oracle.violations{kind=spatial,space=global}"] == 1
+        assert counters[
+            "oracle.mismatches{kind=false_negative,mechanism=baseline}"
+        ] == 1
 
     def test_threads_completed_on_mid_grid_fault(self):
         b = KernelBuilder("third_fails")

@@ -664,11 +664,15 @@ class TestServeWiring:
         from repro.experiments.__main__ import main
 
         assert main(["fig4", "--serve", "nope"]) == 2
-        assert "--serve expects a port" in capsys.readouterr().out
+        assert "argument --serve: invalid int value: 'nope'" in (
+            capsys.readouterr().err
+        )
         assert main(["fig4", "--serve", "70000"]) == 2
-        assert "[0, 65535]" in capsys.readouterr().out
+        assert "--serve port must be in [0, 65535]" in capsys.readouterr().err
         assert main(["fig4", "--serve"]) == 2
-        assert "requires a PORT" in capsys.readouterr().out
+        assert "argument --serve: expected one argument" in (
+            capsys.readouterr().err
+        )
 
     def test_experiments_run_with_ephemeral_server(self, capsys):
         from repro.experiments.__main__ import main

@@ -6,6 +6,7 @@ slow-request capture)."""
 import dataclasses
 import json
 import re
+import socket
 import tempfile
 import time
 import urllib.error
@@ -21,7 +22,6 @@ from repro.serve import (
     build_config,
     parse_simulate,
 )
-from repro.serve.daemon import TENANT_BURST_ENV
 from repro.serve.daemon import main as serve_main
 from repro.serve.loadgen import build_cells, run_swarm_sync, zipf_schedule
 from repro.serve.protocol import TRACE_HEADER
@@ -227,17 +227,18 @@ class TestDaemon:
             status, _ = _post(daemon.url, _body(tenant="patient"))
             assert status == 200
 
-    def test_tenant_bucket_below_one_token_rejected(self, monkeypatch):
+    def test_tenant_bucket_below_one_token_rejected(self):
         # A bucket shallower than one token never holds the token a
         # request needs, so every request would get 429 forever.
         for burst in (0.5, float("nan")):
             with pytest.raises(ValueError, match="tenant_burst"):
                 ServeDaemon(0, tenant_rps=5, tenant_burst=burst)
-        monkeypatch.setenv(TENANT_BURST_ENV, "0.5")
-        with pytest.raises(ValueError, match="tenant_burst"):
-            ServeDaemon(0, tenant_rps=5)
+        # The default depth is two seconds of refill, at least 1.
+        assert ServeDaemon(0, tenant_rps=5).tenant_burst == 10
+        assert ServeDaemon(0, tenant_rps=0.2).tenant_burst == 1
         # With throttling off the bucket depth is never read.
-        assert ServeDaemon(0, tenant_rps=0).tenant_burst == 0.5
+        idle = ServeDaemon(0, tenant_rps=0, tenant_burst=0.5)
+        assert idle.tenant_burst == 0.5
 
     @pytest.mark.parametrize("rps", [-1.0, float("nan")])
     def test_negative_tenant_rps_rejected(self, rps):
@@ -254,14 +255,34 @@ class TestDaemon:
                 "error: tenant_burst must be at least 1",
             ),
             (["--tenant-rps", "-1"], "error: tenant_rps must be non-negative"),
-            (["--port", "x"], "error: invalid value 'x' for --port"),
+            (
+                ["--port", "x"],
+                "repro serve: error: argument --port: invalid int value: 'x'",
+            ),
+            (["--port", "70000"], "error: port must be in [0, 65535]"),
         ],
     )
     def test_cli_rejects_bad_settings_with_exit_2(self, argv, message, capsys):
         assert serve_main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.strip() == message
+        *usage, last = captured.err.strip().splitlines()
+        assert last == message
+        # A usage error prints argparse's usage first; a value the
+        # constructor rejects prints its one line alone.
+        assert usage == [] or usage[0].startswith("usage: repro serve ")
         assert "Traceback" not in captured.err
+
+    def test_cli_port_in_use_exits_1_without_announcing(self, capsys):
+        # The bind error used to be swallowed: the daemon printed
+        # "listening on", then "shut down cleanly", and exited 0.
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            assert serve_main(["--port", str(port)]) == 1
+        captured = capsys.readouterr()
+        assert "listening on" not in captured.out
+        assert captured.err.startswith("error: ")
 
     def test_pending_bound_rejects_excess_distinct_cells(self):
         with ServeDaemon(0, max_pending=1, window_ms=50.0) as daemon:

@@ -405,7 +405,9 @@ class TestCliArtifacts:
     def test_missing_flag_value_is_an_error(self, capsys):
         from repro.experiments.__main__ import main
         assert main(["fig4", "--metrics"]) == 2
-        assert "requires a PATH" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "argument --metrics: expected one argument" in captured.err
+        assert captured.out == ""
 
     def test_verbose_telemetry_prints_summary(self, capsys):
         from repro.experiments.__main__ import main
