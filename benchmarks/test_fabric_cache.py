@@ -33,11 +33,9 @@ from conftest import OUT_DIR, record_run
 
 from repro.experiments import run_fig12
 from repro.experiments.fabric import (
-    CELL_CACHE_ENV,
-    SHARD_ENV,
+    CellCache,
     fabric_counters,
     reset_fabric_counters,
-    resolve_cell_cache,
 )
 from repro.telemetry.runtime import TELEMETRY
 
@@ -54,57 +52,46 @@ CELLS = len(BENCHMARKS) * 4  # mechanisms: baseline, baggy, gpushield, lmi
 WARM_SPEEDUP_FLOOR = 10.0
 
 
-def _grid():
+def _grid(cache, shard=None):
     started = time.perf_counter()
     result = run_fig12(
         BENCHMARKS, warps=WARPS, instructions_per_warp=INSTRUCTIONS,
-        jobs=1,
+        jobs=1, cache=cache, shard=shard,
     )
     return result.format_table(), time.perf_counter() - started
 
 
 def test_fabric_cache():
     saved_enabled = TELEMETRY.enabled
-    saved_env = {
-        name: os.environ.pop(name, None)
-        for name in (CELL_CACHE_ENV, SHARD_ENV)
-    }
     # Telemetry off: the phases must time the data plane (simulate vs
     # load-from-cache), not per-issue event capture; the fabric's
     # telemetry replay equivalence is locked by tests/test_fabric.py.
     TELEMETRY.enabled = False
     try:
         with tempfile.TemporaryDirectory(prefix="fabric-bench-") as tmp:
-            os.environ[CELL_CACHE_ENV] = os.path.join(tmp, "cells")
+            cache = CellCache(os.path.join(tmp, "cells"))
 
             reset_fabric_counters()
-            cold_table, cold_seconds = _grid()
+            cold_table, cold_seconds = _grid(cache)
             cold_counts = fabric_counters()
 
             reset_fabric_counters()
-            warm_table, warm_seconds = _grid()
+            warm_table, warm_seconds = _grid(cache)
             warm_counts = fabric_counters()
-            cache_stats = resolve_cell_cache().stats
+            cache_stats = cache.stats
 
             # Sharded phase: fresh cache, no peer, zero wait — the
             # foreign half is taken over locally and counted stolen.
-            os.environ[CELL_CACHE_ENV] = os.path.join(tmp, "shard-cells")
-            os.environ[SHARD_ENV] = "0/2"
+            shard_cache = CellCache(os.path.join(tmp, "shard-cells"))
             reset_fabric_counters()
-            shard_table, shard_seconds = _grid()
+            shard_table, shard_seconds = _grid(shard_cache, (0, 2))
             shard_counts = fabric_counters()
 
-            os.environ[SHARD_ENV] = "1/2"
             reset_fabric_counters()
-            merged_table, merged_seconds = _grid()
+            merged_table, merged_seconds = _grid(shard_cache, (1, 2))
             merged_counts = fabric_counters()
     finally:
         TELEMETRY.enabled = saved_enabled
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
     speedup = cold_seconds / warm_seconds
     document = {

@@ -64,7 +64,6 @@ from .telemetry.report import (
     write_report,
     write_summary,
 )
-from .telemetry.server import port_from_env
 
 #: Commands whose modules parse their own arguments: ``module`` and
 #: the one-line help ``repro --help`` shows.  The experiments CLI
@@ -159,9 +158,7 @@ def _parser() -> argparse.ArgumentParser:
     server.add_argument(
         "--host", default="127.0.0.1", help="server host (default %(default)s)"
     )
-    server.add_argument(
-        "--port", type=int, help="server port (default REPRO_METRICS_PORT)"
-    )
+    server.add_argument("--port", type=int, help="server port")
 
     top = commands.add_parser(
         "top",
@@ -200,7 +197,7 @@ def _parser() -> argparse.ArgumentParser:
             "traces.  The trace id comes from the X-Repro-Trace-Id response "
             "header (curl -D-) or from `repro loadgen`'s slowest/failed "
             "listing.  Default server: --url, else --port/--host, else "
-            "REPRO_METRICS_PORT, else port 8080 (the serve default)."
+            "port 8080 (the serve default)."
         ),
     )
     actions = trace.add_subparsers(
@@ -449,16 +446,7 @@ def _top_main(args: argparse.Namespace) -> int:
     once = args.once
     if url is None:
         if port is None:
-            try:
-                port = port_from_env()
-            except ValueError as exc:
-                print(f"repro top: {exc}")
-                return 2
-        if port is None:
-            print(
-                "repro top: no server given — pass --url/--port or set "
-                "REPRO_METRICS_PORT"
-            )
+            print("repro top: no server given — pass --url or --port")
             return 2
         url = f"http://{args.host}:{port}"
     progress_url = url.rstrip("/") + f"/progress?jobs={limit}"
@@ -539,24 +527,12 @@ def format_trace(document: Dict[str, object], width: int = 48) -> str:
     return "\n".join(lines)
 
 
-def _trace_server_url(
-    url: Optional[str], host: str, port: Optional[int]
-) -> str:
-    """The server's base URL; raises ValueError on an invalid
-    ``REPRO_METRICS_PORT``."""
-    if url is not None:
-        return url.rstrip("/")
-    if port is None:
-        port = port_from_env()
-    return f"http://{host}:{port if port is not None else 8080}"
-
-
 def _trace_main(args: argparse.Namespace) -> int:
-    try:
-        base = _trace_server_url(args.url, args.host, args.port)
-    except ValueError as exc:
-        print(f"repro trace: {exc}")
-        return 2
+    if args.url is not None:
+        base = args.url.rstrip("/")
+    else:
+        port = args.port if args.port is not None else 8080
+        base = f"http://{args.host}:{port}"
     if args.action == "show":
         trace_id = args.trace_id
         target = f"{base}/trace/{trace_id}"
@@ -598,8 +574,7 @@ def _trace_main(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _run(argv: List[str]) -> int:
     if argv and argv[0] in _FORWARDED:
         module = importlib.import_module(_FORWARDED[argv[0]][0])
         return module.main(argv[1:])
@@ -608,6 +583,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # --help (0) or a usage error (2)
         return exc.code
     return args.run(args)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader hung up (`repro trace show ID | head`): send the
+        # rest of the output nowhere and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

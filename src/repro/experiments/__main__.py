@@ -15,9 +15,8 @@ Every simulation-backed grid cell (fig12, table2) runs through one
 pipeline, :func:`repro.experiments.fabric.run_grid`: in process, the
 cells cross the native FFI in batched groups; ``--jobs N`` runs them
 on N work-stealing worker processes instead.  Outputs are
-byte-identical for any N.  ``--trace-cache DIR`` (or
-``REPRO_TRACE_CACHE``) persists synthesized kernel traces, so
-repeated runs skip synthesis entirely.
+byte-identical for any N.  ``--trace-cache DIR`` persists synthesized
+kernel traces for the run, so repeated runs skip synthesis entirely.
 
 Experiment-fabric flags (see :mod:`repro.experiments.fabric`)::
 
@@ -25,12 +24,12 @@ Experiment-fabric flags (see :mod:`repro.experiments.fabric`)::
     python -m repro.experiments fig12 --cell-cache out/cells --resume
     python -m repro.experiments fig12 --cell-cache out/cells --shard 0/2
 
-``--cell-cache DIR`` (or ``REPRO_CELL_CACHE``) memoizes every
-completed grid cell under a content address covering its inputs *and*
-the simulation code; unchanged cells are skipped on rerun and their
-telemetry replayed byte-identically.  ``--shard i/N`` owns every Nth
-cell and polls the shared cache (``REPRO_SHARD_WAIT`` seconds) for
-the rest, so N processes/machines split one grid.  ``--resume`` is an
+``--cell-cache DIR`` memoizes every completed grid cell under a
+content address covering its inputs *and* the simulation code;
+unchanged cells are skipped on rerun and their telemetry replayed
+byte-identically.  ``--shard i/N`` owns every Nth cell and polls
+the shared cache (``REPRO_SHARD_WAIT`` seconds) for the rest, so N
+processes/machines split one grid.  ``--resume`` is an
 explicit marker for continuing an interrupted run: it requires the
 cache, reports how many cells the journal already holds, and the run
 recomputes exactly the missing ones.  Exports stay byte-identical for
@@ -54,12 +53,11 @@ events deterministically (seed-derived phase, identical for any
 Live observability (the in-flight view)::
 
     python -m repro.experiments fig12 --fast --jobs 4 --serve 9155
-    REPRO_METRICS_PORT=9155 python -m repro.experiments fig12 --fast
 
-``--serve PORT`` (or ``REPRO_METRICS_PORT``; 0 picks an ephemeral
-port) starts the observability HTTP server for the duration of the
-run: ``/metrics`` (live Prometheus text), ``/healthz``, ``/progress``
-(JSON + SSE stream) — watch it with ``repro top``.  The server is
+``--serve PORT`` (0 picks an ephemeral port) starts the observability
+HTTP server for the duration of the run: ``/metrics`` (live
+Prometheus text), ``/healthz``, ``/progress`` (JSON + SSE stream) —
+watch it with ``repro top``.  The server is
 read-only over telemetry state, so ``--metrics``/``--trace`` exports
 stay byte-identical to a no-server run.  ``REPRO_SERVE_LINGER=SECS``
 keeps the server (and process) alive that long after the experiments
@@ -67,9 +65,11 @@ finish, so scrapers racing a short run still get their snapshot.
 
 Flags are parsed with ``argparse`` (``--help`` lists them) and
 experiment names may sit anywhere between them.  An unknown flag, a
-malformed value, or a malformed ``REPRO_METRICS_PORT``,
-``REPRO_SHARD_WAIT`` or ``REPRO_SERVE_LINGER`` exits 2 before any
-experiment runs.
+malformed value, or a malformed ``REPRO_SHARD_WAIT``,
+``REPRO_SERVE_LINGER`` or ``REPRO_LEDGER_MAX_MB`` exits 2 before any
+experiment runs.  The flags hold for one run: :func:`main` hands the
+cell cache and shard to the drivers as arguments and restores the
+trace cache's disk layer when it returns.
 """
 
 from __future__ import annotations
@@ -78,18 +78,16 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..telemetry.export import write_chrome_trace, write_metrics
-from ..telemetry.ledger import RunLedger, git_sha
+from ..telemetry.ledger import RunLedger, git_sha, ledger_max_bytes
 from ..telemetry.progress import PROGRESS
 from ..telemetry.runtime import TELEMETRY
-from ..telemetry.server import ObservabilityServer, port_from_env
-from ..workloads import configure_trace_cache
+from ..telemetry.server import ObservabilityServer
+from ..workloads.trace_cache import TRACE_CACHE, configure_trace_cache
 
 from .fabric import (
-    CELL_CACHE_ENV,
-    SHARD_ENV,
     env_seconds,
     fabric_counters,
     resolve_cell_cache,
@@ -105,21 +103,25 @@ from .table2_comparison import run_table2
 from .table3_security import mismatches, run_table3
 from .table6_hardware import run_table6
 
+#: How the timing grid runs: the ``jobs``, ``cache`` and ``shard``
+#: keywords of ``run_fig12``/``run_table2``, resolved once per run.
+Grid = Dict[str, Any]
 
-def _fig1(fast: bool, jobs: int) -> str:
+
+def _fig1(fast: bool, grid: Grid) -> str:
     scale = dict(warps=2, instructions_per_warp=400) if fast else {}
     return run_fig1(**scale).format_table()
 
 
-def _fig4(fast: bool, jobs: int) -> str:
+def _fig4(fast: bool, grid: Grid) -> str:
     return run_fig4().format_table()
 
 
-def _fig12(fast: bool, jobs: int) -> str:
+def _fig12(fast: bool, grid: Grid) -> str:
     if fast:
-        result = run_fig12(warps=8, instructions_per_warp=400, jobs=jobs)
+        result = run_fig12(warps=8, instructions_per_warp=400, **grid)
     else:
-        result = run_fig12(warps=16, instructions_per_warp=1200, jobs=jobs)
+        result = run_fig12(warps=16, instructions_per_warp=1200, **grid)
     lines = [result.format_table()]
     for mechanism in ("baggy", "gpushield", "lmi"):
         worst, overhead = result.max_overhead(mechanism)
@@ -131,15 +133,15 @@ def _fig12(fast: bool, jobs: int) -> str:
     return "\n".join(lines)
 
 
-def _fig13(fast: bool, jobs: int) -> str:
+def _fig13(fast: bool, grid: Grid) -> str:
     return run_fig13().format_table()
 
 
-def _table2(fast: bool, jobs: int) -> str:
-    return run_table2(fast=True, jobs=jobs).format_table()
+def _table2(fast: bool, grid: Grid) -> str:
+    return run_table2(fast=True, **grid).format_table()
 
 
-def _table3(fast: bool, jobs: int) -> str:
+def _table3(fast: bool, grid: Grid) -> str:
     report = run_table3()
     lines = [report.format_table()]
     diverging = mismatches(report)
@@ -150,15 +152,15 @@ def _table3(fast: bool, jobs: int) -> str:
     return "\n".join(lines)
 
 
-def _table6(fast: bool, jobs: int) -> str:
+def _table6(fast: bool, grid: Grid) -> str:
     return run_table6().format_table()
 
 
-def _feasibility(fast: bool, jobs: int) -> str:
+def _feasibility(fast: bool, grid: Grid) -> str:
     return run_feasibility_study().format_table()
 
 
-EXPERIMENTS: Dict[str, Callable[[bool, int], str]] = {
+EXPERIMENTS: Dict[str, Callable[[bool, Grid], str]] = {
     "fig1": _fig1,
     "fig4": _fig4,
     "fig12": _fig12,
@@ -190,12 +192,10 @@ def _parser() -> argparse.ArgumentParser:
         "(default 1: in process)",
     )
     parser.add_argument(
-        "--trace-cache", metavar="DIR",
-        help="persist synthesized traces (or REPRO_TRACE_CACHE)",
+        "--trace-cache", metavar="DIR", help="persist synthesized traces"
     )
     parser.add_argument(
-        "--cell-cache", metavar="DIR",
-        help="memoize grid cells (or REPRO_CELL_CACHE)",
+        "--cell-cache", metavar="DIR", help="memoize grid cells"
     )
     parser.add_argument(
         "--shard", metavar="I/N",
@@ -222,7 +222,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--serve", type=int, metavar="PORT",
         help="serve the live observability plane during the run "
-        "(or REPRO_METRICS_PORT; 0 picks a free port)",
+        "(0 picks a free port)",
     )
     return parser
 
@@ -258,11 +258,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # --help (0) or a usage error (2)
         return exc.code
     try:
-        shard_wait_seconds()  # read again by the grid; fail before it runs
+        # Read again by the grid and the ledger; fail before they run.
+        shard_wait_seconds()
+        ledger_max_bytes()
         linger = env_seconds(SERVE_LINGER_ENV)
-        serve_port = options.serve
-        if serve_port is None:
-            serve_port = port_from_env()
+        shard = resolve_shard(options.shard)
     except ValueError as exc:
         print(str(exc))
         return 2
@@ -270,25 +270,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     verbose = options.verbose_telemetry
     metrics_path = options.metrics
     trace_path = options.trace
-    if options.trace_cache:
-        configure_trace_cache(disk_dir=options.trace_cache)
-    if options.cell_cache:
-        os.environ[CELL_CACHE_ENV] = options.cell_cache
-    if options.shard:
-        os.environ[SHARD_ENV] = options.shard
-        try:
-            resolve_shard(options.shard)
-        except ValueError as exc:
-            print(str(exc))
-            return 2
-        if not os.environ.get(CELL_CACHE_ENV):
-            print("--shard requires --cell-cache (or REPRO_CELL_CACHE): "
-                  "shards coordinate through the shared cell cache")
-            return 2
+    serve_port = options.serve
+    cache = resolve_cell_cache(options.cell_cache)
+    if options.shard and cache is None:
+        print("--shard requires --cell-cache: "
+              "shards coordinate through the shared cell cache")
+        return 2
+    grid: Grid = {"jobs": options.jobs, "cache": cache, "shard": shard}
     if options.resume:
-        cache = resolve_cell_cache()
         if cache is None:
-            print("--resume requires --cell-cache (or REPRO_CELL_CACHE): "
+            print("--resume requires --cell-cache: "
                   "resumption replays cells from the cache journal")
             return 2
         print(f"[fabric] resuming: journal holds "
@@ -322,8 +313,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "(/metrics /healthz /progress)]"
         )
 
+    disk_dir = TRACE_CACHE.disk_dir
     run_failed = False
     try:
+        if options.trace_cache:
+            configure_trace_cache(disk_dir=options.trace_cache)
         for name in names:
             started = time.time()
             print("=" * 72)
@@ -335,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             with TELEMETRY.span(
                 f"experiment:{name}", "experiment", fast=fast
             ):
-                print(EXPERIMENTS[name](fast, options.jobs))
+                print(EXPERIMENTS[name](fast, grid))
             elapsed = time.time() - started
             print(f"[{name} done in {elapsed:.1f}s]\n")
             if ledger is not None:
@@ -418,6 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         run_failed = True
         raise
     finally:
+        configure_trace_cache(disk_dir=disk_dir or "")  # "" turns it off
         PROGRESS.end_run("failed" if run_failed else "done")
         if server is not None:
             if linger > 0 and not run_failed:
@@ -433,4 +428,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader hung up (`... | head`): send the rest of the output
+        # nowhere and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -51,7 +51,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
 from ..sim import (
@@ -69,6 +71,9 @@ from ..telemetry.progress import PROGRESS
 from ..telemetry.runtime import TELEMETRY
 from ..telemetry.tracectx import new_trace_id
 from ..workloads.trace_cache import TRACE_CACHE
+
+if TYPE_CHECKING:  # fabric imports this module at its top level
+    from .fabric import CellCache
 
 #: Environment variable disabling per-job trace waterfalls (they are
 #: diagnostics-only and cheap — one id mint plus a few dict writes per
@@ -264,15 +269,18 @@ def run_sim_jobs(
     *,
     config: GpuConfig = DEFAULT_GPU_CONFIG,
     n_jobs: int = 1,
+    cache: Optional[CellCache] = None,
+    shard: Optional[Tuple[int, int]] = None,
 ) -> List[JobResult]:
     """Execute *jobs* through the fabric; results in submission order.
 
     ``n_jobs > 1`` runs the cells on that many forked work-stealing
     workers (capped by :func:`_effective_workers`); otherwise they run
-    in process in batched groups.  The cell cache and shard
-    assignment come from ``REPRO_CELL_CACHE`` / ``REPRO_SHARD``.
-    Telemetry (when the global hub is enabled) is replayed in job
-    order, so exports are byte-identical across every setting.
+    in process in batched groups.  *cache* memoizes the cells and
+    *shard* ``(i, N)`` owns every N-th of them (it needs *cache*);
+    both default to off.  Telemetry (when the global hub is enabled)
+    is replayed in job order, so exports are byte-identical across
+    every setting.
     """
     job_list = list(jobs)
     board = PROGRESS
@@ -288,7 +296,7 @@ def run_sim_jobs(
         [new_trace_id() for _ in job_list] if _tracing_enabled() else None
     )
     # Imported lazily: fabric imports this module at its top level.
-    from .fabric import resolve_cell_cache, resolve_shard, run_grid
+    from .fabric import run_grid
 
     return run_grid(
         job_list,
@@ -297,8 +305,8 @@ def run_sim_jobs(
         workers=_effective_workers(n_jobs, len(job_list)),
         telemetry_wanted=TELEMETRY.enabled,
         board=board,
-        cache=resolve_cell_cache(),
-        shard=resolve_shard(),
+        cache=cache,
+        shard=shard,
         trace_ids=trace_ids,
     )
 

@@ -97,14 +97,6 @@ from .engine import (
 #: telemetry blob carries raw issue-run triples.
 CELL_SCHEMA = "repro.experiments.cell/v2"
 
-#: Environment variable naming the cell-cache directory
-#: (CLI: ``--cell-cache DIR``).
-CELL_CACHE_ENV = "REPRO_CELL_CACHE"
-
-#: Environment variable carrying the shard assignment ``i/N``
-#: (CLI: ``--shard i/N``).
-SHARD_ENV = "REPRO_SHARD"
-
 #: Seconds a shard polls the shared cache for a foreign cell before
 #: computing it locally (default 0: take over immediately).
 SHARD_WAIT_ENV = "REPRO_SHARD_WAIT"
@@ -396,15 +388,12 @@ class CellCache:
 _CACHE_INSTANCES: Dict[str, CellCache] = {}
 
 
-def resolve_cell_cache(
-    choice: Optional[str] = None,
-) -> Optional[CellCache]:
-    """The active cell cache (explicit *choice* > env), or None.
+def resolve_cell_cache(path: Optional[str]) -> Optional[CellCache]:
+    """The cell cache at *path* (``--cell-cache DIR``), or None.
 
-    Handles are memoized per absolute path so stats accumulate across
-    the several ``run_sim_jobs`` calls of one experiment.
+    Handles are memoized per absolute path, so every run in one
+    process that names a directory shares one handle and its stats.
     """
-    path = choice if choice is not None else os.environ.get(CELL_CACHE_ENV)
     if not path:
         return None
     path = os.path.abspath(path)
@@ -414,17 +403,14 @@ def resolve_cell_cache(
     return cache
 
 
-def resolve_shard(
-    choice: Optional[str] = None,
-) -> Optional[Tuple[int, int]]:
-    """Parse the shard assignment ``i/N`` → ``(i, N)``, or None.
+def resolve_shard(raw: Optional[str]) -> Optional[Tuple[int, int]]:
+    """Parse the shard assignment ``i/N`` (``--shard``) → ``(i, N)``.
 
-    ``N == 1`` degrades to no sharding; malformed values raise so a
-    typo'd ``--shard`` fails loudly instead of silently computing the
-    whole grid.
+    None or empty means no sharding, and ``N == 1`` degrades to none;
+    malformed values raise so a typo'd ``--shard`` fails loudly
+    instead of silently computing the whole grid.
     """
-    raw = choice if choice is not None else os.environ.get(SHARD_ENV, "")
-    raw = raw.strip()
+    raw = (raw or "").strip()
     if not raw:
         return None
     try:
@@ -728,8 +714,8 @@ def run_grid(
     """
     if shard is not None and cache is None:
         raise ValueError(
-            "--shard requires a shared --cell-cache/REPRO_CELL_CACHE "
-            "directory (shards exchange results through it)"
+            "--shard requires a shared --cell-cache directory "
+            "(shards exchange results through it)"
         )
     total = len(job_list)
     digests: List[Optional[str]] = [None] * total
@@ -875,8 +861,6 @@ def run_grid(
 
 __all__ = [
     "CELL_SCHEMA",
-    "CELL_CACHE_ENV",
-    "SHARD_ENV",
     "SHARD_WAIT_ENV",
     "FABRIC_DIAG",
     "GROUP_SIZE",

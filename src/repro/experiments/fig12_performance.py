@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
 from ..workloads import all_benchmarks
 from .engine import SimJob, model_factory, run_sim_jobs
+from .fabric import CellCache
 
 #: Warps per scheduler partition: enough to make the baseline
 #: issue-bound, as on a well-occupied real SM.
@@ -101,12 +102,15 @@ def run_fig12(
     mechanisms: Sequence[str] = MECHANISM_ORDER,
     config: GpuConfig = DEFAULT_GPU_CONFIG,
     jobs: int = 1,
+    cache: Optional[CellCache] = None,
+    shard: Optional[Tuple[int, int]] = None,
 ) -> Fig12Result:
     """Simulate every benchmark under every mechanism.
 
     The (benchmark × mechanism) grid runs through the experiment
-    engine; ``jobs`` bounds the worker processes (1 = in process).
-    Results are identical for any ``jobs``.
+    engine; ``jobs`` bounds the worker processes (1 = in process),
+    and ``cache``/``shard`` go to :func:`run_sim_jobs`.  Results are
+    identical for any ``jobs``, cache state and shard.
     """
     names = list(benchmarks) if benchmarks is not None else all_benchmarks()
     job_list = [
@@ -121,7 +125,9 @@ def run_fig12(
     ]
     outcomes = {
         outcome.job.key: outcome
-        for outcome in run_sim_jobs(job_list, config=config, n_jobs=jobs)
+        for outcome in run_sim_jobs(
+            job_list, config=config, n_jobs=jobs, cache=cache, shard=shard
+        )
     }
     result = Fig12Result()
     for name in names:

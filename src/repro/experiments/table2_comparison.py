@@ -17,9 +17,10 @@ Coverage symbols follow the paper: ``●`` full, ``◐`` partial,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..security import Category, SecurityReport, run_security_evaluation
+from .fabric import CellCache
 from .fig12_performance import Fig12Result, run_fig12
 from .fig13_dbi import run_fig13
 
@@ -129,20 +130,20 @@ def run_table2(
     *,
     fast: bool = False,
     jobs: int = 1,
+    cache: Optional[CellCache] = None,
+    shard: Optional[Tuple[int, int]] = None,
 ) -> Table2Result:
     """Assemble the full table.
 
     ``fast`` shrinks the Figure 12 simulation for quick test runs;
-    ``jobs`` runs its grid on that many work-stealing worker processes
-    (1 = in process).
+    ``jobs``, ``cache`` and ``shard`` go to its grid (see
+    :func:`~repro.experiments.fig12_performance.run_fig12`).
     """
     if security is None:
         security = run_security_evaluation()
     if fig12 is None:
-        if fast:
-            fig12 = run_fig12(warps=8, instructions_per_warp=400, jobs=jobs)
-        else:
-            fig12 = run_fig12(jobs=jobs)
+        scale = dict(warps=8, instructions_per_warp=400) if fast else {}
+        fig12 = run_fig12(jobs=jobs, cache=cache, shard=shard, **scale)
     fig13 = run_fig13()
 
     result = Table2Result(rows=list(PUBLISHED_ROWS))

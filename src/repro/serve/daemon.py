@@ -22,10 +22,9 @@ simulating anything —
    batch exactly as for a CLI grid's cells.
 3. **Result cache** — a per-daemon in-memory LRU of cell records in
    front of the shared on-disk :class:`~repro.experiments.fabric.CellCache`
-   (``--cache``, falling back to ``REPRO_CELL_CACHE``).  The
-   disk layer uses the *same* digests and record schema as CLI/fabric
-   runs, so a grid swept overnight pre-warms the service and vice
-   versa.
+   (``--cache``; none without it).  The disk layer uses the *same*
+   digests and record schema as CLI/fabric runs, so a grid swept
+   overnight pre-warms the service and vice versa.
 4. **Telemetry** — the daemon mounts the shared observability routes
    of :mod:`repro.telemetry.server` next to its own.  A per-daemon
    diagnostic :class:`~repro.telemetry.registry.MetricsRegistry` rides
@@ -251,8 +250,7 @@ class ServeDaemon:
         )
 
         #: Shared handle: same memoized instance CLI/fabric runs use
-        #: for this directory (None falls back to REPRO_CELL_CACHE), or
-        #: None when no cache is configured.
+        #: for this directory, or None when no cache is configured.
         self.cell_cache: Optional[CellCache] = resolve_cell_cache(cache_dir)
 
         #: Per-daemon diagnostic registry; joins DIAG_REGISTRIES only
@@ -946,7 +944,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--cache", dest="cache_dir", metavar="DIR",
         help="on-disk result cache shared with --cell-cache runs "
-        "(default REPRO_CELL_CACHE, else none)",
+        "(default none)",
     )
     defaults = ServeDaemon.__init__.__kwdefaults__
     for flag, kind, metavar, text in (

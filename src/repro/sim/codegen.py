@@ -15,9 +15,8 @@ This module replaces that kernel with *generated* C, specialized per
 * **Path elision.**  Cells whose issue plans never carry RCache
   probes (baseline, LMI, Baggy Bounds) are compiled without the
   GPUShield probe/RCache code at all — not branched around, absent.
-* **Multi-word ready mask.**  Each cell carries two scheduler
-  variants: the historical single-``uint64_t`` mask for ≤64 warps and
-  a multi-word mask for anything wider, dispatched per trace — so
+* **Multi-word ready mask.**  Each cell carries one scheduler, over a
+  ready mask of as many ``uint64_t`` words as the trace has warps, so
   >64-warp traces stop silently losing the native path.
 * **One ABI for every cell.**  All cells export the same two entry
   points — ``lmi_cell_run`` (one trace) and ``lmi_cell_run_batch``
@@ -359,13 +358,11 @@ def _probe_final_block(spec: CellSpec) -> str:
                     }}"""
 
 
-def _issue_body(spec: CellSpec, retire: str) -> str:
+def _issue_body(spec: CellSpec) -> str:
     """One issue-slot body: sampled event, memory walk, retire.
 
-    Identical between the single-word and multi-word scheduler
-    variants except for *retire* (mask bookkeeping), and identical in
-    semantics to the Python issue loop — latencies and way counts are
-    the only things folded to literals.
+    Identical in semantics to the Python issue loop — latencies and
+    way counts are the only things folded to literals.
     """
     return f"""        {{
             int64_t ri = ridx[w]++;
@@ -465,27 +462,11 @@ def _issue_body(spec: CellSpec, retire: str) -> str:
 
             complete = clock + comp;
             clock += length;
-{retire}
+{_RETIRE}
         }}"""
 
 
-_RETIRE_SMALL = """            if (ridx[w] == run_start[w + 1]) {
-                live--;
-                ready &= ~current_bit;
-                finals[w] = complete;
-            } else if (complete > clock) {
-                if (ready == current_bit && next_wake >= complete) {
-                    stall += complete - clock;
-                    clock = complete;
-                } else {
-                    ready &= ~current_bit;
-                    wake_at[w] = complete;
-                    if (complete < next_wake)
-                        next_wake = complete;
-                }
-            }"""
-
-_RETIRE_WIDE = """            if (ridx[w] == run_start[w + 1]) {
+_RETIRE = """            if (ridx[w] == run_start[w + 1]) {
                 live--;
                 ready[cur_word] &= ~cur_bit;
                 ready_count--;
@@ -504,7 +485,7 @@ _RETIRE_WIDE = """            if (ridx[w] == run_start[w + 1]) {
             }"""
 
 
-def _epilogue_block(spec: CellSpec, extra: str = "") -> str:
+def _epilogue_block(spec: CellSpec) -> str:
     probes = (
         """        out[6] = rch;
         out[7] = rcm;
@@ -532,80 +513,24 @@ def _epilogue_block(spec: CellSpec, extra: str = "") -> str:
         out[11] = finish;
         out[12] = ev_n;
         out[13] = 0;
-{extra}    }}"""
+        free(scratch);
+    }}"""
 
 
-def _small_variant(spec: CellSpec) -> str:
-    """GTO scheduler over a single 64-bit ready mask (≤64 warps)."""
-    return f"""
-static void lmi_run_small(const int64_t *sc, void *const *pp)
-{{
-{_unpack_block(spec)}
-    int64_t wake_at[64];
-    int64_t ridx[64];
-    int64_t finals[64];
-    uint64_t ready = 0, current_bit = 1;
-    int current = 0;
-{_counter_block(spec)}
+def _scheduler(spec: CellSpec) -> str:
+    """The GTO scheduler over a multi-word ready mask, any warp count.
 
-    for (w = 0; w < warp_count; w++) {{
-        wake_at[w] = NEVER;
-        finals[w] = 0;
-        ridx[w] = run_start[w];
-        if (run_start[w] < run_start[w + 1]) {{
-            ready |= (uint64_t)1 << w;
-            live++;
-        }}
-    }}
-
-    while (live) {{
-        if (next_wake <= clock) {{
-            int64_t nw = NEVER, t;
-            for (w = 0; w < warp_count; w++) {{
-                t = wake_at[w];
-                if (t <= clock) {{
-                    ready |= (uint64_t)1 << w;
-                    wake_at[w] = NEVER;
-                }} else if (t < nw) {{
-                    nw = t;
-                }}
-            }}
-            next_wake = nw;
-        }}
-        if (ready) {{
-            if (!(ready & current_bit)) {{
-                current = __builtin_ctzll(ready);
-                current_bit = (uint64_t)1 << current;
-            }}
-        }} else {{
-            stall += next_wake - clock;
-            clock = next_wake;
-            continue;
-        }}
-        w = current;
-{_issue_body(spec, _RETIRE_SMALL)}
-    }}
-
-{_epilogue_block(spec)}
-}}
-"""
-
-
-def _wide_variant(spec: CellSpec) -> str:
-    """Multi-word ready-mask scheduler (>64 warps).
-
-    Same GTO decisions as the single-word variant: oldest ready warp =
-    lowest set bit scanning words upward, current-warp priority on
-    ties, and the single-ready clock fast-forward expressed through an
-    incrementally maintained ``ready_count`` (``ready == current_bit``
-    generalizes to ``ready_count == 1`` while the current warp holds
-    its bit).  Scheduler scratch is one heap block; on allocation
-    failure the kernel reports status 1 *before touching any simulator
-    state*, and the caller falls back to the Python loop.
+    Oldest ready warp = lowest set bit scanning the mask words upward,
+    current-warp priority on ties, and the single-ready clock
+    fast-forward expressed through an incrementally maintained
+    ``ready_count`` (only the current warp is ready when
+    ``ready_count == 1``, since it holds its bit).  Scheduler scratch
+    is one heap block; on allocation failure the kernel reports status
+    1 *before touching any simulator state*, and the caller falls back
+    to the Python loop.
     """
-    free_scratch = "        free(scratch);\n"
     return f"""
-static void lmi_run_wide(const int64_t *sc, void *const *pp)
+static void lmi_run_one(const int64_t *sc, void *const *pp)
 {{
 {_unpack_block(spec)}
     int64_t n_words = (warp_count + 63) >> 6;
@@ -672,10 +597,10 @@ static void lmi_run_wide(const int64_t *sc, void *const *pp)
             continue;
         }}
         w = current;
-{_issue_body(spec, _RETIRE_WIDE)}
+{_issue_body(spec)}
     }}
 
-{_epilogue_block(spec, extra=free_scratch)}
+{_epilogue_block(spec)}
 }}
 """
 
@@ -773,15 +698,7 @@ def generate_cell_source(spec: CellSpec) -> str:
 #define NEVER ((int64_t)1 << 62)
 
 enum {{ LMI_NPTRS = {NPTRS}, LMI_NSCALARS = {NSCALARS} }};
-{lru_functions}{_small_variant(spec)}{_wide_variant(spec)}
-static void lmi_run_one(const int64_t *sc, void *const *pp)
-{{
-    if (sc[0] <= 64)
-        lmi_run_small(sc, pp);
-    else
-        lmi_run_wide(sc, pp);
-}}
-
+{lru_functions}{_scheduler(spec)}
 int64_t lmi_cell_run(const int64_t *sc, void **pp)
 {{
     lmi_run_one(sc, (void *const *)pp);

@@ -69,9 +69,6 @@ from .trace import OP_ORDER, KernelTrace, TraceInstruction, trace_memo
 OP_CODE = {op: code for code, op in enumerate(OP_ORDER)}
 (OP_INT, OP_FP, OP_LDG, OP_STG, OP_LDS, OP_STS, OP_LDL, OP_STL) = range(8)
 
-#: Memory-space code per op code: 0 none, 1 global, 2 shared, 3 local.
-_SPACE_BY_CODE = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.uint8)
-
 
 @dataclass
 class ColumnarTrace:
@@ -150,10 +147,6 @@ class ColumnarTrace:
     def transaction_counts(self) -> np.ndarray:
         """Coalesced transactions per instruction (0 for ALU ops)."""
         return np.diff(self.line_offsets)
-
-    def space_codes(self) -> np.ndarray:
-        """Memory-space code per instruction (0/1/2/3 = -/G/S/L)."""
-        return _SPACE_BY_CODE[self.ops]
 
     def base_latencies(self) -> np.ndarray:
         """State-free base result latency per instruction.

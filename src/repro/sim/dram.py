@@ -43,11 +43,6 @@ class DramModel:
         self.channel_free_at: List[int] = [0] * self.channels
         self.stats = DramStats()
 
-    @property
-    def _channel_free_at(self) -> List[int]:
-        """Backwards-compatible alias for :attr:`channel_free_at`."""
-        return self.channel_free_at
-
     def request(self, line_address: int, now: int) -> int:
         """Issue a line fetch at cycle *now*; returns completion cycle."""
         channel = (line_address >> 7) % self.channels
@@ -59,11 +54,3 @@ class DramModel:
         stats.requests += 1
         stats.queue_delay_cycles += start - now
         return start + self.latency
-
-    def request_run(self, line_addresses, now: int) -> List[int]:
-        """Batch variant: completion cycles for a run of line fetches.
-
-        Per-address order (and therefore channel queuing) matches a
-        sequence of :meth:`request` calls exactly.
-        """
-        return [self.request(address, now) for address in line_addresses]

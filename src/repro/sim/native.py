@@ -8,9 +8,8 @@ IssuePlan`) are handed — as a pointer slab, without a copy — to a
 kernel *generated for the exact (timing-model, mechanism) cell* by
 :mod:`repro.sim.codegen`: latencies and cache way counts are
 compile-time constants, the GPUShield probe path is compiled out of
-cells that never take it, and every cell carries both a single-word
-(≤64 warps) and a multi-word ready-mask scheduler, so wide traces no
-longer fall back to Python.
+cells that never take it, and every cell's scheduler keeps a
+multi-word ready mask, so wide traces no longer fall back to Python.
 
 Design constraints:
 
@@ -379,8 +378,9 @@ def run_native_batch(
     Returns one finish-cycle (or ``None`` for any trace whose cell is
     unavailable or whose kernel refused —
     :func:`repro.sim.core.run_plans` runs those through the Python
-    loop; the refusal is recorded via :func:`note_fallback`).  All refusal checks — and the wide
-    variant's scratch allocation — happen before any state is touched.
+    loop; the refusal is recorded via :func:`note_fallback`).  All
+    refusal checks — and the scheduler's scratch allocation — happen
+    before any state is touched.
     Per-trace results, state mutations and event lists are identical
     to ``[run_native(*r) for r in requests]``.
     """

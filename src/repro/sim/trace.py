@@ -125,11 +125,6 @@ class OpClass(enum.Enum):
             OpClass.STL: MemorySpace.LOCAL,
         }.get(self)
 
-    @property
-    def uses_l1_path(self) -> bool:
-        """Global/local accesses traverse L1/L2/DRAM; shared does not."""
-        return self in (OpClass.LDG, OpClass.STG, OpClass.LDL, OpClass.STL)
-
 
 @dataclass(frozen=True)
 class TraceInstruction:

@@ -19,8 +19,8 @@ On top of the post-hoc stack sits the **live plane** (DESIGN.md,
 in-flight jobs (queued → running → done/failed, EWMA ETA, per-phase
 wall-time attribution) and :class:`ObservabilityServer` serves it
 (with ``/metrics``, ``/trace`` and ``/logs``) from the one HTTP plane —
-opt-in via ``--serve`` / ``REPRO_METRICS_PORT``, read-only over
-telemetry state so exports stay byte-identical.
+opt-in via ``--serve``, read-only over telemetry state so exports stay
+byte-identical.
 """
 
 from .events import IMPORTANT_KINDS, EventKind, FlightRecorder, TelemetryEvent
@@ -62,7 +62,7 @@ from .report import (
     write_summary,
 )
 from .log import LOG, LOG_SCHEMA, StructuredLog
-from .server import SERVE_ENV, ObservabilityServer, port_from_env
+from .server import ObservabilityServer
 from .spans import Instant, LogicalClock, Span, Tracer, WallClock
 from .tracectx import (
     TRACES,
@@ -119,9 +119,7 @@ __all__ = [
     "PROGRESS_SCHEMA",
     "ProgressBoard",
     "get_progress",
-    "SERVE_ENV",
     "ObservabilityServer",
-    "port_from_env",
     "LOG",
     "LOG_SCHEMA",
     "StructuredLog",

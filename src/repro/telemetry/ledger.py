@@ -73,6 +73,7 @@ segments safe to rsync mid-run.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import uuid
@@ -108,19 +109,21 @@ def default_ledger_path() -> str:
 def ledger_max_bytes() -> int:
     """The rotation threshold in bytes (0 = rotation disabled).
 
-    Reads ``REPRO_LEDGER_MAX_MB``; invalid values fall back to the
-    default rather than silently disabling the cap.
+    Reads ``REPRO_LEDGER_MAX_MB``.  Anything but a finite number >= 0
+    raises, so a typo such as ``lots`` fails loudly instead of silently
+    reading as the default.
     """
     raw = os.environ.get(LEDGER_MAX_MB_ENV, "").strip()
-    if raw:
-        try:
-            megabytes = float(raw)
-        except ValueError:
-            megabytes = DEFAULT_LEDGER_MAX_MB
-    else:
-        megabytes = DEFAULT_LEDGER_MAX_MB
-    if megabytes <= 0:
-        return 0
+    if not raw:
+        return int(DEFAULT_LEDGER_MAX_MB * 1024 * 1024)
+    try:
+        megabytes = float(raw)
+    except ValueError:
+        megabytes = math.nan
+    if not 0.0 <= megabytes < math.inf:
+        raise ValueError(
+            f"invalid {LEDGER_MAX_MB_ENV} value {raw!r} (expected MiB >= 0)"
+        )
     return int(megabytes * 1024 * 1024)
 
 

@@ -58,7 +58,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import os
 import threading
 import time
 from http import HTTPStatus
@@ -72,10 +71,6 @@ from .progress import PROGRESS, ProgressBoard
 from .registry import DIAG_REGISTRIES
 from .runtime import TELEMETRY, Telemetry
 from .tracectx import TRACES
-
-#: Environment variable enabling the server (same port semantics as
-#: the ``--serve`` CLI flag; 0 = ephemeral).
-SERVE_ENV = "REPRO_METRICS_PORT"
 
 #: Content type of the Prometheus exposition endpoint.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -101,26 +96,6 @@ _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 def wants_openmetrics(accept: Optional[str]) -> bool:
     """True when the ``Accept`` header asks for OpenMetrics."""
     return bool(accept) and "application/openmetrics-text" in accept
-
-
-def port_from_env(environ=os.environ) -> Optional[int]:
-    """The ``REPRO_METRICS_PORT`` port, or None when unset/invalid.
-
-    Invalid values raise so a typo'd port fails loudly rather than
-    silently disabling observability.
-    """
-    raw = environ.get(SERVE_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        port = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid {SERVE_ENV} value {raw!r} (expected an integer port)"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"{SERVE_ENV} must be in [0, 65535], got {port}")
-    return port
 
 
 def render_metrics_text(
@@ -628,7 +603,6 @@ class ObservabilityServer:
 
 
 __all__ = [
-    "SERVE_ENV",
     "PROMETHEUS_CONTENT_TYPE",
     "OPENMETRICS_CONTENT_TYPE",
     "SSE_INTERVAL_SECONDS",
@@ -640,7 +614,6 @@ __all__ = [
     "Response",
     "json_response",
     "observability_routes",
-    "port_from_env",
     "render_metrics_text",
     "wants_openmetrics",
     "ObservabilityServer",

@@ -14,9 +14,9 @@ content-addressed key so identical requests pay synthesis once:
 * **L1: in-process LRU** — an ``OrderedDict`` bounded by ``capacity``
   entries.  Hits return the *same* trace object, which also shares the
   simulator's per-trace expansion memo across mechanisms.
-* **L2: optional on-disk columnar layer** — enabled by the
-  ``REPRO_TRACE_CACHE`` environment variable or the experiments CLI's
-  ``--trace-cache DIR`` flag.  Entries are versioned columnar ``.npz``
+* **L2: optional on-disk columnar layer** — ``disk_dir``, which the
+  experiments CLI's ``--trace-cache DIR`` sets on :data:`TRACE_CACHE`
+  for one run.  Entries are versioned columnar ``.npz``
   containers (:func:`~repro.sim.tracefile.dump_trace_npz`), written
   with :func:`~repro.common.files.publish` so concurrent engine
   workers can share one directory.  The layer is best-effort: a failed
@@ -299,8 +299,9 @@ class TraceCache:
         return out
 
 
-#: Process-global cache; the disk layer follows ``REPRO_TRACE_CACHE``.
-TRACE_CACHE = TraceCache(disk_dir=os.environ.get("REPRO_TRACE_CACHE") or None)
+#: Process-global cache, memory only unless :func:`configure_trace_cache`
+#: sets a disk layer.
+TRACE_CACHE = TraceCache()
 
 
 def cached_trace(

@@ -1,6 +1,10 @@
 """Tests for the run-all CLI, the ``repro`` commands' argument
 parsing, and the security harness internals."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -8,6 +12,12 @@ from repro.compiler import InvalidateExtent, KernelBuilder, run_lmi_pass
 from repro.experiments.__main__ import EXPERIMENTS, main
 from repro.security.harness import CaseResult, SecurityReport
 from repro.security.testcases import CaseOutcome, Category
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=os.path.join(_REPO_ROOT, "src"))
 
 
 class TestCli:
@@ -70,6 +80,32 @@ class TestCli:
         assert out.strip() == (
             f"invalid {variable} value {value!r} (expected seconds >= 0)"
         )
+
+    def test_malformed_ledger_cap_exits_2(self, monkeypatch, capsys):
+        # Used to read as the 64 MiB default.
+        monkeypatch.setenv("REPRO_LEDGER_MAX_MB", "lots")
+        assert main(["fig4"]) == 2
+        assert capsys.readouterr().out.strip() == (
+            "invalid REPRO_LEDGER_MAX_MB value 'lots' (expected MiB >= 0)"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-m", "repro.experiments", "table6"],
+         ["-m", "repro", "experiments", "table6"]],
+        ids=["experiments", "repro"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv):
+        # The reader is gone before the command prints anything, as
+        # when its output is piped to `head` or `true`.
+        proc = subprocess.Popen(
+            [sys.executable, *argv], cwd=_REPO_ROOT, env=_cli_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == b""
 
     @pytest.mark.parametrize(
         "command",

@@ -39,8 +39,6 @@ from repro.experiments import fabric as fabric_module
 from repro.experiments import run_fig12
 from repro.experiments.engine import SimJob
 from repro.experiments.fabric import (
-    CELL_CACHE_ENV,
-    SHARD_ENV,
     SHARD_WAIT_ENV,
     CellCache,
     cell_digest,
@@ -58,9 +56,8 @@ from repro.telemetry.runtime import capture
 
 @pytest.fixture(autouse=True)
 def _clean_fabric(monkeypatch):
-    """Zeroed counters and no leaked fabric env between tests."""
-    for name in (CELL_CACHE_ENV, SHARD_ENV, SHARD_WAIT_ENV):
-        monkeypatch.delenv(name, raising=False)
+    """Zeroed counters and no leaked shard wait between tests."""
+    monkeypatch.delenv(SHARD_WAIT_ENV, raising=False)
     reset_fabric_counters()
     yield
     reset_fabric_counters()
@@ -231,22 +228,26 @@ class TestCellCache:
 
 class TestResolvers:
     def test_cell_cache_env_and_memoization(self, monkeypatch, tmp_path):
-        assert resolve_cell_cache() is None
-        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
-        first = resolve_cell_cache()
+        # The directory arrives as an argument only: the variable that
+        # used to name it is ignored.
+        monkeypatch.setenv("REPRO_CELL_CACHE", str(tmp_path / "env"))
+        assert resolve_cell_cache(None) is None
+        first = resolve_cell_cache(str(tmp_path / "cells"))
         assert first is not None
-        assert resolve_cell_cache() is first  # stats accumulate
+        assert first.directory == str(tmp_path / "cells")
+        # stats accumulate
+        assert resolve_cell_cache(str(tmp_path / "cells")) is first
 
     def test_shard_parsing(self, monkeypatch):
-        assert resolve_shard() is None
+        monkeypatch.setenv("REPRO_SHARD", "1/2")  # ignored
+        assert resolve_shard(None) is None
+        assert resolve_shard("") is None
         assert resolve_shard("0/2") == (0, 2)
         assert resolve_shard("1/3") == (1, 3)
         assert resolve_shard("0/1") is None  # degrades to no sharding
         for bad in ("2/2", "-1/2", "x/y", "3"):
             with pytest.raises(ValueError):
                 resolve_shard(bad)
-        monkeypatch.setenv(SHARD_ENV, "1/2")
-        assert resolve_shard() == (1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -258,10 +259,11 @@ _SIZES = dict(warps=3, instructions_per_warp=200)
 _CELLS = len(_BENCHMARKS) * 4  # mechanisms: baseline, baggy, gpushield, lmi
 
 
-def _fig12_with_exports(jobs: int = 1):
-    """(table text, metrics JSON, trace JSON) for one captured run."""
+def _fig12_with_exports(jobs: int = 1, **grid):
+    """(table text, metrics JSON, trace JSON) for one captured run;
+    *grid* carries ``cache``/``shard``."""
     with capture(sample_every=1) as hub:
-        result = run_fig12(_BENCHMARKS, jobs=jobs, **_SIZES)
+        result = run_fig12(_BENCHMARKS, jobs=jobs, **grid, **_SIZES)
         metrics = json.dumps(
             metrics_json(hub.registry, recorder=hub.recorder),
             sort_keys=True,
@@ -273,15 +275,15 @@ def _fig12_with_exports(jobs: int = 1):
 
 
 class TestByteIdentity:
-    def test_cold_and_warm_match_uncached(self, monkeypatch, tmp_path):
+    def test_cold_and_warm_match_uncached(self, tmp_path):
         baseline = _fig12_with_exports()
         reset_fabric_counters()
-        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
-        cold = _fig12_with_exports()
+        cache = CellCache(str(tmp_path / "cells"))
+        cold = _fig12_with_exports(cache=cache)
         assert cold == baseline
         assert fabric_counters()["cells_executed"] == _CELLS
         reset_fabric_counters()
-        warm = _fig12_with_exports()
+        warm = _fig12_with_exports(cache=cache)
         assert warm == baseline
         counts = fabric_counters()
         assert counts["cells_skipped"] == _CELLS
@@ -291,20 +293,17 @@ class TestByteIdentity:
         self, monkeypatch, tmp_path
     ):
         baseline = _fig12_with_exports()
-        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
+        cache = CellCache(str(tmp_path / "cells"))
         monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 4)
-        assert _fig12_with_exports(jobs=4) == baseline  # cold, pool
+        assert _fig12_with_exports(jobs=4, cache=cache) == baseline  # cold
         reset_fabric_counters()
-        assert _fig12_with_exports(jobs=4) == baseline  # warm, pool
+        assert _fig12_with_exports(jobs=4, cache=cache) == baseline  # warm
         assert fabric_counters()["cells_skipped"] == _CELLS
 
-    def test_corrupted_entry_rebuilds_identically(
-        self, monkeypatch, tmp_path
-    ):
+    def test_corrupted_entry_rebuilds_identically(self, tmp_path):
         baseline = _fig12_with_exports()
-        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
-        _fig12_with_exports()  # populate
-        cache = resolve_cell_cache()
+        cache = CellCache(str(tmp_path / "cells"))
+        _fig12_with_exports(cache=cache)  # populate
         digest = cell_digest(
             SimJob("gaussian", "lmi", **_SIZES), DEFAULT_GPU_CONFIG
         )
@@ -313,7 +312,7 @@ class TestByteIdentity:
         with open(path, "wb") as handle:
             handle.write(raw[: len(raw) // 2])
         reset_fabric_counters()
-        assert _fig12_with_exports() == baseline
+        assert _fig12_with_exports(cache=cache) == baseline
         counts = fabric_counters()
         assert counts["cells_executed"] == 1  # rebuilt the bad cell
         assert counts["cells_skipped"] == _CELLS - 1
@@ -334,34 +333,28 @@ class TestByteIdentity:
         # The marker proves the injected death actually fired.
         assert os.path.exists(str(tmp_path / "fabric-fail-once"))
 
-    def test_shard_run_is_complete_and_identical(
-        self, monkeypatch, tmp_path
-    ):
+    def test_shard_run_is_complete_and_identical(self, tmp_path):
         baseline = _fig12_with_exports()
         reset_fabric_counters()
-        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
-        monkeypatch.setenv(SHARD_ENV, "0/2")
+        cache = CellCache(str(tmp_path / "cells"))
         # No peer shard is running, and the wait is 0: the foreign
         # half is computed locally as a steal of last resort — the
         # invocation still yields the complete artifact set.
-        assert _fig12_with_exports() == baseline
+        assert _fig12_with_exports(cache=cache, shard=(0, 2)) == baseline
         counts = fabric_counters()
         assert counts["cells_executed"] == _CELLS
         assert counts["cells_stolen"] == _CELLS // 2
         # The other shard now finds everything published.
         reset_fabric_counters()
-        monkeypatch.setenv(SHARD_ENV, "1/2")
-        assert _fig12_with_exports() == baseline
+        assert _fig12_with_exports(cache=cache, shard=(1, 2)) == baseline
         assert fabric_counters()["cells_skipped"] == _CELLS
 
-    def test_cached_cells_cross_the_ffi_in_batches(
-        self, monkeypatch, tmp_path
-    ):
+    def test_cached_cells_cross_the_ffi_in_batches(self, tmp_path):
         if not native_available():
             pytest.skip("no C toolchain for the native executor")
-        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
+        cache = CellCache(str(tmp_path / "cells"))
         calls, cells = CODEGEN_STATS.batch_calls, CODEGEN_STATS.batch_cells
-        run_fig12(_BENCHMARKS, **_SIZES)
+        run_fig12(_BENCHMARKS, cache=cache, **_SIZES)
         assert fabric_counters()["cells_executed"] == _CELLS
         assert CODEGEN_STATS.batch_cells - cells == _CELLS
         assert CODEGEN_STATS.batch_calls - calls < _CELLS
@@ -400,11 +393,9 @@ class TestByteIdentity:
         ]
         baseline = engine_module.run_sim_jobs(jobs)
         reset_fabric_counters()
-        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
-        monkeypatch.setenv(SHARD_ENV, "0/2")
         monkeypatch.setattr(fabric_module, "GROUP_SIZE", 2)
         foreign = jobs[1::2]
-        cache = resolve_cell_cache()
+        cache = CellCache(str(tmp_path / "cells"))
         real = fabric_module.execute_group
 
         def peer_publishes(group, config, *args, **kwargs):
@@ -421,17 +412,55 @@ class TestByteIdentity:
             return real(group, config, *args, **kwargs)
 
         monkeypatch.setattr(fabric_module, "execute_group", peer_publishes)
-        results = engine_module.run_sim_jobs(jobs)
+        results = engine_module.run_sim_jobs(jobs, cache=cache, shard=(0, 2))
         assert [r.cycles for r in results] == [r.cycles for r in baseline]
         counts = fabric_counters()
         assert counts["cells_stolen"] == 2
         assert counts["cells_skipped"] == len(foreign) - 2
         assert counts["cells_executed"] == len(jobs) // 2 + 2
 
-    def test_shard_without_cache_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(SHARD_ENV, "0/2")
+    def test_shard_without_cache_fails_loudly(self):
         with pytest.raises(ValueError, match="cell-cache"):
-            run_fig12(("gaussian",), warps=2, instructions_per_warp=120)
+            run_fig12(
+                ("gaussian",), warps=2, instructions_per_warp=120,
+                shard=(0, 2),
+            )
+
+
+# ----------------------------------------------------------------------
+# The CLI's grid settings hold for one run
+
+
+#: The variables that used to carry --cell-cache, --shard,
+#: --trace-cache and --serve.
+_RETIRED_ENV = (
+    "REPRO_CELL_CACHE", "REPRO_SHARD", "REPRO_TRACE_CACHE",
+    "REPRO_METRICS_PORT",
+)
+
+
+def test_cli_settings_end_with_the_run(monkeypatch, tmp_path, capsys):
+    from repro.experiments.__main__ import main
+    from repro.workloads.trace_cache import TRACE_CACHE
+
+    for name in _RETIRED_ENV:
+        monkeypatch.delenv(name, raising=False)
+    disk_dir = TRACE_CACHE.disk_dir
+    assert main([
+        "fig12", "--fast", "--cell-cache", str(tmp_path / "cells"),
+        "--shard", "0/2", "--trace-cache", str(tmp_path / "traces"),
+    ]) == 0
+    assert "[fabric] total=112 executed=112" in capsys.readouterr().out
+    assert [name for name in _RETIRED_ENV if name in os.environ] == []
+    assert TRACE_CACHE.disk_dir == disk_dir
+    # The same grid again, without cache arguments: nothing is read
+    # from the directory the CLI run filled, and nothing is sharded.
+    reset_fabric_counters()
+    run_fig12(warps=8, instructions_per_warp=400)
+    counts = fabric_counters()
+    assert counts["cells_executed"] == 112
+    assert counts["cells_skipped"] == 0
+    assert counts["cells_stolen"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -444,8 +473,7 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
-    for name in (CELL_CACHE_ENV, SHARD_ENV, SHARD_WAIT_ENV):
-        env.pop(name, None)
+    env.pop(SHARD_WAIT_ENV, None)
     return env
 
 

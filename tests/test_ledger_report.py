@@ -174,8 +174,12 @@ class TestLedgerRotation:
         assert len(ledger.series("series")) == 40
 
     def test_invalid_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(LEDGER_MAX_MB_ENV, "lots")
-        assert ledger_max_bytes() == 64 * 1024 * 1024
+        # A malformed cap used to read as the default; it now raises,
+        # and only an unset variable means the default.
+        for bad in ("lots", "-1", "nan", "inf"):
+            monkeypatch.setenv(LEDGER_MAX_MB_ENV, bad)
+            with pytest.raises(ValueError, match=LEDGER_MAX_MB_ENV):
+                ledger_max_bytes()
         monkeypatch.delenv(LEDGER_MAX_MB_ENV)
         assert ledger_max_bytes() == 64 * 1024 * 1024
 

@@ -224,9 +224,9 @@ def _native_or_skip():
 
 @pytest.mark.parametrize("warps", [5, 70], ids=["small-mask", "wide-mask"])
 def test_custom_subclass_rides_generated_kernel(warps):
-    """An attribute-only subclass keeps the native path (both mask
-    variants) and matches the reference cycle-for-cycle over warm
-    runs."""
+    """An attribute-only subclass keeps the native path (one and two
+    ready-mask words) and matches the reference cycle-for-cycle over
+    warm runs."""
     _native_or_skip()
     assert RelabeledLmi().columnar_plan_key() == ("lmi", 3)
     trace = synthesize_trace(

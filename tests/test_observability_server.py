@@ -40,11 +40,7 @@ from repro.telemetry import (
     metrics_json,
 )
 from repro.telemetry.progress import DONE, FAILED, QUEUED, RUNNING
-from repro.telemetry.server import (
-    PROMETHEUS_CONTENT_TYPE,
-    SERVE_ENV,
-    port_from_env,
-)
+from repro.telemetry.server import PROMETHEUS_CONTENT_TYPE
 
 
 def _get(url: str, timeout: float = 5.0):
@@ -638,28 +634,20 @@ class TestReproTop:
         assert cli_main(["top", "--bogus"]) == 2
         assert cli_main(["top", "--port"]) == 2
         assert cli_main(["top", "--port", "nope"]) == 2
+        capsys.readouterr()
         assert cli_main(["top", "--once"]) == 2  # no server given
+        assert capsys.readouterr().out == (
+            "repro top: no server given — pass --url or --port\n"
+        )
         assert cli_main(["top", "--help"]) == 0
         capsys.readouterr()
 
 
 # ----------------------------------------------------------------------
-# CLI / environment wiring
+# CLI wiring
 
 
 class TestServeWiring:
-    def test_port_from_env(self, monkeypatch):
-        monkeypatch.delenv(SERVE_ENV, raising=False)
-        assert port_from_env() is None
-        monkeypatch.setenv(SERVE_ENV, "9155")
-        assert port_from_env() == 9155
-        monkeypatch.setenv(SERVE_ENV, "not-a-port")
-        with pytest.raises(ValueError):
-            port_from_env()
-        monkeypatch.setenv(SERVE_ENV, "70000")
-        with pytest.raises(ValueError):
-            port_from_env()
-
     def test_experiments_serve_flag_validation(self, capsys):
         from repro.experiments.__main__ import main
 
@@ -686,15 +674,3 @@ class TestServeWiring:
             if t not in baseline and t.is_alive()
         ]
         assert leaked == [], f"dangling threads: {leaked}"
-
-    def test_invalid_env_port_fails_loudly(self, monkeypatch, capsys):
-        from repro.experiments.__main__ import main
-
-        monkeypatch.setenv(SERVE_ENV, "bogus")
-        assert main(["fig4", "--fast"]) == 2
-        assert SERVE_ENV in capsys.readouterr().out
-        # The repro CLIs read the variable the same way.
-        assert cli_main(["trace", "list"]) == 2
-        assert f"invalid {SERVE_ENV} value 'bogus'" in capsys.readouterr().out
-        assert cli_main(["top", "--once"]) == 2
-        assert f"invalid {SERVE_ENV} value 'bogus'" in capsys.readouterr().out

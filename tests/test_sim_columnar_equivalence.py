@@ -197,8 +197,8 @@ def test_no_warps_raises():
 
 def test_past_native_bitmask_width(monkeypatch, fresh_memo):
     """>64 warps spill past one ready-mask word: the generated
-    kernel's multi-word wide variant and the Python loop must both
-    stay cycle-exact."""
+    kernel's multi-word mask and the Python loop must both stay
+    cycle-exact."""
     trace = synthesize_trace("gaussian", warps=65, instructions_per_warp=40)
     for python_loop in (False, True):
         if python_loop:

@@ -165,26 +165,6 @@ def test_foreign_pickle_rejected(tmp_path):
     assert cache.stats.disk_hits == 0
 
 
-def test_env_variable_seeds_global_disk_dir(tmp_path, monkeypatch):
-    """REPRO_TRACE_CACHE wires the disk layer at import time."""
-    import importlib
-
-    import repro.workloads.trace_cache as module
-
-    original = module.TRACE_CACHE
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-    try:
-        reloaded = importlib.reload(module)
-        assert reloaded.TRACE_CACHE.disk_dir == str(tmp_path)
-        reloaded.cached_trace("nn", warps=2, instructions_per_warp=40)
-        assert list(tmp_path.glob("trace-*.npz"))
-    finally:
-        # Reload re-executed the module in the same namespace; put the
-        # original global cache back so module-level functions (whose
-        # __globals__ is that namespace) keep using it.
-        module.TRACE_CACHE = original
-
-
 def test_configure_trace_cache_returns_global():
     cache = configure_trace_cache(capacity=8)
     assert cache is TRACE_CACHE

@@ -37,8 +37,8 @@ from repro.experiments.engine import (
     run_sim_jobs,
 )
 from repro.experiments.fabric import (
-    CELL_CACHE_ENV,
     GROUP_SIZE,
+    CellCache,
     fabric_counters,
     reset_fabric_counters,
 )
@@ -65,9 +65,7 @@ LEAK_RE = re.compile(r"rtx-[0-9a-f]{16}")
 @pytest.fixture(autouse=True)
 def _clean_tracing(monkeypatch):
     """Fresh id sequence, empty stores, no leaked env between tests."""
-    for name in (
-        TRACE_SEED_ENV, TRACE_DISABLE_ENV, CELL_CACHE_ENV,
-    ):
+    for name in (TRACE_SEED_ENV, TRACE_DISABLE_ENV):
         monkeypatch.delenv(name, raising=False)
     reset_trace_ids()
     TRACES.clear()
@@ -339,13 +337,13 @@ class TestEnginePropagation:
         )
         assert TRACES.get(victim.trace_id)["attrs"]["origin"] == "engine"
 
-    def test_cache_hits_carry_no_trace_id(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
+    def test_cache_hits_carry_no_trace_id(self, tmp_path):
+        cache = CellCache(str(tmp_path / "cells"))
         jobs = _jobs(3)
-        first = run_sim_jobs(jobs)
+        first = run_sim_jobs(jobs, cache=cache)
         assert all(r.trace_id is not None for r in first)
         TRACES.clear()
-        second = run_sim_jobs(jobs)
+        second = run_sim_jobs(jobs, cache=cache)
         assert all(r.trace_id is None for r in second)
         assert fabric_counters()["cells_skipped"] >= 3
         # No executions → nothing recorded for the warm run.
