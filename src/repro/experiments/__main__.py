@@ -21,7 +21,6 @@ kernel traces for the run, so repeated runs skip synthesis entirely.
 Experiment-fabric flags (see :mod:`repro.experiments.fabric`)::
 
     python -m repro.experiments fig12 --cell-cache out/cells
-    python -m repro.experiments fig12 --cell-cache out/cells --resume
     python -m repro.experiments fig12 --cell-cache out/cells --shard 0/2
 
 ``--cell-cache DIR`` memoizes every completed grid cell under a
@@ -29,11 +28,10 @@ content address covering its inputs *and* the simulation code;
 unchanged cells are skipped on rerun and their telemetry replayed
 byte-identically.  ``--shard i/N`` owns every Nth cell and polls
 the shared cache (``REPRO_SHARD_WAIT`` seconds) for the rest, so N
-processes/machines split one grid.  ``--resume`` is an
-explicit marker for continuing an interrupted run: it requires the
-cache, reports how many cells the journal already holds, and the run
-recomputes exactly the missing ones.  Exports stay byte-identical for
-any (jobs × shards × cache state) combination.
+processes/machines split one grid.  To continue an interrupted run,
+rerun the same command: finished cells were published as they
+completed, so the rerun recomputes exactly the missing ones.  Exports
+stay byte-identical for any (jobs × shards × cache state) combination.
 
 Observability flags (any of them switches telemetry on)::
 
@@ -202,10 +200,6 @@ def _parser() -> argparse.ArgumentParser:
         help="own every N-th cell of the grid; needs --cell-cache",
     )
     parser.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted --cell-cache run",
-    )
-    parser.add_argument(
         "--metrics", metavar="PATH", help="write the metrics export"
     )
     parser.add_argument(
@@ -277,14 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               "shards coordinate through the shared cell cache")
         return 2
     grid: Grid = {"jobs": options.jobs, "cache": cache, "shard": shard}
-    if options.resume:
-        if cache is None:
-            print("--resume requires --cell-cache: "
-                  "resumption replays cells from the cache journal")
-            return 2
-        print(f"[fabric] resuming: journal holds "
-              f"{len(cache.journal_digests())} completed cell(s) "
-              f"at {cache.directory}")
     names = options.names or list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:

@@ -44,12 +44,10 @@ turns the grid into an incremental computation:
   Every shard invocation therefore yields the **complete** artifact
   set, byte-identical to a single-process run; N concurrent shards
   over one cache dir each compute ~1/N of the grid.
-* **Resumability.**  Each stored cell is also journalled (one JSON
-  line, :func:`~repro.common.files.append_line`) in
-  ``journal.jsonl`` next to the cache entries.  A killed run leaves
-  the journal and every completed cell behind; ``--resume`` reports
-  what the journal holds and the rerun skips exactly the completed
-  cells through ordinary cache hits.
+* **Interrupted runs.**  Every cell is published as soon as its group
+  (or, on the pool, the cell itself) finishes, so a killed run leaves
+  each finished cell behind, and rerunning the same command
+  recomputes exactly the missing ones through ordinary cache hits.
 
 Operational counters (cells skipped / stolen / redispatched /
 executed) live in a private :data:`FABRIC_DIAG` registry surfaced
@@ -62,7 +60,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 import multiprocessing
 import os
@@ -75,7 +72,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..common.config import GpuConfig
-from ..common.files import append_line, publish
+from ..common.files import publish
 from ..sim.core import publish_fast_path
 from ..sim.trace import KernelTrace
 from ..telemetry.registry import DIAG_REGISTRIES, MetricsRegistry
@@ -100,11 +97,6 @@ CELL_SCHEMA = "repro.experiments.cell/v2"
 #: Seconds a shard polls the shared cache for a foreign cell before
 #: computing it locally (default 0: take over immediately).
 SHARD_WAIT_ENV = "REPRO_SHARD_WAIT"
-
-#: Journal filename inside the cache dir (one JSON line per stored
-#: cell; :func:`~repro.common.files.append_line` keeps concurrent shard
-#: processes *and* in-process writer threads to whole lines).
-JOURNAL_NAME = "journal.jsonl"
 
 #: Cells per in-process :func:`~repro.experiments.engine.execute_group`
 #: call: two benchmarks' four mechanisms, so each codegen cell's FFI
@@ -150,11 +142,13 @@ def _count(name: str, amount: int = 1) -> None:
 
 
 def config_fingerprint(config: GpuConfig) -> str:
-    """Stable digest of every GPU-config field (hex SHA-256)."""
-    rendered = json.dumps(
-        dataclasses.asdict(config), sort_keys=True, default=str
-    )
-    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+    """Stable digest of every GPU-config field (hex SHA-256).
+
+    Hashes the frozen dataclass's ``repr``, which lists every field in
+    declaration order, the nested :class:`~repro.common.config.
+    CacheConfig` levels included.
+    """
+    return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
 
 
 #: Packages whose source can change a simulation result.  Everything
@@ -257,8 +251,9 @@ class CellCache:
     verify the checksum *and* that the payload's recorded digest
     matches the requested one, so truncation, bit rot and foreign
     files all degrade to a miss (and a rebuild) — never to wrong
-    results.  Stores publish atomically and append one journal line
-    (:mod:`repro.common.files`), safe for concurrent shard processes.
+    results.  Stores publish atomically
+    (:func:`~repro.common.files.publish`), safe for concurrent shard
+    processes.
     """
 
     _MAGIC = b"repro-cell/v1 "
@@ -272,10 +267,6 @@ class CellCache:
 
     def path_for(self, digest: str) -> str:
         return os.path.join(self.directory, f"cell-{digest}.bin")
-
-    @property
-    def journal_path(self) -> str:
-        return os.path.join(self.directory, JOURNAL_NAME)
 
     # ------------------------------------------------------------------
 
@@ -314,31 +305,37 @@ class CellCache:
                 payload = handle.read()
         except OSError:
             return None
+        record = self._decode(header, payload, digest)
+        if record is None:
+            with self._stats_lock:
+                self.stats.corrupt += 1
+        return record
+
+    def _decode(
+        self, header: bytes, payload: bytes, digest: str
+    ) -> Optional[Dict[str, object]]:
+        """The record in one entry's bytes, or None if corrupt."""
         if not header.startswith(self._MAGIC):
-            self.stats.corrupt += 1
             return None
         expected = header[len(self._MAGIC):].strip().decode(
             "ascii", "replace"
         )
         if hashlib.sha256(payload).hexdigest() != expected:
-            self.stats.corrupt += 1  # truncated / bit-rotted
-            return None
+            return None  # truncated / bit-rotted
         try:
             record = pickle.loads(payload)
         except Exception:
-            self.stats.corrupt += 1
             return None
         if (
             not isinstance(record, dict)
             or record.get("schema") != CELL_SCHEMA
             or record.get("digest") != digest
         ):
-            self.stats.corrupt += 1  # foreign or renamed entry
-            return None
+            return None  # foreign or renamed entry
         return record
 
     def store(self, record: Dict[str, object]) -> None:
-        """Atomically publish one cell record and journal it."""
+        """Atomically publish one cell record."""
         digest = str(record["digest"])
         payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
         checksum = hashlib.sha256(payload).hexdigest().encode("ascii")
@@ -347,42 +344,6 @@ class CellCache:
         publish(path, lambda tmp: Path(tmp).write_bytes(entry))
         with self._stats_lock:
             self.stats.stores += 1
-        job = record.get("job") or {}
-        line = (
-            json.dumps(
-                {
-                    "digest": digest,
-                    "benchmark": job.get("benchmark"),
-                    "mechanism": job.get("mechanism"),
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        # Whole lines even from the serve daemon's executor threads;
-        # without fcntl the worst case is a torn line, which
-        # journal_digests skips.
-        append_line(self.journal_path, line)
-
-    def journal_digests(self) -> Set[str]:
-        """Digests the journal records as completed (torn lines skipped)."""
-        digests: Set[str] = set()
-        try:
-            with open(self.journal_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        continue
-                    digest = entry.get("digest") if isinstance(entry, dict) else None
-                    if isinstance(digest, str):
-                        digests.add(digest)
-        except OSError:
-            return digests
-        return digests
 
 
 _CACHE_INSTANCES: Dict[str, CellCache] = {}
@@ -506,8 +467,7 @@ def _pool_worker_main(
     too), so workers never reload or re-synthesize a trace.  The
     worker stores each completed cell into the cache *itself* (before
     reporting back), so a parent killed mid-run still leaves every
-    finished cell persisted — that is what makes ``--resume`` exact
-    rather than best-effort.
+    finished cell persisted, and a rerun recomputes only the rest.
     """
     cache = CellCache(cache_dir) if cache_dir else None
     while True:

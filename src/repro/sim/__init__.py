@@ -4,9 +4,7 @@ from .cache import ArrayLruCache, CacheStats, SetAssociativeCache
 from .columnar import (
     ColumnarTrace,
     IssuePlan,
-    columnar_of,
     expand_columnar,
-    expanded_columnar,
     plan_for,
 )
 from .core import SimResult, SimStats, SmSimulator, simulate
@@ -31,7 +29,7 @@ from .timing import (
     TimingModel,
     expand_stream,
 )
-from .trace import KernelTrace, OpClass, TraceInstruction, TraceMemo, trace_memo
+from .trace import KernelTrace, OpClass, TraceInstruction
 
 __all__ = [
     "ArrayLruCache",
@@ -39,9 +37,7 @@ __all__ = [
     "SetAssociativeCache",
     "ColumnarTrace",
     "IssuePlan",
-    "columnar_of",
     "expand_columnar",
-    "expanded_columnar",
     "plan_for",
     "SimResult",
     "SimStats",
@@ -76,6 +72,4 @@ __all__ = [
     "KernelTrace",
     "OpClass",
     "TraceInstruction",
-    "TraceMemo",
-    "trace_memo",
 ]

@@ -10,15 +10,13 @@ data plane as structure-of-arrays:
   and checked flags, plus CSR-packed per-instruction coalesced line
   addresses and buffer ids, validated on construction, with lossless
   converters from/to the dataclass form (and derived columns:
-  transaction counts, memory-space codes, base latencies).  Every
+  transaction counts, base latencies).  Every
   :class:`~repro.sim.trace.KernelTrace` is backed by one; the
   dataclass lists are built only for the readers that walk them.
 * **Vectorized stream expansion** — the Baggy Bounds family, the one
   rewriting :class:`~repro.sim.timing.TimingModel` with a plan
   lowering, lowers to per-instruction replication counts applied with
-  ``np.repeat`` (one original plus its check chain), memoized per
-  ``(trace, expansion_key)`` on the trace's bounded
-  :class:`~repro.sim.trace.TraceMemo`.
+  ``np.repeat`` (one original plus its check chain).
 * :class:`IssuePlan` — pre-decoded issue descriptors, held as flat
   ``int64`` columns in exactly the layout the generated C kernel of
   :mod:`repro.sim.native` reads.  The GTO scheduler issues *runs*:
@@ -29,7 +27,9 @@ data plane as structure-of-arrays:
   such as the LMI OCU cycles), per-transaction cache/DRAM geometry and
   the LSU-serialization / extra-transaction statistics are all
   functions of trace content alone, so :func:`decode_issue_plan`
-  computes them once, vectorized.
+  computes them once per run, vectorized.  :func:`plan_for` decodes a
+  fresh plan on every call and keeps nothing: the caller holds the
+  plan for its one run and then drops it.
 * :func:`run_columnar` — the pure-Python issue loop over the same
   columns, which executes a plan when the generated C kernel is
   unavailable (no C toolchain).  Only genuinely stateful work remains
@@ -60,7 +60,7 @@ from .timing import (
     TRANSACTION_CYCLES,
     TimingModel,
 )
-from .trace import OP_ORDER, KernelTrace, TraceInstruction, trace_memo
+from .trace import OP_ORDER, KernelTrace, TraceInstruction
 
 # ----------------------------------------------------------------------
 # Op-class codes (the columnar encoding of OpClass; the code order is
@@ -260,20 +260,8 @@ class ColumnarTrace:
         return warps
 
 
-def columnar_of(trace: KernelTrace) -> ColumnarTrace:
-    """The columnar form of *trace*: its :attr:`KernelTrace.columnar`."""
-    return trace.columnar
-
-
 # ----------------------------------------------------------------------
 # Vectorized stream expansion.
-
-
-def _model_namespace(model: TimingModel) -> Tuple[str, str]:
-    """Memo-key namespace so equal content keys from *different* model
-    classes can never alias each other's entries."""
-    cls = type(model)
-    return (cls.__module__, cls.__qualname__)
 
 
 def expand_columnar(
@@ -298,23 +286,6 @@ def expand_columnar(
         f"expansion (expansion_key() is {key!r}); simulate it with "
         "repro.sim.reference.reference_simulate"
     )
-
-
-def expanded_columnar(
-    trace: KernelTrace, model: TimingModel
-) -> ColumnarTrace:
-    """Memoized columnar expansion for *model* on *trace*."""
-    key = model.expansion_key()
-    if key == ("identity",):
-        return columnar_of(trace)
-    memo = trace_memo(trace)
-    mkey = ("columnar-expand",) + _model_namespace(model) + (key,)
-    expanded = memo.get(mkey)
-    if expanded is None:
-        expanded = memo.put(
-            mkey, expand_columnar(columnar_of(trace), model)
-        )
-    return expanded
 
 
 def _expand_checked_chain(
@@ -509,8 +480,7 @@ def decode_issue_plan(
 
     *plan_key* is a :meth:`TimingModel.columnar_plan_key` value; the
     caller is responsible for expanding rewriting models first.
-    *geometry* bakes the cache/DRAM address mapping into the plan (it
-    is part of the plan memo key).
+    *geometry* bakes the cache/DRAM address mapping into the plan.
     """
     family = plan_key[0]
     ops = columnar.ops
@@ -657,36 +627,21 @@ def _decode_probes(
 def plan_for(
     trace: KernelTrace, model: TimingModel, config
 ) -> Optional[IssuePlan]:
-    """The memoized issue plan for *model* on *trace* under *config*.
+    """Decode the issue plan for *model* on *trace* under *config*.
 
     Returns ``None`` for models without a columnar lowering (user
     subclasses overriding a decode-relevant hook), which
-    :class:`~repro.sim.core.SmSimulator` refuses at construction.  The
-    memo key covers the model family, its timing parameters and the
-    config's cache/DRAM geometry, so distinct configs sharing one
-    cached trace decode distinct plans.
+    :class:`~repro.sim.core.SmSimulator` refuses at construction.
+    Rewriting models (the Baggy Bounds family) expand the columns
+    first.  Nothing is kept on the trace: every call decodes afresh.
     """
     plan_key = model.columnar_plan_key()
     if plan_key is None:
         return None
-    geometry = plan_geometry(config)
-    memo = trace_memo(trace)
-    memo_key = (
-        ("columnar-plan",)
-        + _model_namespace(model)
-        + tuple(plan_key)
-        + geometry
-    )
-    plan = memo.get(memo_key)
-    if plan is None:
-        if plan_key[0] == "baggy":
-            columnar = expanded_columnar(trace, model)
-        else:
-            columnar = columnar_of(trace)
-        plan = memo.put(
-            memo_key, decode_issue_plan(columnar, plan_key, geometry)
-        )
-    return plan
+    columnar = trace.columnar
+    if plan_key[0] == "baggy":
+        columnar = expand_columnar(columnar, model)
+    return decode_issue_plan(columnar, plan_key, plan_geometry(config))
 
 
 # ----------------------------------------------------------------------

@@ -158,11 +158,12 @@ class SmSimulator:
         self.model.bind(self)
 
     def _fast_plan(self, trace: KernelTrace):
-        """The memoized issue plan of *trace* under this simulator.
+        """Decode the issue plan of *trace* under this simulator.
 
         Used by :meth:`run` and the experiment engine's batched
-        dispatch; raises :class:`SimulationError` for a trace without
-        warps.
+        dispatch.  The plan is decoded on every call and held only by
+        the caller, for its one :func:`run_plans` call; raises
+        :class:`SimulationError` for a trace without warps.
         """
         plan = plan_for(trace, self.model, self.config)
         if not plan.warp_count:
@@ -187,7 +188,12 @@ class SmSimulator:
 
     def run(self, trace: KernelTrace) -> SimResult:
         """Simulate *trace* to completion; returns cycles and stats."""
-        plan = self._fast_plan(trace)
+        return self._run_plan(trace, self._fast_plan(trace))
+
+    def _run_plan(self, trace: KernelTrace, plan) -> SimResult:
+        """:meth:`run` on *plan*, already decoded from *trace* by a
+        simulator of the same model and config (the throughput
+        benchmarks time runs without their decode this way)."""
         stats = SimStats()
         telem = TELEMETRY
         events, every, phase = self._fast_telemetry(trace, telem.enabled)

@@ -65,10 +65,12 @@ class TimingModel:
         """Content key identifying what :meth:`expand` would produce.
 
         Two model instances with equal keys produce identical expanded
-        streams for the same input, so the simulator may share one
-        expansion between them (a per-trace memo keyed on this value).
-        Models that override :meth:`expand` without overriding this
-        method return ``None``, which disables the memo for them.
+        streams for the same input.  The key selects the columnar
+        lowering (:func:`~repro.sim.columnar.expand_columnar`) and is
+        part of a grid cell's content address
+        (:func:`~repro.experiments.fabric.cell_digest`).  Models that
+        override :meth:`expand` without overriding this method return
+        ``None``, which leaves them without a columnar lowering.
         """
         if type(self).expand is TimingModel.expand:
             return IDENTITY_EXPANSION
@@ -103,7 +105,7 @@ class TimingModel:
         trace into packed per-warp issue descriptors whose shape
         depends only on the model family and its timing parameters —
         never on simulator state.  Two instances with equal keys decode
-        to identical plans, so the per-trace memo may share one.
+        to identical plans (:func:`~repro.sim.columnar.plan_for`).
         ``None`` declares the model opaque to the lowering:
         :class:`~repro.sim.core.SmSimulator` refuses it with a
         :class:`~repro.common.errors.SimulationError`, and only

@@ -18,9 +18,8 @@ that walk the per-warp lists.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,73 +27,6 @@ from ..common.errors import MemorySpace, TraceFormatError
 
 if TYPE_CHECKING:
     from .columnar import ColumnarTrace
-
-#: Attribute name the per-trace derived-data memo hides behind.  The
-#: leading ``_repro`` namespace keeps it clear of any other attribute a
-#: caller sets on a trace (an ``_expansion_memo`` dict, say, is simply
-#: ignored).
-_TRACE_MEMO_ATTR = "_repro_trace_memo"
-
-#: Default cap on derived-data entries memoised per trace.  A fig12-
-#: style sweep needs one issue plan per timing-model family and one
-#: expansion per rewriting model — well under the cap — while
-#: pathological callers (e.g. a parameter sweep over
-#: ``BaggyBoundsTiming(instructions_per_check=n)``) can no longer grow
-#: an unbounded dict on a cached trace.
-TRACE_MEMO_CAPACITY = 16
-
-
-class TraceMemo:
-    """Bounded LRU memo for per-trace derived data.
-
-    Keys are tuples whose first elements name the *purpose* and the
-    *producer* (e.g. ``("expand", "repro.sim.timing.BaggyBoundsTiming",
-    key...)``), so two mechanisms that happen to emit equal content
-    keys can never read each other's entries through a shared cached
-    trace.  The entry count is capped (LRU eviction), bounding what a
-    long-lived :mod:`~repro.workloads.trace_cache` entry can accrete.
-    """
-
-    __slots__ = ("capacity", "_entries")
-
-    def __init__(self, capacity: int = TRACE_MEMO_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("trace memo capacity must be positive")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def get(self, key: Hashable):
-        """Entry for *key* (refreshing recency), or ``None``."""
-        entries = self._entries
-        value = entries.get(key)
-        if value is not None:
-            entries.move_to_end(key)
-        return value
-
-    def put(self, key: Hashable, value: Any) -> Any:
-        """Store *value* under *key*, evicting the LRU entry if full."""
-        entries = self._entries
-        entries[key] = value
-        entries.move_to_end(key)
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
-        return value
-
-
-def trace_memo(trace: "KernelTrace") -> TraceMemo:
-    """The (lazily created) derived-data memo of *trace*."""
-    memo = getattr(trace, _TRACE_MEMO_ATTR, None)
-    if memo is None:
-        memo = TraceMemo()
-        object.__setattr__(trace, _TRACE_MEMO_ATTR, memo)
-    return memo
-
 
 class OpClass(enum.Enum):
     """Execution-resource class of a trace record."""
@@ -181,10 +113,14 @@ class KernelTrace:
     :meth:`~repro.sim.columnar.ColumnarTrace.from_trace`, on first use
     of :attr:`columnar`.
 
-    Traces are immutable once built, so the columns, the instruction
-    lists and the summary statistics are each computed once and cached
-    on the instance.  Cached summaries are copied on the way out, so
-    callers may mutate the returned dicts freely.
+    Traces are immutable once built, so the columns and the
+    instruction lists are each built once and kept on the instance:
+    they are the trace itself.  Nothing derived from them is kept.
+    The summary statistics below are computed from the columns on
+    every call (Figure 1 asks each freshly synthesized trace once), and
+    each call returns a fresh dict the caller may mutate.  Issue plans
+    live with the simulator run that decodes them
+    (:func:`~repro.sim.columnar.plan_for`).
     """
 
     def __init__(
@@ -199,7 +135,6 @@ class KernelTrace:
         self.name = name
         self._warps = [] if warps is None and columnar is None else warps
         self._columnar = columnar
-        self._summary_cache: Dict[str, Any] = {}
 
     @property
     def columnar(self) -> "ColumnarTrace":
@@ -229,9 +164,6 @@ class KernelTrace:
             f"instructions={self.total_instructions})"
         )
 
-    def _summaries(self) -> Dict[str, Any]:
-        return self._summary_cache
-
     @property
     def total_instructions(self) -> int:
         """Dynamic instruction count across all warps."""
@@ -239,53 +171,34 @@ class KernelTrace:
 
     def op_histogram(self) -> Dict[OpClass, int]:
         """Dynamic count per op class (the Figure 1 raw data)."""
-        cache = self._summaries()
-        counts = cache.get("histogram")
-        if counts is None:
-            per_code = np.bincount(
-                self.columnar.ops, minlength=len(OP_ORDER)
-            ).tolist()
-            counts = cache["histogram"] = dict(zip(OP_ORDER, per_code))
-        return dict(counts)
+        per_code = np.bincount(
+            self.columnar.ops, minlength=len(OP_ORDER)
+        ).tolist()
+        return dict(zip(OP_ORDER, per_code))
 
     def memory_region_mix(self) -> Dict[str, float]:
         """Fraction of memory instructions per region (Figure 1)."""
-        cache = self._summaries()
-        mix = cache.get("region_mix")
-        if mix is None:
-            histogram = self.op_histogram()
-            global_ops = histogram[OpClass.LDG] + histogram[OpClass.STG]
-            shared_ops = histogram[OpClass.LDS] + histogram[OpClass.STS]
-            local_ops = histogram[OpClass.LDL] + histogram[OpClass.STL]
-            total = global_ops + shared_ops + local_ops
-            if total == 0:
-                mix = {"global": 0.0, "shared": 0.0, "local": 0.0}
-            else:
-                mix = {
-                    "global": global_ops / total,
-                    "shared": shared_ops / total,
-                    "local": local_ops / total,
-                }
-            cache["region_mix"] = mix
-        return dict(mix)
+        histogram = self.op_histogram()
+        global_ops = histogram[OpClass.LDG] + histogram[OpClass.STG]
+        shared_ops = histogram[OpClass.LDS] + histogram[OpClass.STS]
+        local_ops = histogram[OpClass.LDL] + histogram[OpClass.STL]
+        total = global_ops + shared_ops + local_ops
+        if total == 0:
+            return {"global": 0.0, "shared": 0.0, "local": 0.0}
+        return {
+            "global": global_ops / total,
+            "shared": shared_ops / total,
+            "local": local_ops / total,
+        }
 
     def checked_count(self) -> int:
         """Instructions carrying the A hint bit."""
-        cache = self._summaries()
-        checked = cache.get("checked")
-        if checked is None:
-            checked = cache["checked"] = int(
-                np.count_nonzero(self.columnar.checked)
-            )
-        return checked
+        return int(np.count_nonzero(self.columnar.checked))
 
     def memory_count(self) -> int:
         """Total memory instructions."""
-        cache = self._summaries()
-        memory = cache.get("memory")
-        if memory is None:
-            histogram = self.op_histogram()
-            memory = cache["memory"] = sum(
-                count for op, count in histogram.items() if op.is_memory
-            )
-        return memory
+        return sum(
+            count
+            for op, count in self.op_histogram().items()
+            if op.is_memory
+        )

@@ -12,8 +12,9 @@ content-addressed key so identical requests pay synthesis once:
   editing a profile (or passing a custom ``spec``) can never serve a
   stale trace.
 * **L1: in-process LRU** — an ``OrderedDict`` bounded by ``capacity``
-  entries.  Hits return the *same* trace object, which also shares the
-  simulator's per-trace expansion memo across mechanisms.
+  entries.  Hits return the *same* trace object, shared by every
+  mechanism's simulator.  Only the trace is cached: each simulator run
+  decodes its own issue plan and drops it afterwards.
 * **L2: optional on-disk columnar layer** — ``disk_dir``, which the
   experiments CLI's ``--trace-cache DIR`` sets on :data:`TRACE_CACHE`
   for one run.  Entries are versioned columnar ``.npz``

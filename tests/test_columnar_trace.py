@@ -1,4 +1,4 @@
-"""Columnar trace substrate: converters, ``.npz`` container, memos.
+"""Columnar trace substrate: converters, ``.npz`` container, summaries.
 
 Locks the lossless round-trip contracts the columnar engine rests on:
 
@@ -10,8 +10,8 @@ Locks the lossless round-trip contracts the columnar engine rests on:
 * the ``np.repeat`` Baggy Bounds lowering produces exactly the
   dataclass :func:`~repro.sim.timing.expand_stream` streams, and a
   rewriting without a columnar lowering is refused;
-* :class:`KernelTrace` summary statistics are computed once and
-  cached, and returned copies are safe to mutate;
+* :class:`KernelTrace` summary statistics match the columns, and
+  returned dicts are safe to mutate;
 * :class:`ColumnarTrace` rejects bad columns on construction;
 * traces are column-backed: synthesis, the ``.npz`` loader, the
   simulator's fast path, the engine and Figure 1 build no
@@ -40,12 +40,7 @@ from repro.sim import (
     reference_simulate,
     simulate,
 )
-from repro.sim.columnar import (
-    ColumnarTrace,
-    columnar_of,
-    expand_columnar,
-    expanded_columnar,
-)
+from repro.sim.columnar import ColumnarTrace, expand_columnar
 from repro.sim.timing import BaggyBoundsTiming, TimingModel, expand_stream
 from repro.sim.tracefile import NPZ_FORMAT_VERSION
 from repro.workloads import synthesize_trace
@@ -77,9 +72,9 @@ def test_columnar_roundtrip_workloads(name):
     assert ColumnarTrace.from_trace(trace).to_trace().warps == trace.warps
 
 
-def test_columnar_of_is_memoized():
+def test_columnar_is_memoized():
     trace = synthesize_trace("nn", warps=2, instructions_per_warp=60)
-    assert columnar_of(trace) is columnar_of(trace)
+    assert trace.columnar is trace.columnar
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +97,7 @@ def test_npz_preseeds_columnar_memo(tmp_path):
     path = tmp_path / "trace.npz"
     dump_trace_npz(trace, path)
     back = load_trace_npz(path)
-    assert columnar_of(back) == columnar_of(trace)
+    assert back.columnar == trace.columnar
     # Simulating the loaded trace is indistinguishable from the source.
     got, want = simulate(back), simulate(trace)
     assert (got.cycles, got.stats) == (want.cycles, want.stats)
@@ -216,7 +211,7 @@ def test_disk_layer_writes_npz(tmp_path):
 def test_expand_columnar_matches_expand_stream(checks):
     trace = synthesize_trace("srad_v1", warps=3, instructions_per_warp=140)
     model = BaggyBoundsTiming(instructions_per_check=checks)
-    vectorized = expand_columnar(columnar_of(trace), model).to_trace()
+    vectorized = expand_columnar(trace.columnar, model).to_trace()
     assert vectorized.warps == [
         expand_stream(model, stream) for stream in trace.warps
     ]
@@ -246,13 +241,13 @@ def test_expansion_without_lowering_raises():
     """Only identity and Baggy Bounds expansions lower to columns."""
     trace = synthesize_trace("nn", warps=2, instructions_per_warp=40)
     with pytest.raises(SimulationError, match="reference_simulate"):
-        expand_columnar(columnar_of(trace), _DoublingTiming())
+        expand_columnar(trace.columnar, _DoublingTiming())
     with pytest.raises(SimulationError, match="reference_simulate"):
-        expanded_columnar(trace, _DoublingTiming())
+        SmSimulator(DEFAULT_GPU_CONFIG, _DoublingTiming())
 
 
 # ----------------------------------------------------------------------
-# Cached KernelTrace summaries.
+# KernelTrace summaries.
 
 
 def test_summaries_cached_and_copies_safe():
@@ -265,10 +260,7 @@ def test_summaries_cached_and_copies_safe():
     assert mix == pytest.approx(trace.memory_region_mix())
     mix["global"] = 99.0
     assert trace.memory_region_mix()["global"] != 99.0
-    # The cache is hit: underlying stored dicts are the same objects.
-    cache = trace._summaries()
-    assert trace.checked_count() == cache["checked"]
-    assert cache["histogram"] is trace._summaries()["histogram"]
+    assert trace.checked_count() == int(trace.columnar.checked.sum())
     assert trace.memory_count() == sum(
         count
         for op, count in trace.op_histogram().items()

@@ -15,7 +15,7 @@ Locks the contracts of :mod:`repro.experiments.fabric`:
   cell cache active as without one, and replay group by group;
 * stolen foreign cells re-check the shared cache before each group;
 * a worker dying mid-cell is re-dispatched exactly once;
-* an interrupted run resumes from the journal and finishes with
+* an interrupted run, rerun on the same cache, finishes with
   byte-identical artifacts (subprocess SIGINT test);
 * the progress board and ``repro top`` surface skipped cells
   distinctly from done ones, with skips excluded from the EWMA/ETA.
@@ -101,6 +101,14 @@ class TestCellDigest:
         assert cell_digest(_job(), tweaked) != cell_digest(
             _job(), DEFAULT_GPU_CONFIG
         )
+        # A field of a nested cache level flips it too.
+        nested = dataclasses.replace(
+            DEFAULT_GPU_CONFIG,
+            l1=dataclasses.replace(DEFAULT_GPU_CONFIG.l1, hit_latency=31),
+        )
+        assert cell_digest(_job(), nested) != cell_digest(
+            _job(), DEFAULT_GPU_CONFIG
+        )
 
     def test_code_fingerprint_flips_the_digest(self, monkeypatch):
         before = cell_digest(_job(), DEFAULT_GPU_CONFIG)
@@ -132,7 +140,6 @@ class TestCellCache:
         assert loaded["cycles"] == 123
         assert loaded["stats"] == {"instructions": 456}
         assert cache.stats.hits == 1 and cache.stats.stores == 1
-        assert cache.journal_digests() == {"d1"}
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         cache = CellCache(str(tmp_path))
@@ -176,18 +183,51 @@ class TestCellCache:
         cache.load("nope", want_events=False, quiet=True)
         assert cache.stats.misses == 0
 
-    def test_journal_tolerates_torn_lines(self, tmp_path):
-        cache = CellCache(str(tmp_path))
-        cache.store(_record("d1"))
-        with open(cache.journal_path, "a", encoding="utf-8") as handle:
-            handle.write("{torn json\n")
-        cache.store(_record("d2"))
-        assert cache.journal_digests() == {"d1", "d2"}
+    def test_concurrent_loads_count_every_corrupt_read(self, tmp_path):
+        """Threads sharing one handle (the serve daemon's executors)
+        loading one corrupt entry: every load is counted."""
+        import threading
 
-    def test_concurrent_writers_never_tear_journal_lines(self, tmp_path):
-        """Two handles (threads here; flock also covers processes)
-        hammering one journal: every appended line stays valid JSON."""
-        import json
+        class YieldingStats(fabric_module.CellCacheStats):
+            """Sleeps between reading and writing ``corrupt``, so an
+            increment made outside the stats lock loses updates."""
+
+            @property
+            def corrupt(self):
+                value = self._corrupt
+                time.sleep(0.0001)
+                return value
+
+            @corrupt.setter
+            def corrupt(self, value):
+                self._corrupt = value
+
+        cache = CellCache(str(tmp_path))
+        cache.stats = YieldingStats()
+        with open(cache.path_for("d1"), "wb") as handle:
+            handle.write(b"not a cell record at all\n")
+        threads_n, per_thread = 8, 50
+        start = threading.Barrier(threads_n, timeout=10)
+        served = []
+
+        def reader():
+            start.wait()
+            for _ in range(per_thread):
+                served.append(cache.load("d1", want_events=False))
+
+        threads = [threading.Thread(target=reader) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert served == [None] * (threads_n * per_thread)
+        assert cache.stats.corrupt == threads_n * per_thread
+        assert cache.stats.misses == threads_n * per_thread
+
+    def test_concurrent_writers_store_every_record(self, tmp_path):
+        """Two handles (threads here; shard processes publish the same
+        way) storing into one directory: every record loads back."""
         import threading
 
         per_writer = 40
@@ -210,18 +250,15 @@ class TestCellCache:
             thread.start()
         for thread in threads:
             thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        # Every line parses and every digest arrived exactly once — no
-        # interleaved or torn appends.
-        with open(caches[0].journal_path, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        digests = [json.loads(line)["digest"] for line in lines]
-        assert len(digests) == 2 * per_writer
-        assert sorted(digests) == sorted(
-            f"w{slot}-{index}"
-            for slot in range(2)
-            for index in range(per_writer)
-        )
+        reader = CellCache(str(tmp_path))
+        for slot in range(2):
+            for index in range(per_writer):
+                digest = f"w{slot}-{index}"
+                record = reader.load(digest, want_events=False)
+                assert record is not None and record["digest"] == digest
+        assert reader.stats.corrupt == 0
         # Both handles' stat counters survived the hammering intact.
         assert sum(cache.stats.stores for cache in caches) == 2 * per_writer
 
@@ -464,7 +501,7 @@ def test_cli_settings_end_with_the_run(monkeypatch, tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# SIGINT + --resume (subprocess, full CLI path)
+# SIGINT, then a rerun on the same cache (subprocess, full CLI path)
 
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -493,7 +530,7 @@ def test_resume_after_sigint_is_byte_identical(tmp_path):
     done = _run_cli(["--metrics", str(baseline_metrics)])
     assert done.returncode == 0, done.stderr
 
-    # Interrupt a cached run once the journal shows progress.
+    # Interrupt a cached run once its first cell is published.
     interrupted = subprocess.Popen(
         [sys.executable, "-m", "repro.experiments", "fig12", "--fast",
          "--cell-cache", cells,
@@ -501,12 +538,14 @@ def test_resume_after_sigint_is_byte_identical(tmp_path):
         cwd=_REPO_ROOT, env=_cli_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    journal = os.path.join(cells, "journal.jsonl")
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
         if interrupted.poll() is not None:
             break  # finished before we could interrupt; still a valid warm state
-        if os.path.exists(journal) and os.path.getsize(journal) > 0:
+        if os.path.isdir(cells) and any(
+            name.startswith("cell-") and name.endswith(".bin")
+            for name in os.listdir(cells)
+        ):
             interrupted.send_signal(signal.SIGINT)
             break
         time.sleep(0.05)
@@ -514,11 +553,10 @@ def test_resume_after_sigint_is_byte_identical(tmp_path):
 
     resumed_metrics = tmp_path / "resumed.metrics.json"
     resumed = _run_cli([
-        "--cell-cache", cells, "--resume",
+        "--cell-cache", cells,
         "--metrics", str(resumed_metrics),
     ])
     assert resumed.returncode == 0, resumed.stderr
-    assert "[fabric] resuming" in resumed.stdout
     assert resumed_metrics.read_bytes() == baseline_metrics.read_bytes()
 
 

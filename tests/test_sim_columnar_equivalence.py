@@ -22,14 +22,17 @@ Coverage:
   geometry;
 * the loud refusal of timing models without an issue-plan lowering
   (the oracle still simulates them);
-* the :class:`~repro.sim.trace.TraceMemo` bound/namespacing contract;
+* plans live and die with their run: a cached trace keeps nothing
+  derived from it, and a dropped plan is collected;
 * registry parity with the oracle and byte-identity of the experiment
   engine's telemetry exports and worker-pool results.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -37,7 +40,8 @@ from hypothesis import HealthCheck, example, given, settings
 from repro.common.config import DEFAULT_GPU_CONFIG, CacheConfig, GpuConfig
 from repro.common.errors import SimulationError
 from repro.experiments import engine as engine_module
-from repro.experiments.engine import SimJob, run_sim_jobs
+from repro.experiments import run_fig12
+from repro.experiments.engine import SimJob, model_factory, run_sim_jobs
 from repro.sim import (
     GpuSimulator,
     KernelTrace,
@@ -48,14 +52,13 @@ from repro.sim import (
     native_available,
     reference_simulate,
 )
-from repro.sim.columnar import ColumnarTrace, expanded_columnar
 from repro.sim.reference import ReferenceSmSimulator
-from repro.sim.timing import BaggyBoundsTiming, LmiTiming, TimingModel
-from repro.sim.trace import TRACE_MEMO_CAPACITY, TraceMemo, trace_memo
+from repro.sim.timing import LmiTiming, TimingModel
 from repro.telemetry import capture, chrome_trace, dumps, metrics_json
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.runtime import SAMPLE_ENV
-from repro.workloads import synthesize_trace
+from repro.workloads import cached_trace, synthesize_trace
+from repro.workloads.trace_cache import TRACE_CACHE
 
 from .trace_strategies import kernel_traces
 
@@ -322,50 +325,31 @@ def test_opaque_model_fails_loudly(model_cls):
 
 
 # ----------------------------------------------------------------------
-# TraceMemo: bounded, namespaced, legacy-attribute proof.
+# Plans live and die with their run: nothing derived stays on a trace.
 
 
-def test_trace_memo_is_bounded():
-    memo = TraceMemo(capacity=4)
-    for n in range(10):
-        memo.put(("k", n), n)
-    assert len(memo) == 4
-    assert memo.get(("k", 9)) == 9
-    assert memo.get(("k", 0)) is None
-    with pytest.raises(ValueError):
-        TraceMemo(capacity=0)
+def test_cached_traces_keep_nothing_derived():
+    """A fig12 grid leaves its cached traces exactly as synthesized:
+    no plan, expansion or summary hangs off them afterwards."""
+    run_fig12(warps=8, instructions_per_warp=400)
+    traces = list(TRACE_CACHE._entries.values())
+    assert traces
+    for trace in traces:
+        assert set(vars(trace)) <= {"name", "_warps", "_columnar"}, (
+            trace.name,
+            sorted(vars(trace)),
+        )
 
 
-def test_trace_memo_namespaces_model_families():
-    """Equal content keys from different model classes cannot alias."""
-
-    class _OtherBaggy(BaggyBoundsTiming):
-        pass
-
-    trace = synthesize_trace("gaussian", warps=2, instructions_per_warp=120)
-    a = expanded_columnar(trace, BaggyBoundsTiming())
-    b = expanded_columnar(trace, _OtherBaggy())
-    assert a is not b  # same ("baggy", n) key, distinct namespaces
-    assert a is expanded_columnar(trace, BaggyBoundsTiming())  # memo hit
-    assert len(trace_memo(trace)) <= TRACE_MEMO_CAPACITY
-
-
-def test_trace_memo_sweep_stays_bounded():
-    """A parameter sweep over rewriting models cannot grow the memo
-    past its cap (the historical unbounded ``_expansion_memo``)."""
-    trace = synthesize_trace("needle", warps=2, instructions_per_warp=80)
-    for n in range(1, 2 * TRACE_MEMO_CAPACITY + 2):
-        expanded_columnar(trace, BaggyBoundsTiming(instructions_per_check=n))
-    assert len(trace_memo(trace)) <= TRACE_MEMO_CAPACITY
-
-
-def test_trace_memo_ignores_legacy_attribute():
-    """Stale ``_expansion_memo`` dicts (old pickled traces) are inert."""
-    trace = synthesize_trace("nn", warps=2, instructions_per_warp=60)
-    object.__setattr__(trace, "_expansion_memo", {("baggy", 4): "stale"})
-    expanded = expanded_columnar(trace, BaggyBoundsTiming())
-    assert isinstance(expanded, ColumnarTrace)
-    assert expanded.warp_count == 2
+@pytest.mark.parametrize("mechanism", MODELS)
+def test_dropped_plan_is_collected(mechanism):
+    trace = cached_trace("needle", warps=4, instructions_per_warp=200)
+    simulator = SmSimulator(DEFAULT_GPU_CONFIG, model_factory(mechanism))
+    plan = simulator._fast_plan(trace)
+    ref = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert ref() is None
 
 
 # ----------------------------------------------------------------------
