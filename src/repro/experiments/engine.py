@@ -23,8 +23,9 @@ or one cell per dispatch on the work-stealing pool.  The
   refused to the pure-Python issue loop.
 * **Telemetry capture and replay.**  Only when its caller asks, the
   core returns each job's fast-path telemetry as a blob — the
-  ``sim.*``/``cache.*`` counters in a private registry plus the raw
-  sampled issue-run triples; it never touches the global hub.  The
+  ``sim.*``/``cache.*`` counters in a private registry plus the
+  sampled issue runs as one ``(n, 3)`` ``int64`` array of (cycle,
+  warp, run length) rows; it never touches the global hub.  The
   fabric replays each blob through
   :func:`~repro.sim.core.publish_fast_path` into the global hub in
   submission order — as soon as every earlier cell has resolved —

@@ -59,6 +59,7 @@ byte-identical across cache states.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -90,9 +91,10 @@ from .engine import (
 )
 
 #: Version tag of the on-disk cell record (bump on layout change —
-#: old entries then miss and rebuild, never misparse).  v2: the
-#: telemetry blob carries raw issue-run triples.
-CELL_SCHEMA = "repro.experiments.cell/v2"
+#: old entries then miss and rebuild, never misparse).  v3: the
+#: telemetry blob carries the sampled issue runs as one ``(n, 3)``
+#: ``int64`` array of (cycle, warp, run length) rows.
+CELL_SCHEMA = "repro.experiments.cell/v3"
 
 #: Seconds a shard polls the shared cache for a foreign cell before
 #: computing it locally (default 0: take over immediately).
@@ -202,6 +204,15 @@ def code_fingerprint() -> str:
     return _code_fp
 
 
+@functools.lru_cache(maxsize=None)
+def _expansion_repr(mechanism: str) -> str:
+    """``repr`` of *mechanism*'s instruction-expansion key, memoized per
+    name: :func:`~repro.experiments.engine.model_factory` builds every
+    mechanism with fixed defaults, and only known names are cached
+    (an unknown one raises)."""
+    return repr(model_factory(mechanism).expansion_key())
+
+
 def cell_digest(job: SimJob, config: GpuConfig) -> str:
     """Content address of one grid cell (hex SHA-256).
 
@@ -210,7 +221,7 @@ def cell_digest(job: SimJob, config: GpuConfig) -> str:
     the closure), GPU-config fingerprint, code fingerprint.  Any input
     or code change flips the digest; nothing else does.
     """
-    expansion = repr(model_factory(job.mechanism).expansion_key())
+    expansion = _expansion_repr(job.mechanism)
     raw = "|".join(
         (
             "cell/v1",

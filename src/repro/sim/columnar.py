@@ -657,7 +657,7 @@ def run_columnar(
     simulator,
     plan: IssuePlan,
     stats,
-    events: Optional[List[Tuple[int, int, int]]] = None,
+    events: Optional[List[np.ndarray]] = None,
     sample_every: int = 1,
     sample_phase: int = 0,
 ) -> int:
@@ -670,16 +670,17 @@ def run_columnar(
     :class:`~repro.sim.core.SmSimulator` and
     :class:`~repro.sim.timing.GPUShieldTiming` build them that way.
 
-    When *events* is a list, the loop appends one ``(issue_cycle,
-    warp, run_length)`` tuple per *sampled* issue run: the *k*-th run
-    issued overall is kept iff ``k % sample_every == sample_phase``.
+    When *events* is a list, the loop appends one ``(n, 3)`` ``int64``
+    array to it, with one ``(issue_cycle, warp, run_length)`` row per
+    *sampled* issue run: the *k*-th run issued overall is kept iff
+    ``k % sample_every == sample_phase``.
     The caller (``SmSimulator.run``) derives the phase from a stable
     hash of the trace name (:func:`repro.telemetry.runtime.
     sample_phase`), so the sampling comb — and therefore the recorded
     ring — is identical across processes, reruns and ``--jobs``
     values.  The native executor's generated kernels
     (:mod:`repro.sim.codegen`) apply the *same* comb to the *same* run
-    sequence, so both fast paths produce byte-identical event lists.
+    sequence, so both fast paths produce equal event arrays.
 
     Loop structure
     --------------
@@ -748,7 +749,8 @@ def run_columnar(
         )
 
     # Sampled run-issue event recording (telemetry fast path).
-    ev_append = events.append if events is not None else None
+    issued: List[Tuple[int, int, int]] = []
+    ev_append = issued.append if events is not None else None
     ev_every = sample_every
     ev_phase = sample_phase
     issue_seq = 0
@@ -1026,6 +1028,8 @@ def run_columnar(
         rc_stats = rcache.stats
         rc_stats.hits += rc_hits
         rc_stats.misses += rc_misses
+    if events is not None:
+        events.append(np.array(issued, dtype=np.int64).reshape(-1, 3))
 
     finish = 0
     for value in finals:

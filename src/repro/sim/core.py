@@ -176,10 +176,11 @@ class SmSimulator:
         telemetry is off.
 
         Counters are batch-published at end of run (never per record),
-        and the issue loops record one (cycle, warp, run_length)
-        triple per *sampled* issue run — the comb is seed-derived from
-        the trace name so the recorded ring is identical across
-        processes, batch groupings and --jobs values.
+        and the executor appends one ``(n, 3)`` ``int64`` array of
+        (cycle, warp, run_length) rows, one per *sampled* issue run, to
+        ``events`` — the comb is seed-derived from the trace name so
+        the recorded ring is identical across processes, batch
+        groupings and --jobs values.
         """
         if enabled:
             every = resolve_sample_every()
@@ -206,20 +207,23 @@ class SmSimulator:
 
     def _fast_path_blob(self, trace_name: str, stats: SimStats, events):
         """One fast-path run's telemetry as a ``(registry, trace name,
-        events)`` blob for :func:`publish_fast_path`.
+        rows)`` blob for :func:`publish_fast_path`.
 
         The registry holds the run's counter totals; its snapshot
         equals what publishing the oracle's :class:`SimStats` and L1/L2
         ``CacheStats`` under the same labels produces (locked by the
-        columnar equivalence suite).  *events* are the issue loop's
-        sampled ``(cycle, warp, run_length)`` triples, kept raw so a
-        blob is cheap to hold, pickle and store in the cell cache.
+        columnar equivalence suite).  *events* is the run's events
+        list, holding the one ``(n, 3)`` ``int64`` array of sampled
+        (cycle, warp, run_length) rows the executor appended; the blob
+        carries that array as is, so it is cheap to hold, pickle and
+        store in the cell cache.
         """
+        (rows,) = events
         registry = MetricsRegistry()
         stats.publish(registry, trace=trace_name)
         self.l1.stats.publish(registry, unit="l1", trace=trace_name)
         self.l2.stats.publish(registry, unit="l2", trace=trace_name)
-        return registry, trace_name, events
+        return registry, trace_name, rows
 
 
 def run_plans(requests: Sequence[Tuple]) -> List[int]:
@@ -239,28 +243,27 @@ def run_plans(requests: Sequence[Tuple]) -> List[int]:
     return results
 
 
+#: Payload names of a fast-path blob's row columns, in column order.
+ISSUE_COLUMNS = ("clock", "warp", "instructions")
+
+
 def publish_fast_path(blob, telem) -> None:
     """Publish one fast-path telemetry blob into hub *telem*.
 
-    Emits one :data:`~repro.telemetry.events.EventKind.WARP_ISSUE` per
-    sampled issue run (simulated issue cycle, warp index, run length),
-    then folds the run's counters into the registry.  A run publishes
-    its blob right away; the experiment fabric replays blobs captured
+    Publishes the blob's rows as one segment of
+    :data:`~repro.telemetry.events.EventKind.WARP_ISSUE` events
+    (simulated issue cycle, warp index, run length; see
+    :meth:`~repro.telemetry.runtime.Telemetry.emit_segment`), then
+    folds the run's counters into the registry.  A run publishes its
+    blob right away; the experiment fabric replays blobs captured
     elsewhere (in process, on a pool worker, in the cell cache) in
     submission order, so the hub's clock, sequence numbers and
     sampling apply identically either way.
     """
-    registry, trace_name, events = blob
-    emit = telem.emit
-    warp_issue = EventKind.WARP_ISSUE
-    for cycle, warp, length in events:
-        emit(
-            warp_issue,
-            trace=trace_name,
-            warp=warp,
-            clock=cycle,
-            instructions=length,
-        )
+    registry, trace_name, rows = blob
+    telem.emit_segment(
+        EventKind.WARP_ISSUE, rows, ISSUE_COLUMNS, trace=trace_name
+    )
     telem.registry.merge(registry)
 
 

@@ -308,12 +308,8 @@ def _commit(prep: _PreparedCell) -> int:
     dram = simulator.dram
     dram.channel_free_at[:] = prep.free_at.tolist()
 
-    events = prep.events
-    if events is not None and ev_count:
-        flat = prep.ev_buf[: ev_count * 3].tolist()
-        append = events.append
-        for i in range(0, ev_count * 3, 3):
-            append((flat[i], flat[i + 1], flat[i + 2]))
+    if prep.events is not None:
+        prep.events.append(prep.ev_buf[: ev_count * 3].reshape(ev_count, 3))
 
     plan = prep.plan
     stats = prep.stats
@@ -352,9 +348,10 @@ def run_native(
     simulator's cache/DRAM state are mutated exactly like
     :func:`repro.sim.columnar.run_columnar` mutates them, and only when
     the kernel runs.  When *events* is a list, it receives one
-    ``(issue_cycle, warp, run_length)`` triple per sampled issue run
-    (the same ``seq % every == phase`` comb as the Python loop), so the
-    C and Python fast paths produce byte-identical event lists.
+    ``(n, 3)`` ``int64`` array: a view of the kernel's event buffer
+    holding one ``(issue_cycle, warp, run_length)`` row per sampled
+    issue run (the same ``seq % every == phase`` comb as the Python
+    loop), so the C and Python fast paths produce equal arrays.
     """
     return run_native_batch(
         [(simulator, plan, stats, events, sample_every, sample_phase)]
@@ -381,7 +378,7 @@ def run_native_batch(
     loop; the refusal is recorded via :func:`note_fallback`).  All
     refusal checks — and the scheduler's scratch allocation — happen
     before any state is touched.
-    Per-trace results, state mutations and event lists are identical
+    Per-trace results, state mutations and event arrays are identical
     to ``[run_native(*r) for r in requests]``.
     """
     results: List[Optional[int]] = [None] * len(requests)

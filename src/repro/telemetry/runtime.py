@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import os
 from contextlib import contextmanager, nullcontext
-from typing import ContextManager, Iterator, Optional
+from typing import ContextManager, Iterator, Optional, Tuple
 
 from .events import EventKind, FlightRecorder, TelemetryEvent
 from .registry import Counter, MetricsRegistry
@@ -167,6 +167,25 @@ class Telemetry:
             return None
         return self.recorder.emit(kind, self.clock.now(), **payload)
 
+    def emit_segment(
+        self, kind: EventKind, rows, columns: Tuple[str, ...], /,
+        **payload: object,
+    ) -> None:
+        """Publish one event per row of *rows* (an ``(n, k)`` integer
+        array whose columns are named by *columns*): the batch twin of
+        :meth:`emit`, handed to
+        :meth:`~repro.telemetry.events.FlightRecorder.emit_segment`.
+
+        As with *n* :meth:`emit` calls, the clock is read once per row
+        while the hub is enabled, even when the recorder is not, and
+        row *i* gets the *i*-th reading.  On a :class:`WallClock` one
+        reading stands for all *n* rows.
+        """
+        if not self.enabled:
+            return
+        ts, step = self.clock.readings(len(rows))
+        self.recorder.emit_segment(kind, rows, columns, ts, step, **payload)
+
     def counter(self, name: str, **labels: object) -> Counter:
         """Registry counter accessor (valid even while disabled)."""
         return self.registry.counter(name, **labels)
@@ -187,16 +206,18 @@ class Telemetry:
         counters = sorted(
             snap["counters"].items(), key=lambda kv: (-kv[1], kv[0])
         )
+        recorder = self.recorder
         lines = [
             f"telemetry: {len(self.registry)} metrics, "
-            f"{self.recorder.emitted} events buffered "
-            f"({self.recorder.dropped} overwritten, "
-            f"{self.recorder.sampled_out} sampled out), "
+            f"{len(recorder)} events buffered "
+            f"({recorder.emitted} accepted, "
+            f"{recorder.dropped} overwritten, "
+            f"{recorder.sampled_out} sampled out), "
             f"{len(self.tracer.spans)} spans",
         ]
         for name, value in counters[:top]:
             lines.append(f"  {name} = {value}")
-        by_kind = self.recorder.counts_by_kind()
+        by_kind = recorder.counts_by_kind()
         if by_kind:
             rendered = ", ".join(f"{k}:{v}" for k, v in by_kind.items())
             lines.append(f"  events by kind: {rendered}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class LogicalClock:
@@ -33,6 +33,14 @@ class LogicalClock:
         self._now += self.step
         return self._now
 
+    def readings(self, count: int) -> Tuple[int, int]:
+        """Take *count* readings at once: ``(first, stride)``, so
+        reading *i* is ``first + i * stride`` — exactly the values
+        *count* :meth:`now` calls would return."""
+        first = self._now + self.step
+        self._now += count * self.step
+        return first, self.step
+
 
 class WallClock:
     """Real microsecond clock (perf_counter based, zeroed at creation)."""
@@ -45,6 +53,11 @@ class WallClock:
     def now(self) -> int:
         """Microseconds since the clock was created."""
         return (time.perf_counter_ns() - self._origin) // 1000
+
+    def readings(self, count: int) -> Tuple[int, int]:
+        """``(now, 0)``: one reading stands for all *count* (a batch of
+        events published at once shares its timestamp)."""
+        return self.now(), 0
 
 
 @dataclass

@@ -32,6 +32,7 @@ is what makes sharing one object between simulators safe.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -46,8 +47,14 @@ from .profiles import BenchmarkProfile, profile
 from .synthetic import synthesize_trace
 
 
+@functools.lru_cache(maxsize=256)
 def profile_fingerprint(spec: BenchmarkProfile) -> str:
-    """Stable digest of every profile field (hex SHA-256)."""
+    """Stable digest of every profile field (hex SHA-256).
+
+    Memoized on the profile's value — a frozen dataclass hashes and
+    compares by its fields — so an edited profile is a new key, never
+    a stale hit.
+    """
     rendered = ";".join(
         f"{field.name}={getattr(spec, field.name)!r}"
         for field in fields(spec)

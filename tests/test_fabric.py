@@ -23,6 +23,7 @@ Locks the contracts of :mod:`repro.experiments.fabric`:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -30,6 +31,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.cli import format_top
@@ -37,11 +39,13 @@ from repro.common.config import DEFAULT_GPU_CONFIG
 from repro.experiments import engine as engine_module
 from repro.experiments import fabric as fabric_module
 from repro.experiments import run_fig12
-from repro.experiments.engine import SimJob
+from repro.experiments.engine import SimJob, model_factory
 from repro.experiments.fabric import (
     SHARD_WAIT_ENV,
     CellCache,
     cell_digest,
+    code_fingerprint,
+    config_fingerprint,
     fabric_counters,
     reset_fabric_counters,
     resolve_cell_cache,
@@ -52,6 +56,8 @@ from repro.sim.codegen import CODEGEN_STATS
 from repro.telemetry.export import chrome_trace, metrics_json
 from repro.telemetry.progress import ProgressBoard
 from repro.telemetry.runtime import capture
+from repro.workloads.profiles import profile
+from repro.workloads.trace_cache import profile_fingerprint
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +120,34 @@ class TestCellDigest:
         before = cell_digest(_job(), DEFAULT_GPU_CONFIG)
         monkeypatch.setattr(fabric_module, "_code_fp", "0" * 64)
         assert cell_digest(_job(), DEFAULT_GPU_CONFIG) != before
+
+    def test_memoized_digest_equals_unmemoized_composition(self):
+        """The profile fingerprint and expansion-key memos change no
+        digest: each equals the composition recomputed from scratch,
+        on a first call and on memo hits alike."""
+        for benchmark in ("gaussian", "needle"):
+            for mechanism in ("baseline", "lmi", "gpushield", "baggy"):
+                job = _job(benchmark=benchmark, mechanism=mechanism)
+                spec = profile(job.benchmark)
+                trace = hashlib.sha256(
+                    f"{spec.name}|warps={job.warps}"
+                    f"|instructions={job.instructions_per_warp}"
+                    f"|salt={job.seed_salt}"
+                    f"|profile={profile_fingerprint.__wrapped__(spec)}"
+                    .encode("utf-8")
+                ).hexdigest()
+                expansion = model_factory(mechanism).expansion_key()
+                raw = "|".join((
+                    "cell/v1",
+                    trace,
+                    f"mechanism={mechanism}",
+                    f"expansion={expansion!r}",
+                    f"config={config_fingerprint(DEFAULT_GPU_CONFIG)}",
+                    f"code={code_fingerprint()}",
+                ))
+                want = hashlib.sha256(raw.encode("utf-8")).hexdigest()
+                for _ in range(2):
+                    assert cell_digest(job, DEFAULT_GPU_CONFIG) == want
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +389,32 @@ class TestByteIdentity:
         assert counts["cells_skipped"] == _CELLS - 1
         # ...and the rebuild upgraded the entry in place.
         assert cache.load(digest, want_events=True) is not None
+
+    def test_v2_record_misses_and_is_rebuilt(self, tmp_path):
+        """A record of the previous cell schema (v2: the blob's events
+        as a list of tuples) reads as a miss; the rebuild stores v3."""
+        baseline = _fig12_with_exports()
+        cache = CellCache(str(tmp_path / "cells"))
+        _fig12_with_exports(cache=cache)  # populate
+        digest = cell_digest(
+            SimJob("needle", "baggy", **_SIZES), DEFAULT_GPU_CONFIG
+        )
+        record = cache.load(digest, want_events=True)
+        registry, trace_name, rows = record["telemetry"]
+        record["schema"] = "repro.experiments.cell/v2"
+        record["telemetry"] = (
+            registry, trace_name, [tuple(row) for row in rows.tolist()]
+        )
+        cache.store(record)
+        assert cache.load(digest, want_events=True) is None
+        reset_fabric_counters()
+        assert _fig12_with_exports(cache=cache) == baseline
+        counts = fabric_counters()
+        assert counts["cells_executed"] == 1
+        assert counts["cells_skipped"] == _CELLS - 1
+        rebuilt = cache.load(digest, want_events=True)
+        assert rebuilt["schema"] == "repro.experiments.cell/v3"
+        assert np.array_equal(rebuilt["telemetry"][2], rows)
 
     def test_worker_death_redispatches_exactly_once(
         self, monkeypatch, tmp_path, kill_worker_once

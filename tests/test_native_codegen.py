@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro.common.config import DEFAULT_GPU_CONFIG
@@ -283,7 +284,9 @@ def test_batch_matches_sequential(threads):
         sim_b, _, stats_b, events_b, _, _
     ) in zip(sequential, batched):
         assert stats_a == stats_b
-        assert events_a == events_b
+        (rows_a,), (rows_b,) = events_a, events_b
+        assert rows_a.dtype == np.int64 and rows_a.shape[1:] == (3,)
+        assert np.array_equal(rows_a, rows_b)
         assert (sim_a.l1.stats.hits, sim_a.l1.stats.misses) == (
             sim_b.l1.stats.hits, sim_b.l1.stats.misses
         )

@@ -34,6 +34,7 @@ import gc
 import json
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
@@ -52,6 +53,9 @@ from repro.sim import (
     native_available,
     reference_simulate,
 )
+from repro.sim.columnar import run_columnar
+from repro.sim.core import SimStats
+from repro.sim.native import run_native
 from repro.sim.reference import ReferenceSmSimulator
 from repro.sim.timing import LmiTiming, TimingModel
 from repro.telemetry import capture, chrome_trace, dumps, metrics_json
@@ -439,6 +443,27 @@ def test_fast_path_events_native_python_identical(monkeypatch, fresh_memo):
         python_ring = ring(sample, python_loop=True)
         assert native_ring, (sample, "empty ring")
         assert native_ring == python_ring, sample
+
+
+@pytest.mark.parametrize("every, phase", [(1, 0), (7, 3)])
+def test_fast_path_event_arrays_native_python_equal(every, phase):
+    """Both executors hand a run's sampled issue runs over as one equal
+    ``(n, 3)`` int64 array of (cycle, warp, run length) rows."""
+    if not native_available():
+        pytest.skip("no C toolchain for the native executor")
+    trace = synthesize_trace("bfs", warps=6, instructions_per_warp=220)
+    arrays = []
+    for run in (run_native, run_columnar):
+        simulator = SmSimulator(model=engine_module.model_factory("lmi"))
+        plan = simulator._fast_plan(trace)
+        events = []
+        assert run(simulator, plan, SimStats(), events, every, phase)
+        (rows,) = events
+        assert rows.dtype == np.int64 and rows.shape[1:] == (3,)
+        arrays.append(rows)
+    native_rows, python_rows = arrays
+    assert len(native_rows)
+    assert np.array_equal(native_rows, python_rows)
 
 
 def test_jobs_metrics_and_trace_export_byte_identical(monkeypatch):

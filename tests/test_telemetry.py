@@ -12,17 +12,21 @@ Covers the contract the observability layer promises:
 """
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import IRType, KernelBuilder, run_lmi_pass
 from repro.common.files import publish
 from repro.exec.executor import GpuExecutor
 from repro.mechanisms.base import MechanismStats, MechanismStatsSnapshot
 from repro.mechanisms.lmi import LmiMechanism
-from repro.sim.core import SimStats, simulate
+from repro.sim.core import ISSUE_COLUMNS, SimStats, publish_fast_path, simulate
 from repro.sim.gpu import GpuSimulator
 from repro.telemetry import (
     EventKind,
@@ -42,6 +46,8 @@ from repro.telemetry.runtime import (
     resolve_sample_every,
     sample_phase,
 )
+from repro.telemetry import events as events_module
+from repro.telemetry import spans as spans_module
 from repro.telemetry.spans import LogicalClock, Tracer
 from repro.workloads import synthesize_trace
 
@@ -152,6 +158,159 @@ class TestFlightRecorder:
         event = rec.emit(EventKind.ALLOC, 1, kind="x", ts=99)
         assert event.kind is EventKind.ALLOC
         assert event.payload["kind"] == "x" and event.payload["ts"] == 99
+
+
+# ----------------------------------------------------------------------
+# Columnar segments: FlightRecorder.emit_segment must be
+# indistinguishable from the per-row Telemetry.emit loop it replaces.
+
+
+def _emit_rows(hub, kind, rows, trace):
+    """The reference: one Telemetry.emit per row, as publish_fast_path
+    replayed a blob before segments."""
+    for clock, warp, length in rows.tolist():
+        hub.emit(kind, trace=trace, warp=warp, clock=clock,
+                 instructions=length)
+
+
+def _observed(hub):
+    """Everything a reader can see of a hub's ring and clock."""
+    recorder = hub.recorder
+    events = recorder.events()
+    for event in events:
+        for value in event.payload.values():
+            assert type(value) in (int, str)  # never a NumPy scalar
+    return (
+        events,
+        json.dumps([event.as_dict() for event in events]),
+        len(recorder),
+        recorder.emitted,
+        recorder.dropped,
+        recorder.sampled_out,
+        recorder.counts_by_kind(),
+    )
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("segment"),
+                  st.sampled_from([EventKind.WARP_ISSUE, EventKind.EC_FAULT]),
+                  st.integers(0, 2**31)),
+        st.tuples(st.just("emit"),
+                  st.sampled_from([EventKind.ACCESS_CHECK,
+                                   EventKind.DETECTION])),
+        st.tuples(st.just("drain")),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=12,
+)
+
+
+class TestSegments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 64),
+        every=st.integers(1, 7),
+        recorder_enabled=st.booleans(),
+        ops=_OPS,
+        data=st.data(),
+    )
+    def test_segment_matches_per_row_emit(
+        self, capacity, every, recorder_enabled, ops, data
+    ):
+        reference = Telemetry(enabled=True, ring_capacity=capacity,
+                              sample_every=every)
+        hub = Telemetry(enabled=True, ring_capacity=capacity,
+                        sample_every=every)
+        reference.recorder.enabled = hub.recorder.enabled = recorder_enabled
+        for index, op in enumerate(ops):
+            if op[0] == "segment":
+                _, kind, seed = op
+                count = data.draw(st.integers(0, 3 * capacity), "rows")
+                rows = np.random.default_rng(seed).integers(
+                    0, 1 << 40, size=(count, 3), dtype=np.int64
+                )
+                _emit_rows(reference, kind, rows, f"t{index}")
+                if kind is EventKind.WARP_ISSUE:
+                    publish_fast_path(
+                        (MetricsRegistry(), f"t{index}", rows), hub
+                    )
+                else:
+                    hub.emit_segment(kind, rows, ISSUE_COLUMNS,
+                                     trace=f"t{index}")
+            elif op[0] == "emit":
+                for target in (reference, hub):
+                    target.emit(op[1], index=index)
+            elif op[0] == "drain":
+                assert hub.recorder.drain() == reference.recorder.drain()
+            else:
+                reference.recorder.clear()
+                hub.recorder.clear()
+            assert _observed(hub) == _observed(reference)
+        assert hub.recorder.drain() == reference.recorder.drain()
+        assert len(hub.recorder) == 0
+        assert hub.clock.now() == reference.clock.now()
+
+    def test_disabled_hub_neither_records_nor_reads_the_clock(self):
+        hub = Telemetry(enabled=False)
+        rows = np.arange(30, dtype=np.int64).reshape(10, 3)
+        publish_fast_path((MetricsRegistry(), "t", rows), hub)
+        assert len(hub.recorder) == 0 and hub.recorder.emitted == 0
+        assert hub.clock.now() == 1
+
+    def test_long_segment_keeps_its_tail(self):
+        rec = FlightRecorder(4)
+        rows = np.arange(30, dtype=np.int64).reshape(10, 3)
+        rec.emit_segment(EventKind.WARP_ISSUE, rows, ISSUE_COLUMNS, 100, 2)
+        assert (len(rec), rec.emitted, rec.dropped) == (4, 10, 6)
+        events = rec.events()
+        assert [e.seq for e in events] == [7, 8, 9, 10]
+        assert [e.ts for e in events] == [112, 114, 116, 118]
+        assert events[0].payload == {
+            "clock": 18, "warp": 19, "instructions": 20
+        }
+
+    def test_overflow_slices_the_oldest_segment(self):
+        rec = FlightRecorder(5)
+        rows = np.arange(12, dtype=np.int64).reshape(4, 3)
+        rec.emit_segment(EventKind.WARP_ISSUE, rows, ISSUE_COLUMNS, 1, 1)
+        rec.emit(EventKind.ALLOC, 5)
+        rec.emit(EventKind.ALLOC, 6)  # evicts row 0 of the segment
+        rec.emit_segment(EventKind.EC_FAULT, rows[:2], ISSUE_COLUMNS, 7, 1)
+        assert [e.seq for e in rec.events()] == [4, 5, 6, 7, 8]
+        assert rec.counts_by_kind() == {
+            "alloc": 2, "ec_fault": 2, "warp_issue": 1
+        }
+        assert rec.dropped == 3
+
+    def test_segment_rows_are_built_only_when_read(self, monkeypatch):
+        built = []
+
+        class Counting(events_module.TelemetryEvent):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0] if args else kwargs["seq"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(events_module, "TelemetryEvent", Counting)
+        rec = FlightRecorder(8, sample_every=3)
+        rows = np.zeros((300_000, 3), dtype=np.int64)
+        rec.emit_segment(EventKind.WARP_ISSUE, rows, ISSUE_COLUMNS, 0, 1)
+        assert len(rec) == 8 and rec.sampled_out == 200_000
+        assert rec.counts_by_kind() == {"warp_issue": 8}
+        assert built == []
+        assert [e.seq for e in rec.events()] == built
+        assert built == list(range(300_000 - 21, 300_001, 3))
+
+    def test_wall_clock_segment_takes_one_reading(self, monkeypatch):
+        ticks = iter(range(0, 10**9, 1000))
+        monkeypatch.setattr(spans_module.time, "perf_counter_ns",
+                            lambda: next(ticks))
+        hub = Telemetry(enabled=True, deterministic=False)
+        rows = np.arange(12, dtype=np.int64).reshape(4, 3)
+        hub.emit_segment(EventKind.WARP_ISSUE, rows, ISSUE_COLUMNS, trace="t")
+        hub.emit(EventKind.ALLOC)
+        stamps = [e.ts for e in hub.recorder.events()]
+        assert stamps == [1, 1, 1, 1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -413,6 +572,28 @@ class TestCliArtifacts:
         from repro.experiments.__main__ import main
         assert main(["--fast", "fig4", "--verbose-telemetry"]) == 0
         assert "telemetry:" in capsys.readouterr().out
+
+    def test_summary_buffered_is_the_ring_length(self, capsys, monkeypatch):
+        """fig12's warp-issue stream overflows the ring: the summary's
+        buffered figure is what the ring holds (at most its capacity),
+        and the accepted figure is ``emitted``."""
+        from repro.experiments.__main__ import main
+
+        seen = []
+        summary = Telemetry.summary
+
+        def spy(hub, *args, **kwargs):
+            recorder = hub.recorder
+            seen.append((len(recorder), recorder.capacity, recorder.emitted))
+            return summary(hub, *args, **kwargs)
+
+        monkeypatch.setattr(Telemetry, "summary", spy)
+        assert main(["--fast", "fig12", "--verbose-telemetry"]) == 0
+        match = re.search(r"(\d+) events buffered \((\d+) accepted",
+                          capsys.readouterr().out)
+        buffered, accepted = int(match[1]), int(match[2])
+        [(length, capacity, emitted)] = seen
+        assert buffered == length <= capacity < accepted == emitted
 
 
 # ----------------------------------------------------------------------
