@@ -26,12 +26,14 @@ Experiment-fabric flags (see :mod:`repro.experiments.fabric`)::
 ``--cell-cache DIR`` memoizes every completed grid cell under a
 content address covering its inputs *and* the simulation code;
 unchanged cells are skipped on rerun and their telemetry replayed
-byte-identically.  ``--shard i/N`` owns every Nth cell and polls
-the shared cache (``REPRO_SHARD_WAIT`` seconds) for the rest, so N
-processes/machines split one grid.  To continue an interrupted run,
-rerun the same command: finished cells were published as they
-completed, so the rerun recomputes exactly the missing ones.  Exports
-stay byte-identical for any (jobs × shards × cache state) combination.
+byte-identically.  Fig. 1 keeps each benchmark's region mix there too,
+so a warm rerun synthesizes no trace for it.  ``--shard i/N`` owns
+every Nth cell and polls the shared cache (``REPRO_SHARD_WAIT``
+seconds) for the rest, so N processes/machines split one grid.  To
+continue an interrupted run, rerun the same command: finished cells
+were published as they completed, so the rerun recomputes exactly the
+missing ones.  Exports stay byte-identical for any (jobs × shards ×
+cache state) combination.
 
 Observability flags (any of them switches telemetry on)::
 
@@ -108,7 +110,7 @@ Grid = Dict[str, Any]
 
 def _fig1(fast: bool, grid: Grid) -> str:
     scale = dict(warps=2, instructions_per_warp=400) if fast else {}
-    return run_fig1(**scale).format_table()
+    return run_fig1(cache=grid["cache"], **scale).format_table()
 
 
 def _fig4(fast: bool, grid: Grid) -> str:
@@ -193,7 +195,8 @@ def _parser() -> argparse.ArgumentParser:
         "--trace-cache", metavar="DIR", help="persist synthesized traces"
     )
     parser.add_argument(
-        "--cell-cache", metavar="DIR", help="memoize grid cells"
+        "--cell-cache", metavar="DIR",
+        help="memoize grid cells and Fig. 1's region mixes",
     )
     parser.add_argument(
         "--shard", metavar="I/N",

@@ -143,12 +143,18 @@ def _count(name: str, amount: int = 1) -> None:
 # Digests
 
 
+@functools.lru_cache(maxsize=256)
 def config_fingerprint(config: GpuConfig) -> str:
     """Stable digest of every GPU-config field (hex SHA-256).
 
     Hashes the frozen dataclass's ``repr``, which lists every field in
     declaration order, the nested :class:`~repro.common.config.
-    CacheConfig` levels included.
+    CacheConfig` levels included.  Memoized on the config's value, like
+    :func:`~repro.workloads.trace_cache.profile_fingerprint`: a frozen
+    dataclass hashes and compares by its fields, nested levels too, so
+    an edited field is a new key, never a stale hit.  Configs that
+    compare equal but render differently (``clock_ghz=2`` and ``2.0``)
+    share the fingerprint of whichever was seen first.
     """
     return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
 
@@ -240,6 +246,30 @@ def cell_digest(job: SimJob, config: GpuConfig) -> str:
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
+#: Version tag of a Fig. 1 region-mix record (see :func:`fig1_digest`).
+FIG1_SCHEMA = "repro.experiments.fig1/v1"
+
+
+def fig1_digest(
+    benchmark: str, warps: int, instructions_per_warp: int
+) -> str:
+    """Content address of one benchmark's Fig. 1 region mix (hex SHA-256).
+
+    A namespace of its own in the cell cache (the ``fig1/v1`` tag):
+    the trace request's content address plus the code fingerprint,
+    which covers ``workloads`` (synthesis) and ``sim``
+    (``memory_region_mix``).
+    """
+    raw = "|".join(
+        (
+            "fig1/v1",
+            request_key(benchmark, warps, instructions_per_warp),
+            f"code={code_fingerprint()}",
+        )
+    )
+    return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+
+
 # ----------------------------------------------------------------------
 # Cell cache
 
@@ -259,12 +289,13 @@ class CellCache:
 
     One file per digest: a header line ``repro-cell/v1 <sha256>``
     naming the checksum of the pickled payload that follows.  Loads
-    verify the checksum *and* that the payload's recorded digest
-    matches the requested one, so truncation, bit rot and foreign
-    files all degrade to a miss (and a rebuild) — never to wrong
-    results.  Stores publish atomically
+    verify the checksum *and* that the payload's recorded digest and
+    schema match the requested ones, so truncation, bit rot and
+    foreign files all degrade to a miss (and a rebuild) — never to
+    wrong results.  Stores publish atomically
     (:func:`~repro.common.files.publish`), safe for concurrent shard
-    processes.
+    processes.  Besides grid cells (:data:`CELL_SCHEMA`) it holds
+    Fig. 1's region mixes (:data:`FIG1_SCHEMA`, :func:`fig1_digest`).
     """
 
     _MAGIC = b"repro-cell/v1 "
@@ -287,8 +318,10 @@ class CellCache:
         *,
         want_events: bool,
         quiet: bool = False,
+        schema: str = CELL_SCHEMA,
     ) -> Optional[Dict[str, object]]:
-        """The stored record for *digest*, or None on miss/corruption.
+        """The stored *schema* record for *digest*, or None on
+        miss/corruption.
 
         A record stored without captured telemetry cannot serve a run
         that needs to replay events (*want_events*): it misses, and
@@ -296,7 +329,7 @@ class CellCache:
         stat counting (shard polling must not read as a miss storm).
         """
         path = self.path_for(digest)
-        record = self._read(path, digest)
+        record = self._read(path, digest, schema)
         if record is not None and want_events and record.get("telemetry") is None:
             record = None  # stored without events; recompute + upgrade
         if not quiet:
@@ -308,7 +341,7 @@ class CellCache:
         return record
 
     def _read(
-        self, path: str, digest: str
+        self, path: str, digest: str, schema: str
     ) -> Optional[Dict[str, object]]:
         try:
             with open(path, "rb") as handle:
@@ -316,14 +349,14 @@ class CellCache:
                 payload = handle.read()
         except OSError:
             return None
-        record = self._decode(header, payload, digest)
+        record = self._decode(header, payload, digest, schema)
         if record is None:
             with self._stats_lock:
                 self.stats.corrupt += 1
         return record
 
     def _decode(
-        self, header: bytes, payload: bytes, digest: str
+        self, header: bytes, payload: bytes, digest: str, schema: str
     ) -> Optional[Dict[str, object]]:
         """The record in one entry's bytes, or None if corrupt."""
         if not header.startswith(self._MAGIC):
@@ -339,7 +372,7 @@ class CellCache:
             return None
         if (
             not isinstance(record, dict)
-            or record.get("schema") != CELL_SCHEMA
+            or record.get("schema") != schema
             or record.get("digest") != digest
         ):
             return None  # foreign or renamed entry

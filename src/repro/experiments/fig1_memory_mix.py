@@ -7,14 +7,21 @@ categorises them.  The shapes the paper highlights:
 * *bert* and *decoding* access global memory almost exclusively;
 * *lud_cuda* and *needle* are >80 % shared-memory accesses —
   the motivating gap in GPUShield's global-only coverage.
+
+Given the run's cell cache (``--cell-cache``), each benchmark's mix is
+kept there as a small content-addressed record
+(:func:`~repro.experiments.fabric.fig1_digest`), so a warm run reads
+28 records and synthesizes nothing: synthesizing the 28 traces was
+about half of a warm run-all's wall time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..workloads import all_benchmarks, synthesize_trace
+from .fabric import FIG1_SCHEMA, CellCache, fig1_digest
 
 
 @dataclass
@@ -54,20 +61,44 @@ class Fig1Result:
         return "\n".join(lines)
 
 
+def _region_mix(
+    name: str,
+    warps: int,
+    instructions_per_warp: int,
+    cache: Optional[CellCache],
+) -> Dict[str, float]:
+    """*name*'s region mix: *cache*'s record, else synthesized (and
+    stored when there is a cache)."""
+    if cache is not None:
+        digest = fig1_digest(name, warps, instructions_per_warp)
+        record = cache.load(digest, want_events=False, schema=FIG1_SCHEMA)
+        if record is not None:
+            return record["mix"]
+    trace = synthesize_trace(
+        name, warps=warps, instructions_per_warp=instructions_per_warp
+    )
+    mix = trace.memory_region_mix()
+    if cache is not None:
+        cache.store({"schema": FIG1_SCHEMA, "digest": digest, "mix": mix})
+    return mix
+
+
 def run_fig1(
     benchmarks: Optional[Sequence[str]] = None,
     *,
     warps: int = 8,
     instructions_per_warp: int = 2000,
+    cache: Optional[CellCache] = None,
 ) -> Fig1Result:
-    """Measure the region mix of every benchmark's trace."""
+    """Measure the region mix of every benchmark's trace.
+
+    *cache* (a :class:`~repro.experiments.fabric.CellCache`, off by
+    default) serves and keeps each benchmark's mix.
+    """
     names = list(benchmarks) if benchmarks is not None else all_benchmarks()
     result = Fig1Result()
     for name in names:
-        trace = synthesize_trace(
-            name, warps=warps, instructions_per_warp=instructions_per_warp
-        )
-        mix = trace.memory_region_mix()
+        mix = _region_mix(name, warps, instructions_per_warp, cache)
         result.rows.append(
             Fig1Row(
                 benchmark=name,

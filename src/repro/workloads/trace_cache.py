@@ -20,9 +20,14 @@ content-addressed key so identical requests pay synthesis once:
   for one run.  Entries are versioned columnar ``.npz``
   containers (:func:`~repro.sim.tracefile.dump_trace_npz`), written
   with :func:`~repro.common.files.publish` so concurrent engine
-  workers can share one directory.  The layer is best-effort: a failed
-  write is dropped, and unreadable/corrupt entries fall back to
-  synthesis.  Only ``.npz`` entries are read; any other file in the
+  workers can share one directory.  Their members are stored, not
+  deflated: a run-all's 56 traces take about 25 MB instead of 4.8 MB,
+  and writing them takes about 0.1 s, where deflating took ~1.9 s,
+  more than synthesizing them.  Deflated entries from older runs
+  still load as disk hits.  The layer is best-effort: a failed
+  write is dropped, and unreadable/corrupt entries (a truncated file,
+  a member failing its CRC-32 check) fall back to synthesis and are
+  overwritten.  Only ``.npz`` entries are read; any other file in the
   directory is ignored.
 
 Traces are immutable once synthesized (a trace's columns, and the
@@ -40,6 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from ..common.errors import TraceFormatError
 from ..common.files import publish
 from ..sim.trace import KernelTrace
 from ..sim.tracefile import dump_trace_npz, load_trace_npz
@@ -197,7 +203,7 @@ class TraceCache:
             # are validated on load, so the simulator's plan decode
             # starts from those arrays.
             return load_trace_npz(path)
-        except Exception:
+        except TraceFormatError:
             return None  # corrupt/foreign entry: fall back
 
     def _disk_store(self, key: str, trace: KernelTrace) -> None:

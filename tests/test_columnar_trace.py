@@ -5,8 +5,9 @@ Locks the lossless round-trip contracts the columnar engine rests on:
 * ``KernelTrace ⇄ ColumnarTrace`` is the identity (property-based over
   randomly shaped traces, plus seeded workload traces);
 * the versioned columnar ``.npz`` container round-trips bytes-exactly,
-  refuses future format versions, and its v1 schema is locked by a
-  golden file committed under ``tests/data/``;
+  is written with stored members, refuses future format versions and
+  damaged files, and its v1 schema is locked by a golden file
+  committed under ``tests/data/``;
 * the ``np.repeat`` Baggy Bounds lowering produces exactly the
   dataclass :func:`~repro.sim.timing.expand_stream` streams, and a
   rewriting without a columnar lowering is refused;
@@ -20,6 +21,9 @@ Locks the lossless round-trip contracts the columnar engine rests on:
 
 from __future__ import annotations
 
+import io
+import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +51,14 @@ from repro.workloads import synthesize_trace
 from repro.workloads.trace_cache import TraceCache, trace_key
 from repro.workloads.profiles import profile
 
-from .trace_strategies import BAD_COLUMNS, corrupted_columns, kernel_traces
+from .trace_strategies import (
+    BAD_COLUMNS,
+    COLUMNS,
+    DAMAGED_CONTAINERS,
+    corrupted_columns,
+    damaged_container,
+    kernel_traces,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_NPZ = DATA_DIR / "golden_trace_v1.npz"
@@ -134,6 +145,36 @@ def test_npz_rejects_garbage(tmp_path):
     path.write_bytes(b"not an npz at all")
     with pytest.raises(TraceFormatError):
         load_trace_npz(path)
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_CONTAINERS))
+def test_npz_rejects_damaged_container(tmp_path, damage):
+    """Zip's own checks (a missing end record, a member failing its
+    CRC-32) surface as TraceFormatError, not zipfile.BadZipFile."""
+    trace = synthesize_trace("needle", warps=2, instructions_per_warp=50)
+    stream = io.BytesIO()
+    dump_trace_npz(trace, stream)
+    path = tmp_path / "damaged.npz"
+    path.write_bytes(
+        damaged_container(stream.getvalue(), trace.columnar, damage)
+    )
+    with pytest.raises(
+        TraceFormatError, match=re.escape(DAMAGED_CONTAINERS[damage])
+    ):
+        load_trace_npz(path)
+
+
+def test_npz_members_are_stored(tmp_path):
+    path = tmp_path / "trace.npz"
+    dump_trace_npz(
+        synthesize_trace("nn", warps=2, instructions_per_warp=40), path
+    )
+    with zipfile.ZipFile(path) as archive:
+        members = archive.infolist()
+    assert sorted(m.filename for m in members) == sorted(
+        f"{name}.npy" for name in COLUMNS + ("header",)
+    )
+    assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
 
 
 def _golden_trace() -> KernelTrace:

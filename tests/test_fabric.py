@@ -8,6 +8,9 @@ Locks the contracts of :mod:`repro.experiments.fabric`:
 * the cell cache degrades every corruption mode (truncation, garbage,
   foreign entries, telemetry-less records) to a miss-and-rebuild,
   never to wrong results;
+* Fig. 1's region mixes are cell-cache records in their own digest
+  namespace: a warm run synthesizes nothing and prints and exports
+  what the cold run did;
 * exports stay byte-identical across cache states (cold / warm /
   corrupted), worker counts, shard assignments, and worker deaths —
   the fabric's one non-negotiable invariant;
@@ -38,15 +41,18 @@ from repro.cli import format_top
 from repro.common.config import DEFAULT_GPU_CONFIG
 from repro.experiments import engine as engine_module
 from repro.experiments import fabric as fabric_module
-from repro.experiments import run_fig12
+from repro.experiments import fig1_memory_mix as fig1_module
+from repro.experiments import run_fig1, run_fig12
 from repro.experiments.engine import SimJob, model_factory
 from repro.experiments.fabric import (
+    FIG1_SCHEMA,
     SHARD_WAIT_ENV,
     CellCache,
     cell_digest,
     code_fingerprint,
     config_fingerprint,
     fabric_counters,
+    fig1_digest,
     reset_fabric_counters,
     resolve_cell_cache,
     resolve_shard,
@@ -122,32 +128,51 @@ class TestCellDigest:
         assert cell_digest(_job(), DEFAULT_GPU_CONFIG) != before
 
     def test_memoized_digest_equals_unmemoized_composition(self):
-        """The profile fingerprint and expansion-key memos change no
-        digest: each equals the composition recomputed from scratch,
-        on a first call and on memo hits alike."""
-        for benchmark in ("gaussian", "needle"):
-            for mechanism in ("baseline", "lmi", "gpushield", "baggy"):
-                job = _job(benchmark=benchmark, mechanism=mechanism)
-                spec = profile(job.benchmark)
-                trace = hashlib.sha256(
-                    f"{spec.name}|warps={job.warps}"
-                    f"|instructions={job.instructions_per_warp}"
-                    f"|salt={job.seed_salt}"
-                    f"|profile={profile_fingerprint.__wrapped__(spec)}"
-                    .encode("utf-8")
-                ).hexdigest()
-                expansion = model_factory(mechanism).expansion_key()
-                raw = "|".join((
-                    "cell/v1",
-                    trace,
-                    f"mechanism={mechanism}",
-                    f"expansion={expansion!r}",
-                    f"config={config_fingerprint(DEFAULT_GPU_CONFIG)}",
-                    f"code={code_fingerprint()}",
-                ))
-                want = hashlib.sha256(raw.encode("utf-8")).hexdigest()
-                for _ in range(2):
-                    assert cell_digest(job, DEFAULT_GPU_CONFIG) == want
+        """The profile fingerprint, expansion-key and config fingerprint
+        memos change no digest: each equals the composition recomputed
+        from scratch, on a first call and on memo hits alike."""
+        import dataclasses
+
+        configs = (
+            DEFAULT_GPU_CONFIG,
+            dataclasses.replace(
+                DEFAULT_GPU_CONFIG,
+                l1=dataclasses.replace(DEFAULT_GPU_CONFIG.l1, hit_latency=31),
+            ),
+        )
+        for config in configs:
+            fingerprint = config_fingerprint.__wrapped__(config)
+            assert fingerprint == hashlib.sha256(
+                repr(config).encode("utf-8")
+            ).hexdigest()
+            for benchmark in ("gaussian", "needle"):
+                for mechanism in ("baseline", "lmi", "gpushield", "baggy"):
+                    job = _job(benchmark=benchmark, mechanism=mechanism)
+                    spec = profile(job.benchmark)
+                    trace = hashlib.sha256(
+                        f"{spec.name}|warps={job.warps}"
+                        f"|instructions={job.instructions_per_warp}"
+                        f"|salt={job.seed_salt}"
+                        f"|profile={profile_fingerprint.__wrapped__(spec)}"
+                        .encode("utf-8")
+                    ).hexdigest()
+                    expansion = model_factory(mechanism).expansion_key()
+                    raw = "|".join((
+                        "cell/v1",
+                        trace,
+                        f"mechanism={mechanism}",
+                        f"expansion={expansion!r}",
+                        f"config={fingerprint}",
+                        f"code={code_fingerprint()}",
+                    ))
+                    want = hashlib.sha256(raw.encode("utf-8")).hexdigest()
+                    for _ in range(2):
+                        assert cell_digest(job, config) == want
+                        # An equal config that is another object hits
+                        # the memo with the same fingerprint.
+                        twin = dataclasses.replace(config)
+                        assert twin is not config
+                        assert cell_digest(job, twin) == want
 
 
 # ----------------------------------------------------------------------
@@ -525,6 +550,90 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
+# Fig. 1 region mixes: records in their own digest namespace
+
+
+_FIG1_SIZES = dict(warps=2, instructions_per_warp=100)
+
+
+def _count_syntheses(monkeypatch, refuse: bool = False) -> list:
+    """Record (or refuse) every trace synthesis `run_fig1` asks for."""
+    calls = []
+    real = fig1_module.synthesize_trace
+
+    def counted(name, **kwargs):
+        if refuse:
+            raise AssertionError(f"synthesized {name}")
+        calls.append(name)
+        return real(name, **kwargs)
+
+    monkeypatch.setattr(fig1_module, "synthesize_trace", counted)
+    return calls
+
+
+class TestFig1Records:
+    def test_warm_call_synthesizes_nothing(self, monkeypatch, tmp_path):
+        names = ["bert", "needle"]
+        uncached = run_fig1(names, **_FIG1_SIZES)
+        cache = CellCache(str(tmp_path / "cells"))
+        cold = run_fig1(names, cache=cache, **_FIG1_SIZES)
+        assert cold.rows == uncached.rows
+        assert (cache.stats.misses, cache.stats.stores) == (2, 2)
+        _count_syntheses(monkeypatch, refuse=True)
+        warm = run_fig1(names, cache=cache, **_FIG1_SIZES)
+        assert warm.rows == cold.rows
+        assert cache.stats.hits == 2
+
+    def test_trace_size_and_code_fingerprint_miss(
+        self, monkeypatch, tmp_path
+    ):
+        cache = CellCache(str(tmp_path / "cells"))
+        calls = _count_syntheses(monkeypatch)
+        run_fig1(["bert"], cache=cache, **_FIG1_SIZES)
+        run_fig1(["bert"], cache=cache, warps=3, instructions_per_warp=100)
+        run_fig1(["bert"], cache=cache, warps=2, instructions_per_warp=101)
+        monkeypatch.setattr(fabric_module, "_code_fp", "0" * 64)
+        run_fig1(["bert"], cache=cache, **_FIG1_SIZES)
+        assert calls == ["bert"] * 4
+        assert (cache.stats.hits, cache.stats.misses) == (0, 4)
+        assert len(list((tmp_path / "cells").iterdir())) == 4
+
+    def test_corrupt_record_falls_back_and_is_rewritten(
+        self, monkeypatch, tmp_path
+    ):
+        cache = CellCache(str(tmp_path / "cells"))
+        want = run_fig1(["needle"], cache=cache, **_FIG1_SIZES)
+        digest = fig1_digest("needle", **_FIG1_SIZES)
+        path = cache.path_for(digest)
+        raw = open(path, "rb").read()
+        with open(path, "wb") as handle:
+            handle.write(raw[: len(raw) // 2])
+        calls = _count_syntheses(monkeypatch)
+        assert run_fig1(["needle"], cache=cache, **_FIG1_SIZES).rows == (
+            want.rows
+        )
+        assert calls == ["needle"]
+        assert cache.stats.corrupt == 1
+        assert open(path, "rb").read() == raw  # rewritten
+        # The namespace is the record's schema too: read as a grid
+        # cell, a Fig. 1 record is not one.
+        assert cache.load(digest, want_events=False) is None
+        assert cache.load(digest, want_events=False, schema=FIG1_SCHEMA)
+
+    def test_without_a_cache_nothing_is_written(self, monkeypatch, tmp_path):
+        def untouchable(*args, **kwargs):
+            raise AssertionError("cell cache used")
+
+        monkeypatch.setattr(CellCache, "load", untouchable)
+        monkeypatch.setattr(CellCache, "store", untouchable)
+        monkeypatch.chdir(tmp_path)
+        calls = _count_syntheses(monkeypatch)
+        run_fig1(["bert", "needle"], **_FIG1_SIZES)
+        assert calls == ["bert", "needle"]
+        assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
 # The CLI's grid settings hold for one run
 
 
@@ -618,6 +727,36 @@ def test_resume_after_sigint_is_byte_identical(tmp_path):
     ])
     assert resumed.returncode == 0, resumed.stderr
     assert resumed_metrics.read_bytes() == baseline_metrics.read_bytes()
+
+
+@pytest.mark.slow
+def test_warm_fig1_and_fig12_rerun_matches_cold(tmp_path):
+    """``fig12 --fast fig1 --cell-cache C --metrics M`` twice: the warm
+    run reads every Fig. 1 record and grid cell, and prints the same
+    tables and the same metrics bytes."""
+    cells = tmp_path / "cells"
+    metrics = tmp_path / "run.metrics.json"
+    stdout, exported = [], []
+    for _ in ("cold", "warm"):
+        done = _run_cli([
+            "fig1", "--cell-cache", str(cells), "--metrics", str(metrics),
+        ])
+        assert done.returncode == 0, done.stderr
+        stdout.append(done.stdout.splitlines())
+        exported.append(metrics.read_bytes())
+    cold, warm = (
+        [line for line in lines
+         if " done in " not in line and not line.startswith("[fabric]")]
+        for lines in stdout
+    )
+    assert warm == cold
+    assert exported[1] == exported[0]
+    assert ("[fabric] total=112 executed=112 skipped=0 stolen=0 "
+            "redispatched=0") in stdout[0]
+    assert ("[fabric] total=112 executed=0 skipped=112 stolen=0 "
+            "redispatched=0") in stdout[1]
+    # 112 grid cells plus the 28 benchmarks' Fig. 1 records.
+    assert len(list(cells.iterdir())) == 112 + 28
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from repro.workloads import (
 )
 from repro.workloads.trace_cache import TRACE_CACHE
 
-from .trace_strategies import corrupted_columns
+from .trace_strategies import (
+    DAMAGED_CONTAINERS,
+    corrupted_columns,
+    damaged_container,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -124,7 +129,9 @@ def test_disk_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "corruption", ["garbage", "checked-fp", "csr-overrun", "op-code-9"]
+    "corruption",
+    ["garbage", "truncated", "bit-flip", "checked-fp", "csr-overrun",
+     "op-code-9"],
 )
 def test_corrupt_disk_entry_falls_back_to_synthesis(tmp_path, corruption):
     """A bad entry is rejected at load, not in a later plan decode."""
@@ -134,6 +141,11 @@ def test_corrupt_disk_entry_falls_back_to_synthesis(tmp_path, corruption):
     fresh = synthesize_trace("needle", warps=2, instructions_per_warp=50)
     if corruption == "garbage":
         path.write_bytes(b"not an npz")
+    elif corruption in DAMAGED_CONTAINERS:
+        dump_trace_npz(fresh, path)
+        path.write_bytes(
+            damaged_container(path.read_bytes(), fresh.columnar, corruption)
+        )
     else:
         dump_trace_npz(fresh, path)
         with np.load(path) as archive:
@@ -148,6 +160,29 @@ def test_corrupt_disk_entry_falls_back_to_synthesis(tmp_path, corruption):
     assert trace == fresh
     # The good trace replaced the corrupt file.
     assert load_trace_npz(path) == fresh
+
+
+def test_deflated_entry_is_a_disk_hit(tmp_path):
+    """An entry deflated by an older writer loads like a stored one."""
+    spec = profile("needle")
+    key = trace_key(spec, warps=2, instructions_per_warp=50)
+    path = tmp_path / f"trace-{key}.npz"
+    fresh = synthesize_trace("needle", warps=2, instructions_per_warp=50)
+    dump_trace_npz(fresh, path)
+    with np.load(path) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    np.savez_compressed(path, **payload)
+    with zipfile.ZipFile(path) as archive:
+        assert {m.compress_type for m in archive.infolist()} == {
+            zipfile.ZIP_DEFLATED
+        }
+    cache = TraceCache(disk_dir=str(tmp_path))
+    trace = cache.get_or_synthesize(
+        "needle", warps=2, instructions_per_warp=50
+    )
+    assert cache.stats.disk_hits == 1
+    assert cache.stats.disk_writes == 0
+    assert trace == fresh
 
 
 def test_foreign_pickle_rejected(tmp_path):

@@ -1,6 +1,7 @@
 """Hypothesis strategies for random kernel traces, shared by the suites
 that check the trace substrate and the simulator against its oracle,
-plus the column corruptions a trace must be rejected for."""
+plus the column corruptions and container damage a trace must be
+rejected for."""
 
 from __future__ import annotations
 
@@ -130,3 +131,21 @@ def corrupted_columns(
     columns = {name: getattr(columnar, name).copy() for name in COLUMNS}
     BAD_COLUMNS[kind][0](columns)
     return columns
+
+
+#: Damage to a whole ``.npz`` container -> the zip error it trips.
+DAMAGED_CONTAINERS: Dict[str, str] = {
+    "truncated": "File is not a zip file",
+    "bit-flip": "Bad CRC-32 for file 'ops.npy'",
+}
+
+
+def damaged_container(data: bytes, columnar: ColumnarTrace, kind: str) -> bytes:
+    """*data*, a stored ``.npz`` of *columnar*, with the *kind* of damage."""
+    if kind == "truncated":
+        return data[: len(data) // 2]
+    # Stored members hold each column's bytes verbatim: flip one of ops.
+    raw = columnar.ops.tobytes()
+    flipped = bytearray(data)
+    flipped[data.index(raw) + len(raw) // 2] ^= 0xFF
+    return bytes(flipped)
