@@ -12,8 +12,8 @@ telemetry counter totals accumulated so far, so a benchmark run leaves
 behind machine-readable observability data alongside the tables.
 
 ``record_run`` appends one structured record per benchmark to the
-versioned JSONL run ledger (``benchmarks/out/ledger.jsonl`` unless
-``REPRO_LEDGER`` overrides it) — the history that ``repro report``
+versioned JSONL run ledger (``benchmarks/out/ledger.jsonl``, the
+default ``repro report`` reads) — the history that ``repro report``
 renders as perf-trajectory sparklines and that ``repro report
 --check`` gates CI against.
 """
@@ -31,8 +31,8 @@ from repro.telemetry.runtime import TELEMETRY
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
-#: One ledger per benchmark session, lazily bound to the default path
-#: (benchmarks/out/ledger.jsonl, or REPRO_LEDGER).
+#: One ledger per benchmark session, lazily bound to
+#: benchmarks/out/ledger.jsonl.
 _LEDGER: Optional[RunLedger] = None
 _GIT_SHA: Optional[str] = None
 
@@ -49,12 +49,7 @@ def _telemetry_session():
 def _ledger() -> RunLedger:
     global _LEDGER, _GIT_SHA
     if _LEDGER is None:
-        import os
-
-        _LEDGER = RunLedger(
-            os.environ.get("REPRO_LEDGER")
-            or str(OUT_DIR / "ledger.jsonl")
-        )
+        _LEDGER = RunLedger(str(OUT_DIR / "ledger.jsonl"))
         _GIT_SHA = git_sha()
     return _LEDGER
 

@@ -54,7 +54,7 @@ import urllib.error
 import urllib.request
 from typing import Dict, List, Optional
 
-from .telemetry.ledger import RunLedger, default_ledger_path, merge_ledgers
+from .telemetry.ledger import DEFAULT_LEDGER_PATH, RunLedger, merge_ledgers
 from .telemetry.report import (
     DEFAULT_MIN_HISTORY,
     DEFAULT_REGRESSION_THRESHOLD,
@@ -119,7 +119,7 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     report.add_argument(
-        "--ledger", default=default_ledger_path(), metavar="PATH",
+        "--ledger", default=DEFAULT_LEDGER_PATH, metavar="PATH",
         help="run ledger file or segment directory (default %(default)s)",
     )
     report.add_argument(

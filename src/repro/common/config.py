@@ -9,9 +9,18 @@ extent-bit width, OCU pipeline depth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
 
 from .bitops import is_power_of_two, log2_exact
 from .errors import ConfigurationError
+
+
+def _require_counts(config: object, names: Tuple[str, ...]) -> None:
+    """Raise unless each field of *config* in *names* is at least 1."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -24,14 +33,15 @@ class CacheConfig:
     hit_latency: int = 30
 
     def __post_init__(self) -> None:
+        _require_counts(
+            self, ("size_bytes", "line_bytes", "ways", "hit_latency")
+        )
         if not is_power_of_two(self.line_bytes):
             raise ConfigurationError("cache line size must be a power of two")
         if self.size_bytes % (self.line_bytes * self.ways) != 0:
             raise ConfigurationError(
                 "cache size must be a multiple of line_bytes * ways"
             )
-        if self.hit_latency <= 0:
-            raise ConfigurationError("hit latency must be positive")
 
     @property
     def num_sets(self) -> int:
@@ -69,8 +79,14 @@ class GpuConfig:
     dram_bandwidth_bytes_per_cycle: int = 256
 
     def __post_init__(self) -> None:
-        if self.num_sms <= 0 or self.warp_size <= 0:
-            raise ConfigurationError("SM count and warp size must be positive")
+        _require_counts(
+            self,
+            (
+                "num_sms", "warps_per_scheduler", "schedulers_per_sm",
+                "warp_size", "dram_latency", "dram_bytes", "dram_channels",
+                "dram_bandwidth_bytes_per_cycle",
+            ),
+        )
         if self.clock_ghz <= 0:
             raise ConfigurationError("clock must be positive")
 

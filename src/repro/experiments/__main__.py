@@ -46,9 +46,8 @@ Observability flags (any of them switches telemetry on)::
 SHA, config, ``sim.*`` counter deltas, throughput, wall time, phase
 attribution) to the JSONL run ledger consumed by ``repro report`` /
 ``repro report --check``.  Telemetry stays on the fast columnar/native
-engines; ``REPRO_TELEMETRY_SAMPLE=1/N`` thins the recorded warp-issue
-events deterministically (seed-derived phase, identical for any
-``--jobs``).
+engines, which record one warp-issue event per issued run (identical
+for any ``--jobs``).
 
 Live observability (the in-flight view)::
 
@@ -65,11 +64,11 @@ finish, so scrapers racing a short run still get their snapshot.
 
 Flags are parsed with ``argparse`` (``--help`` lists them) and
 experiment names may sit anywhere between them.  An unknown flag, a
-malformed value, or a malformed ``REPRO_SHARD_WAIT``,
-``REPRO_SERVE_LINGER`` or ``REPRO_LEDGER_MAX_MB`` exits 2 before any
-experiment runs.  The flags hold for one run: :func:`main` hands the
-cell cache and shard to the drivers as arguments and restores the
-trace cache's disk layer when it returns.
+malformed value, or a malformed ``REPRO_SHARD_WAIT`` or
+``REPRO_SERVE_LINGER`` exits 2 before any experiment runs.  The flags
+hold for one run: :func:`main` hands the cell cache and shard to the
+drivers as arguments and restores the trace cache's disk layer when it
+returns.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from ..telemetry.export import write_chrome_trace, write_metrics
-from ..telemetry.ledger import RunLedger, git_sha, ledger_max_bytes
+from ..telemetry.ledger import RunLedger, git_sha
 from ..telemetry.progress import PROGRESS
 from ..telemetry.runtime import TELEMETRY
 from ..telemetry.server import ObservabilityServer
@@ -255,9 +254,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # --help (0) or a usage error (2)
         return exc.code
     try:
-        # Read again by the grid and the ledger; fail before they run.
+        # Read again by the grid; fail before it runs.
         shard_wait_seconds()
-        ledger_max_bytes()
         linger = env_seconds(SERVE_LINGER_ENV)
         shard = resolve_shard(options.shard)
     except ValueError as exc:

@@ -23,8 +23,8 @@ or one cell per dispatch on the work-stealing pool.  The
   refused to the pure-Python issue loop.
 * **Telemetry capture and replay.**  Only when its caller asks, the
   core returns each job's fast-path telemetry as a blob — the
-  ``sim.*``/``cache.*`` counters in a private registry plus the
-  sampled issue runs as one ``(n, 3)`` ``int64`` array of (cycle,
+  ``sim.*``/``cache.*`` counters in a private registry plus its
+  issue runs as one ``(n, 3)`` ``int64`` array of (cycle,
   warp, run length) rows; it never touches the global hub.  The
   fabric replays each blob through
   :func:`~repro.sim.core.publish_fast_path` into the global hub in
@@ -75,21 +75,6 @@ from ..workloads.trace_cache import TRACE_CACHE
 
 if TYPE_CHECKING:  # fabric imports this module at its top level
     from .fabric import CellCache
-
-#: Environment variable disabling per-job trace waterfalls (they are
-#: diagnostics-only and cheap — one id mint plus a few dict writes per
-#: job — so they default on).
-TRACE_DISABLE_ENV = "REPRO_TRACE_DISABLE"
-
-
-def _tracing_enabled() -> bool:
-    return os.environ.get(TRACE_DISABLE_ENV, "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
 
 def model_factory(name: str) -> TimingModel:
     """Fresh timing model by mechanism name."""
@@ -206,18 +191,15 @@ def execute_group(
     else:
         group_traces = [traces[request] for request in requests]
     trace_seconds = (time.perf_counter() - started) / len(jobs)
-    # One run_plans request per job: (simulator, plan, stats, events,
-    # sample_every, sample_phase).
+    # One run_plans request per job: (simulator, plan, stats, events).
     batch = []
     job_phases: List[Dict[str, float]] = []
     for job, trace in zip(jobs, group_traces):
         started = time.perf_counter()
         simulator = SmSimulator(config, model_factory(job.mechanism))
         plan = simulator._fast_plan(trace)
-        events, every, phase = simulator._fast_telemetry(
-            trace, telemetry_wanted
-        )
-        batch.append((simulator, plan, SimStats(), events, every, phase))
+        events = [] if telemetry_wanted else None
+        batch.append((simulator, plan, SimStats(), events))
         job_phases.append(
             {
                 "trace_expand": trace_seconds,
@@ -232,7 +214,7 @@ def execute_group(
     for job, trace, request, phases, cycles in zip(
         jobs, group_traces, batch, job_phases, cycles_list
     ):
-        simulator, plan, stats, events = request[:4]
+        simulator, plan, stats, events = request
         phases["sim"] = sim_seconds * plan.total_instructions / weight
         blob = None
         if events is not None:
@@ -291,11 +273,10 @@ def run_sim_jobs(
     job_ids = [
         board.job_queued(job.benchmark, job.mechanism) for job in job_list
     ]
-    # One deterministic trace id per submitted job (diagnostics only;
-    # the ids land in the in-memory trace store, never the exports).
-    trace_ids: Optional[List[Optional[str]]] = (
-        [new_trace_id() for _ in job_list] if _tracing_enabled() else None
-    )
+    # One deterministic trace id per submitted job (diagnostics only,
+    # and cheap: one id mint plus a few dict writes per job; the ids
+    # land in the in-memory trace store, never the exports).
+    trace_ids = [new_trace_id() for _ in job_list]
     # Imported lazily: fabric imports this module at its top level.
     from .fabric import run_grid
 
@@ -315,7 +296,6 @@ def run_sim_jobs(
 __all__ = [
     "SimJob",
     "JobResult",
-    "TRACE_DISABLE_ENV",
     "execute_group",
     "model_factory",
     "run_jobs_batched",

@@ -92,7 +92,7 @@ from .engine import (
 
 #: Version tag of the on-disk cell record (bump on layout change —
 #: old entries then miss and rebuild, never misparse).  v3: the
-#: telemetry blob carries the sampled issue runs as one ``(n, 3)``
+#: telemetry blob carries the cell's issue runs as one ``(n, 3)``
 #: ``int64`` array of (cycle, warp, run length) rows.
 CELL_SCHEMA = "repro.experiments.cell/v3"
 
@@ -699,7 +699,7 @@ def run_grid(
     board,
     cache: Optional[CellCache],
     shard: Optional[Tuple[int, int]],
-    trace_ids: Optional[Sequence[Optional[str]]] = None,
+    trace_ids: Sequence[str],
 ) -> List[JobResult]:
     """Run one grid through the fabric; results in submission order.
 
@@ -780,7 +780,7 @@ def run_grid(
                 telemetry_wanted,
             )
             for index, (result, blob) in zip(group, executed):
-                result.trace_id = trace_ids[index] if trace_ids else None
+                result.trace_id = trace_ids[index]
                 if cache is not None:
                     cache.store(
                         _make_cell_record(
@@ -829,7 +829,7 @@ def run_grid(
                 index,
                 job_list[index],
                 digests[index],
-                trace_ids[index] if trace_ids else None,
+                trace_ids[index],
             )
             for index in owned
         ]

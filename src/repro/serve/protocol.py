@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Dict, Optional
 
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
@@ -98,15 +99,39 @@ def _require_int(
     return value
 
 
+def _check_override(where: str, value: object, default: object) -> None:
+    """Reject an override whose JSON type cannot be its field's.
+
+    Integer fields take JSON integers only: no booleans, strings,
+    fractions or nulls.  The one float field, ``clock_ghz``, takes any
+    finite positive number.  Integer ranges are checked by the config
+    dataclasses themselves.
+    """
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise RequestError(f"{where} must be an integer, got {value!r}")
+    elif (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value < math.inf
+    ):
+        raise RequestError(
+            f"{where} must be a positive number, got {value!r}"
+        )
+
+
 def build_config(overrides: Optional[Dict[str, object]]) -> GpuConfig:
     """The effective GpuConfig: defaults + request overrides.
 
     Nested ``l1``/``l2`` dicts rebuild the corresponding
     :class:`~repro.common.config.CacheConfig` with
     ``dataclasses.replace``; every other key must name a ``GpuConfig``
-    field.  Semantic violations (``ConfigurationError`` from the
-    frozen dataclasses' validators) surface as :class:`RequestError` —
-    the client asked for an impossible machine, not us.
+    field.  Each value must have its field's type
+    (:func:`_check_override`).  Semantic violations
+    (``ConfigurationError`` from the frozen dataclasses' validators,
+    such as a count below 1) surface as :class:`RequestError` — the
+    client asked for an impossible machine, not us.  Every error names
+    the field.
     """
     if overrides is None:
         return DEFAULT_GPU_CONFIG
@@ -127,15 +152,22 @@ def build_config(overrides: Optional[Dict[str, object]]) -> GpuConfig:
                     f"unknown config.{key} field(s): {sorted(unknown)}"
                 )
             base = getattr(DEFAULT_GPU_CONFIG, key)
+            for name, field_value in value.items():
+                _check_override(
+                    f"config.{key}.{name}", field_value, getattr(base, name)
+                )
             try:
                 kwargs[key] = dataclasses.replace(base, **value)
-            except (ConfigurationError, TypeError) as exc:
+            except ConfigurationError as exc:
                 raise RequestError(f"invalid config.{key}: {exc}") from None
         else:
+            _check_override(
+                f"config.{key}", value, getattr(DEFAULT_GPU_CONFIG, key)
+            )
             kwargs[key] = value
     try:
         return dataclasses.replace(DEFAULT_GPU_CONFIG, **kwargs)
-    except (ConfigurationError, TypeError) as exc:
+    except ConfigurationError as exc:
         raise RequestError(f"invalid config: {exc}") from None
 
 

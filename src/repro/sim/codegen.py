@@ -90,8 +90,8 @@ CACHE_ENV = "REPRO_NATIVE_CACHE"
 #: buffer, output block) — one uniform ABI for every generated cell.
 NPTRS = 29
 
-#: Scalar slots per cell: warp_count, ev_every, ev_phase, ev_cap.
-NSCALARS = 4
+#: Scalar slots per cell: warp_count, ev_cap.
+NSCALARS = 2
 
 #: ``int64`` output slots per cell: 13 result counters (matching the
 #: historical fixed kernel) plus a status word.
@@ -254,9 +254,7 @@ def _unpack_block(spec: CellSpec) -> str:
         "    int64_t *ev_buf = (int64_t *)pp[27];",
         "    int64_t *out = (int64_t *)pp[28];",
         "    const int64_t warp_count = sc[0];",
-        "    const int64_t ev_every = sc[1];",
-        "    const int64_t ev_phase = sc[2];",
-        "    const int64_t ev_cap = sc[3];",
+        "    const int64_t ev_cap = sc[1];",
     ]
     return "\n".join(lines)
 
@@ -266,7 +264,7 @@ def _counter_block(spec: CellSpec) -> str:
         "    int64_t live = 0, clock = 0, next_wake = NEVER, stall = 0;",
         "    int64_t l1h = 0, l1m = 0, l2h = 0, l2m = 0;",
         "    int64_t dreq = 0, dqd = 0;",
-        "    int64_t ev_seq = 0, ev_n = 0;",
+        "    int64_t ev_n = 0;",
         "    int64_t w;",
     ]
     if spec.has_probes:
@@ -359,7 +357,7 @@ def _probe_final_block(spec: CellSpec) -> str:
 
 
 def _issue_body(spec: CellSpec) -> str:
-    """One issue-slot body: sampled event, memory walk, retire.
+    """One issue-slot body: issue event, memory walk, retire.
 
     Identical in semantics to the Python issue loop — latencies and
     way counts are the only things folded to literals.
@@ -372,15 +370,12 @@ def _issue_body(spec: CellSpec) -> str:
             int64_t hi = run_mem_hi[ri];
             int64_t complete;
 
-            if (ev_buf) {{
-                if (ev_seq % ev_every == ev_phase && ev_n < ev_cap) {{
-                    int64_t eb = ev_n * 3;
-                    ev_buf[eb] = clock;
-                    ev_buf[eb + 1] = w;
-                    ev_buf[eb + 2] = length;
-                    ev_n++;
-                }}
-                ev_seq++;
+            if (ev_buf && ev_n < ev_cap) {{
+                int64_t eb = ev_n * 3;
+                ev_buf[eb] = clock;
+                ev_buf[eb + 1] = w;
+                ev_buf[eb + 2] = length;
+                ev_n++;
             }}
 
             if (lo != hi) {{

@@ -658,8 +658,6 @@ def run_columnar(
     plan: IssuePlan,
     stats,
     events: Optional[List[np.ndarray]] = None,
-    sample_every: int = 1,
-    sample_phase: int = 0,
 ) -> int:
     """Simulate *plan* on *simulator*: the generated kernel's Python twin.
 
@@ -672,15 +670,9 @@ def run_columnar(
 
     When *events* is a list, the loop appends one ``(n, 3)`` ``int64``
     array to it, with one ``(issue_cycle, warp, run_length)`` row per
-    *sampled* issue run: the *k*-th run issued overall is kept iff
-    ``k % sample_every == sample_phase``.
-    The caller (``SmSimulator.run``) derives the phase from a stable
-    hash of the trace name (:func:`repro.telemetry.runtime.
-    sample_phase`), so the sampling comb — and therefore the recorded
-    ring — is identical across processes, reruns and ``--jobs``
-    values.  The native executor's generated kernels
-    (:mod:`repro.sim.codegen`) apply the *same* comb to the *same* run
-    sequence, so both fast paths produce equal event arrays.
+    issued run, in issue order.  The native executor's generated
+    kernels (:mod:`repro.sim.codegen`) record the same rows for the
+    same run sequence, so both fast paths produce equal event arrays.
 
     Loop structure
     --------------
@@ -748,12 +740,9 @@ def run_columnar(
             plan.probe_mch,
         )
 
-    # Sampled run-issue event recording (telemetry fast path).
+    # Run-issue event recording (telemetry fast path).
     issued: List[Tuple[int, int, int]] = []
     ev_append = issued.append if events is not None else None
-    ev_every = sample_every
-    ev_phase = sample_phase
-    issue_seq = 0
 
     # Warp w issues run ridx[w] next and retires after run_end[w] - 1.
     ridx = run_start[:-1]
@@ -823,9 +812,7 @@ def run_columnar(
         length, comp_delta, mem_lo, mem_hi = run_rows[ri]
 
         if ev_append is not None:
-            if issue_seq % ev_every == ev_phase:
-                ev_append((clock, w, length))
-            issue_seq += 1
+            ev_append((clock, w, length))
 
         if mem_lo != mem_hi:
             # Stateful portion: walk the run's global/local memory

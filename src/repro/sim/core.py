@@ -43,7 +43,7 @@ from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
 from ..common.errors import SimulationError
 from ..telemetry import EventKind
 from ..telemetry.registry import MetricsRegistry
-from ..telemetry.runtime import TELEMETRY, resolve_sample_every, sample_phase
+from ..telemetry.runtime import TELEMETRY
 from .cache import ArrayLruCache
 from .columnar import plan_for, run_columnar
 from .dram import DramModel
@@ -135,8 +135,8 @@ class SmSimulator:
 
     Every run takes the fast path described in the module docstring.
     With telemetry enabled it batch-publishes the run's ``sim.*`` and
-    ``cache.*`` counters at end of run and records sampled run-issue
-    events (``REPRO_TELEMETRY_SAMPLE``).
+    ``cache.*`` counters at end of run and records one event per
+    issued run.
     """
 
     def __init__(
@@ -170,23 +170,6 @@ class SmSimulator:
             raise SimulationError("trace has no warps")
         return plan
 
-    def _fast_telemetry(self, trace: KernelTrace, enabled: bool):
-        """Fast-path telemetry decisions for one run: ``(events,
-        sample_every, sample_phase)``, with ``events`` None when
-        telemetry is off.
-
-        Counters are batch-published at end of run (never per record),
-        and the executor appends one ``(n, 3)`` ``int64`` array of
-        (cycle, warp, run_length) rows, one per *sampled* issue run, to
-        ``events`` — the comb is seed-derived from the trace name so
-        the recorded ring is identical across processes, batch
-        groupings and --jobs values.
-        """
-        if enabled:
-            every = resolve_sample_every()
-            return [], every, sample_phase(trace.name, every)
-        return None, 1, 0
-
     def run(self, trace: KernelTrace) -> SimResult:
         """Simulate *trace* to completion; returns cycles and stats."""
         return self._run_plan(trace, self._fast_plan(trace))
@@ -197,8 +180,9 @@ class SmSimulator:
         benchmarks time runs without their decode this way)."""
         stats = SimStats()
         telem = TELEMETRY
-        events, every, phase = self._fast_telemetry(trace, telem.enabled)
-        (cycles,) = run_plans([(self, plan, stats, events, every, phase)])
+        # The executor appends its issue-run rows here (telemetry on).
+        events = [] if telem.enabled else None
+        (cycles,) = run_plans([(self, plan, stats, events)])
         if events is not None:
             publish_fast_path(
                 self._fast_path_blob(trace.name, stats, events), telem
@@ -213,7 +197,7 @@ class SmSimulator:
         equals what publishing the oracle's :class:`SimStats` and L1/L2
         ``CacheStats`` under the same labels produces (locked by the
         columnar equivalence suite).  *events* is the run's events
-        list, holding the one ``(n, 3)`` ``int64`` array of sampled
+        list, holding the one ``(n, 3)`` ``int64`` array of
         (cycle, warp, run_length) rows the executor appended; the blob
         carries that array as is, so it is cheap to hold, pickle and
         store in the cell cache.
@@ -230,7 +214,7 @@ def run_plans(requests: Sequence[Tuple]) -> List[int]:
     """Execute issue plans; one finish cycle per request.
 
     *requests* are :func:`~repro.sim.native.run_native_batch` tuples,
-    ``(simulator, plan, stats, events, sample_every, sample_phase)``.
+    ``(simulator, plan, stats, events)``.
     The whole batch goes to the generated C kernels at once, and every
     plan they refuse (no toolchain, compile failure, kernel error)
     runs on the pure-Python :func:`~repro.sim.columnar.run_columnar`

@@ -194,12 +194,7 @@ class _PreparedCell:
 
 
 def _prepare(
-    simulator,
-    plan,
-    stats,
-    events: Optional[list],
-    sample_every: int,
-    sample_phase: int,
+    simulator, plan, stats, events: Optional[list]
 ) -> _PreparedCell:
     """Export state and build the pointer slab for one trace.
 
@@ -214,7 +209,7 @@ def _prepare(
     free_at = np.asarray(simulator.dram.channel_free_at, dtype=np.int64)
     out = np.zeros(OUT_SLOTS, dtype=np.int64)
     if events is not None:
-        ev_cap = int(plan.run_start[-1]) // sample_every + 1
+        ev_cap = int(plan.run_start[-1])  # one row per issued run
         ev_buf = np.empty(ev_cap * 3, dtype=np.int64)
         ev_addr = ev_buf.ctypes.data
     else:
@@ -236,10 +231,7 @@ def _prepare(
     slab[26] = free_at.ctypes.data
     slab[27] = ev_addr
     slab[28] = out.ctypes.data
-    scalars = np.array(
-        [plan.warp_count, sample_every, sample_phase, ev_cap],
-        dtype=np.int64,
-    )
+    scalars = np.array([plan.warp_count, ev_cap], dtype=np.int64)
     return _PreparedCell(
         simulator=simulator,
         plan=plan,
@@ -335,12 +327,7 @@ def _commit(prep: _PreparedCell) -> int:
 
 
 def run_native(
-    simulator,
-    plan,
-    stats,
-    events: Optional[List] = None,
-    sample_every: int = 1,
-    sample_phase: int = 0,
+    simulator, plan, stats, events: Optional[List] = None
 ) -> Optional[int]:
     """Run *plan* through its generated kernel; ``None`` → Python loop.
 
@@ -349,13 +336,11 @@ def run_native(
     :func:`repro.sim.columnar.run_columnar` mutates them, and only when
     the kernel runs.  When *events* is a list, it receives one
     ``(n, 3)`` ``int64`` array: a view of the kernel's event buffer
-    holding one ``(issue_cycle, warp, run_length)`` row per sampled
-    issue run (the same ``seq % every == phase`` comb as the Python
-    loop), so the C and Python fast paths produce equal arrays.
+    holding one ``(issue_cycle, warp, run_length)`` row per issued
+    run, as the Python loop records them, so the C and Python fast
+    paths produce equal arrays.
     """
-    return run_native_batch(
-        [(simulator, plan, stats, events, sample_every, sample_phase)]
-    )[0]
+    return run_native_batch([(simulator, plan, stats, events)])[0]
 
 
 def run_native_batch(
@@ -363,14 +348,13 @@ def run_native_batch(
 ) -> List[Optional[int]]:
     """Run many traces natively with one FFI crossing per cell group.
 
-    *requests* is a sequence of ``(simulator, plan, stats, events,
-    sample_every, sample_phase)`` tuples — the :func:`run_native`
-    signature, one per trace.  Requests are grouped by codegen cell;
-    each group crosses the FFI once and, when the cell was compiled
-    with OpenMP/pthread support, fans out over
-    :func:`~repro.sim.codegen.resolve_threads` threads (*threads*
-    overrides).  Simulators must be distinct objects — the kernels
-    mutate exported cache state concurrently.
+    *requests* is a sequence of ``(simulator, plan, stats, events)``
+    tuples — the :func:`run_native` signature, one per trace.
+    Requests are grouped by codegen cell; each group crosses the FFI
+    once and, when the cell was compiled with OpenMP/pthread support,
+    fans out over :func:`~repro.sim.codegen.resolve_threads` threads
+    (*threads* overrides).  Simulators must be distinct objects — the
+    kernels mutate exported cache state concurrently.
 
     Returns one finish-cycle (or ``None`` for any trace whose cell is
     unavailable or whose kernel refused —

@@ -42,10 +42,10 @@ ones.
 Growth cap
 ----------
 The ledger is append-only but not unbounded: when an append pushes the
-file past ``REPRO_LEDGER_MAX_MB`` (default 64, 0 disables) it is
-compacted in place to the **newest** records fitting half the cap —
-published with :func:`~repro.common.files.publish` under the appends'
-lock, so readers see either the old or the new file and no record
+file past :data:`LEDGER_MAX_BYTES` (64 MiB) it is compacted in place
+to the **newest** records fitting half the cap — published with
+:func:`~repro.common.files.publish` under the appends' lock, so
+readers see either the old or the new file and no record
 appended meanwhile is lost.  Compacting to half the cap keeps the
 amortized cost O(1) per append instead of recompacting on every write
 at the boundary.
@@ -73,7 +73,6 @@ segments safe to rsync mid-run.
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
 import uuid
@@ -87,44 +86,14 @@ from ..common.files import append_line, locked, publish
 #: Version tag stamped into (and required of) every ledger record.
 LEDGER_SCHEMA = "repro.telemetry.ledger/v1"
 
-#: Environment variable overriding the default ledger location.
-LEDGER_ENV = "REPRO_LEDGER"
+#: Growth cap in bytes: an append that pushes the ledger past it
+#: compacts the file (or, in segment mode, the directory) to half.
+#: Read at each append, so tests can shrink it.
+LEDGER_MAX_BYTES = 64 * 1024 * 1024
 
-#: Environment variable bounding the ledger file size in MiB
-#: (fractions allowed; ``0`` disables rotation).
-LEDGER_MAX_MB_ENV = "REPRO_LEDGER_MAX_MB"
-
-#: Default growth cap in MiB.
-DEFAULT_LEDGER_MAX_MB = 64.0
-
-#: Default on-disk location (shared with the benchmark artifacts).
+#: On-disk location of a :class:`RunLedger` given no path (shared
+#: with the benchmark artifacts).
 DEFAULT_LEDGER_PATH = os.path.join("benchmarks", "out", "ledger.jsonl")
-
-
-def default_ledger_path() -> str:
-    """The ledger path: ``REPRO_LEDGER`` or the benchmarks/out default."""
-    return os.environ.get(LEDGER_ENV) or DEFAULT_LEDGER_PATH
-
-
-def ledger_max_bytes() -> int:
-    """The rotation threshold in bytes (0 = rotation disabled).
-
-    Reads ``REPRO_LEDGER_MAX_MB``.  Anything but a finite number >= 0
-    raises, so a typo such as ``lots`` fails loudly instead of silently
-    reading as the default.
-    """
-    raw = os.environ.get(LEDGER_MAX_MB_ENV, "").strip()
-    if not raw:
-        return int(DEFAULT_LEDGER_MAX_MB * 1024 * 1024)
-    try:
-        megabytes = float(raw)
-    except ValueError:
-        megabytes = math.nan
-    if not 0.0 <= megabytes < math.inf:
-        raise ValueError(
-            f"invalid {LEDGER_MAX_MB_ENV} value {raw!r} (expected MiB >= 0)"
-        )
-    return int(megabytes * 1024 * 1024)
 
 
 def git_sha(cwd: Optional[str] = None) -> str:
@@ -238,7 +207,7 @@ class RunLedger:
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path if path is not None else default_ledger_path()
+        self.path = path if path is not None else DEFAULT_LEDGER_PATH
         self.segmented = self.path.endswith(os.sep) or os.path.isdir(
             self.path
         )
@@ -280,7 +249,7 @@ class RunLedger:
         """Compact to the newest records when the size cap is hit.
 
         Keeps the newest valid lines whose total size fits half of
-        ``REPRO_LEDGER_MAX_MB`` (so rotations amortize instead of
+        :data:`LEDGER_MAX_BYTES` (so rotations amortize instead of
         firing on every append at the boundary) and publishes the
         compacted file atomically.  Compaction holds the lock appends
         take, so a record appended meanwhile waits and lands in the
@@ -288,9 +257,7 @@ class RunLedger:
         foreign-schema lines are dropped during compaction — they
         carry no replayable history.
         """
-        max_bytes = ledger_max_bytes()
-        if max_bytes <= 0:
-            return
+        max_bytes = LEDGER_MAX_BYTES
         if self.segmented:
             self._rotate_segments(max_bytes)
             return
@@ -469,9 +436,8 @@ def merge_ledgers(
 
 __all__ = [
     "LEDGER_SCHEMA",
-    "LEDGER_ENV",
+    "LEDGER_MAX_BYTES",
     "DEFAULT_LEDGER_PATH",
-    "default_ledger_path",
     "git_sha",
     "make_record",
     "merge_ledgers",

@@ -440,8 +440,7 @@ def _overhead_section(bench_docs: Dict[str, Dict]) -> List[str]:
         cls = "ok" if pct <= budget else "fail"
         lines.append(
             f'<p>Telemetry overhead (metrics on): <span class="{cls}">'
-            f"{pct:.2f}%</span> of a {budget:.0f}% budget "
-            f"(sampling {_esc(overhead.get('sample', '1'))}).</p>"
+            f"{pct:.2f}%</span> of a {budget:.0f}% budget.</p>"
         )
     return lines
 

@@ -28,70 +28,12 @@ afterwards.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from contextlib import contextmanager, nullcontext
 from typing import ContextManager, Iterator, Optional, Tuple
 
 from .events import EventKind, FlightRecorder, TelemetryEvent
 from .registry import Counter, MetricsRegistry
 from .spans import LogicalClock, Tracer, WallClock
-
-#: Environment variable controlling fast-path event sampling.  The
-#: columnar issue loop and the native C executor record one
-#: ``WARP_ISSUE`` event per scheduler run; ``REPRO_TELEMETRY_SAMPLE``
-#: (``"1/N"`` or plain ``"N"``) keeps every Nth of those.  Unset or
-#: ``"1"`` keeps all of them.  The *phase* of the sampling comb is
-#: derived from a stable hash of the trace name (see
-#: :func:`sample_phase`), so the same seeded workload yields the same
-#: event ring in every process — across reruns and ``--jobs`` values.
-SAMPLE_ENV = "REPRO_TELEMETRY_SAMPLE"
-
-
-def resolve_sample_every(
-    choice: Optional[str] = None, default: int = 1
-) -> int:
-    """Keep-every-N sampling interval for fast-path scheduler events.
-
-    ``None`` consults ``REPRO_TELEMETRY_SAMPLE``; an unset or empty
-    variable returns *default*.  Accepted spellings are ``"1/N"``
-    (keep one in N) and plain ``"N"``; anything else raises
-    :class:`ValueError` so typos fail loudly instead of silently
-    changing what gets recorded.
-    """
-    if choice is None:
-        choice = os.environ.get(SAMPLE_ENV, "")
-    raw = choice.strip()
-    if not raw:
-        return default
-    try:
-        if "/" in raw:
-            numerator, denominator = raw.split("/", 1)
-            if int(numerator) != 1:
-                raise ValueError
-            every = int(denominator)
-        else:
-            every = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid {SAMPLE_ENV} value {raw!r} (expected '1/N' or 'N')"
-        ) from None
-    if every < 1:
-        raise ValueError(f"{SAMPLE_ENV} must keep at least 1/N with N >= 1")
-    return every
-
-
-def sample_phase(key: str, every: int) -> int:
-    """Deterministic sampling-comb offset in ``[0, every)`` for *key*.
-
-    Uses SHA-256 (not ``hash``) so the phase is stable across
-    processes and ``PYTHONHASHSEED`` values — a requirement for the
-    byte-identical ``--jobs`` contract.
-    """
-    if every <= 1:
-        return 0
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % every
 
 
 class Telemetry:

@@ -1,9 +1,9 @@
 """Per-request trace context: deterministic IDs, contextvar
 propagation, and an in-memory waterfall store.
 
-Every served request (and, when enabled, every experiment-engine job)
-gets a **trace id** — ``rtx-`` + 16 hex chars, derived from a seeded
-SHA-256 counter so a replayed run mints the identical sequence.  The
+Every served request and every executed experiment-engine job gets
+a **trace id** — ``rtx-`` + 16 hex chars, a SHA-256 of a fixed seed
+and a counter, so a replayed run mints the identical sequence.  The
 id travels through the process on a :mod:`contextvars` variable (so
 the engine can tag a :class:`~repro.experiments.engine.JobResult`
 without threading an argument through every call) and across the
@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -43,9 +42,9 @@ TRACE_SCHEMA = "repro.telemetry.tracectx/v1"
 #: ``rtx-[0-9a-f]{16}``.
 TRACE_ID_PREFIX = "rtx"
 
-#: Environment variable seeding the id sequence (default 0); same
-#: seed → same ids, so a replayed load test names identical traces.
-TRACE_SEED_ENV = "REPRO_TRACE_SEED"
+#: Seed of the id sequence: the same mint order names the same ids,
+#: so a replayed load test names identical traces.
+_ID_SEED = "0"
 
 #: Completed traces kept per store (oldest evicted first).
 DEFAULT_TRACE_CAPACITY = 512
@@ -73,34 +72,26 @@ _current_trace: ContextVar[Optional[str]] = ContextVar(
 
 _id_lock = threading.Lock()
 _id_counter = itertools.count()
-_id_seed: Optional[str] = None
-
-
-def _seed() -> str:
-    global _id_seed
-    if _id_seed is None:
-        _id_seed = os.environ.get(TRACE_SEED_ENV, "").strip() or "0"
-    return _id_seed
 
 
 def new_trace_id() -> str:
     """Mint the next trace id: ``rtx-`` + 16 hex chars.
 
-    Deterministic in (:data:`TRACE_SEED_ENV`, mint order) and unique
-    per process; thread-safe.
+    Deterministic in mint order and unique per process; thread-safe.
     """
     with _id_lock:
         n = next(_id_counter)
-    digest = hashlib.sha256(f"{_seed()}:{n}".encode("ascii")).hexdigest()
+    digest = hashlib.sha256(
+        f"{_ID_SEED}:{n}".encode("ascii")
+    ).hexdigest()
     return f"{TRACE_ID_PREFIX}-{digest[:16]}"
 
 
 def reset_trace_ids() -> None:
-    """Restart the id sequence (tests; re-reads the seed env)."""
-    global _id_counter, _id_seed
+    """Restart the id sequence (tests)."""
+    global _id_counter
     with _id_lock:
         _id_counter = itertools.count()
-        _id_seed = None
 
 
 def current_trace_id() -> Optional[str]:
@@ -369,7 +360,6 @@ TRACES = TraceStore()
 __all__ = [
     "TRACE_SCHEMA",
     "TRACE_ID_PREFIX",
-    "TRACE_SEED_ENV",
     "DEFAULT_TRACE_CAPACITY",
     "STAGE_ORDER",
     "TraceStore",

@@ -12,6 +12,8 @@ from repro.compiler import InvalidateExtent, KernelBuilder, run_lmi_pass
 from repro.experiments.__main__ import EXPERIMENTS, main
 from repro.security.harness import CaseResult, SecurityReport
 from repro.security.testcases import CaseOutcome, Category
+from repro.telemetry.ledger import DEFAULT_LEDGER_PATH, RunLedger
+from repro.telemetry.tracectx import TRACES, reset_trace_ids
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -81,14 +83,6 @@ class TestCli:
             f"invalid {variable} value {value!r} (expected seconds >= 0)"
         )
 
-    def test_malformed_ledger_cap_exits_2(self, monkeypatch, capsys):
-        # Used to read as the 64 MiB default.
-        monkeypatch.setenv("REPRO_LEDGER_MAX_MB", "lots")
-        assert main(["fig4"]) == 2
-        assert capsys.readouterr().out.strip() == (
-            "invalid REPRO_LEDGER_MAX_MB value 'lots' (expected MiB >= 0)"
-        )
-
     @pytest.mark.parametrize(
         "argv",
         [["-m", "repro.experiments", "table6"],
@@ -122,6 +116,74 @@ class TestCli:
         assert "--max-batch N max cells packed into one engine batch " \
             "(default 8)" in out
         assert "(default 0.99)" in out
+
+
+#: Variables earlier versions read, each at a value other than its old
+#: default (``None``: a path in the test's own directory).  Nothing
+#: reads them now: their settings are fixed behaviour.
+_RETIRED_VARIABLES = {
+    "REPRO_TELEMETRY_SAMPLE": "1/8",
+    "REPRO_TRACE_SEED": "42",
+    "REPRO_TRACE_DISABLE": "1",
+    "REPRO_LEDGER_MAX_MB": "0.001",
+    "REPRO_LEDGER": None,
+}
+
+
+def _fig12_observables(directory):
+    """``fig12 --fast`` with both exports and a ledger: the export
+    bytes and each engine job's trace id with its stage names."""
+    reset_trace_ids()
+    TRACES.clear()
+    metrics, trace = directory / "m.json", directory / "t.json"
+    assert main([
+        "fig12", "--fast", "--metrics", str(metrics), "--trace", str(trace),
+        "--ledger", str(directory / "runs.jsonl"),
+    ]) == 0
+    jobs = [
+        (doc["trace_id"], [stage["stage"] for stage in doc["stages"]])
+        for doc in TRACES.recent(len(TRACES))
+    ]
+    TRACES.clear()
+    return metrics.read_bytes(), trace.read_bytes(), jobs
+
+
+@pytest.fixture(scope="module")
+def clean_fig12(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        for variable in _RETIRED_VARIABLES:
+            patch.delenv(variable, raising=False)
+        return _fig12_observables(tmp_path_factory.mktemp("clean"))
+
+
+class TestRetiredVariables:
+    @pytest.mark.parametrize("variable", sorted(_RETIRED_VARIABLES))
+    def test_setting_one_changes_nothing(
+        self, variable, clean_fig12, tmp_path, monkeypatch, capsys
+    ):
+        value = _RETIRED_VARIABLES[variable]
+        if value is None:
+            value = str(tmp_path / "elsewhere.jsonl")
+        monkeypatch.setenv(variable, value)
+        metrics, trace, jobs = _fig12_observables(tmp_path)
+        capsys.readouterr()
+        clean_metrics, clean_trace, clean_jobs = clean_fig12
+        # Byte-identical exports, and the same ids for the same jobs.
+        assert metrics == clean_metrics
+        assert trace == clean_trace
+        assert len(jobs) == 112 and jobs == clean_jobs
+        # A ledger keeps every record: 16 of ~330 bytes sit far below
+        # the 64 MiB cap.
+        ledger = RunLedger(str(tmp_path / "kept.jsonl"))
+        for index in range(16):
+            ledger.record("benchmark", "probe", config={"pad": "x" * 200},
+                          metrics={"throughput": float(index)})
+        assert ledger.series("probe") == [float(i) for i in range(16)]
+        # A ledger given no path writes to the default one.
+        monkeypatch.chdir(tmp_path)
+        RunLedger().record("benchmark", "default")
+        assert RunLedger(DEFAULT_LEDGER_PATH).names() == ["default"]
+        assert not os.path.exists(tmp_path / "elsewhere.jsonl")
 
 
 class TestLmiPassIdempotency:

@@ -49,6 +49,18 @@ class TestGpuConfig:
         with pytest.raises(ConfigurationError):
             GpuConfig(clock_ghz=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["warps_per_scheduler", "schedulers_per_sm", "warp_size",
+         "dram_latency", "dram_bytes", "dram_channels",
+         "dram_bandwidth_bytes_per_cycle"],
+    )
+    def test_counts_below_one_rejected(self, field):
+        # A zero channel count used to reach the DRAM model and divide
+        # by zero there.
+        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+            GpuConfig(**{field: 0})
+
 
 class TestCacheConfig:
     def test_num_sets(self):
@@ -66,6 +78,10 @@ class TestCacheConfig:
     def test_non_positive_latency_rejected(self):
         with pytest.raises(ConfigurationError):
             CacheConfig(size_bytes=1024, line_bytes=128, ways=2, hit_latency=0)
+
+    def test_zero_ways_rejected(self):
+        with pytest.raises(ConfigurationError, match="ways must be >= 1"):
+            CacheConfig(size_bytes=1024, line_bytes=128, ways=0)
 
 
 class TestLmiConfig:

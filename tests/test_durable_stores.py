@@ -44,7 +44,8 @@ from repro.sim import SmSimulator, codegen
 from repro.sim.codegen import CACHE_ENV, CODEGEN_STATS, CellSpec, CompiledCell
 from repro.sim.trace import KernelTrace
 from repro.telemetry.export import write_json
-from repro.telemetry.ledger import LEDGER_MAX_MB_ENV, RunLedger
+from repro.telemetry import ledger as ledger_module
+from repro.telemetry.ledger import RunLedger
 from repro.workloads import TraceCache, synthesize_trace
 
 #: Soft file-size limit of the *write fails* child; every store's
@@ -184,7 +185,7 @@ class LedgerStore:
         self.ledger = RunLedger(str(root / "ledger.jsonl"))
         # ~1 KB cap: a large version 2 makes its append compact the
         # file, the store's only rename.
-        monkeypatch.setenv(LEDGER_MAX_MB_ENV, "0.001")
+        monkeypatch.setattr(ledger_module, "LEDGER_MAX_BYTES", 1024)
 
     def write(self, version, big=False):
         self.ledger.record(

@@ -3,7 +3,7 @@
 Covers the persistence layer the perf trajectory rides on:
 
 * JSONL ledger round-trips, schema stamping, malformed-line and
-  unknown-schema tolerance, ``REPRO_LEDGER`` resolution;
+  unknown-schema tolerance, size-capped rotation;
 * :func:`check_regressions` — green on a fresh ledger, red on an
   injected synthetic regression, median-robust against one outlier;
 * the HTML report is fully self-contained (no network fetches) and
@@ -25,13 +25,9 @@ import pytest
 from repro.cli import main as cli_main
 from repro.telemetry import ledger as ledger_module
 from repro.telemetry.ledger import (
-    LEDGER_ENV,
-    LEDGER_MAX_MB_ENV,
     LEDGER_SCHEMA,
     RunLedger,
-    default_ledger_path,
     git_sha,
-    ledger_max_bytes,
     make_record,
     merge_ledgers,
 )
@@ -99,14 +95,6 @@ class TestRunLedger:
         RunLedger(str(path)).record("benchmark", "b")
         assert path.exists()
 
-    def test_env_overrides_default_path(self, monkeypatch, tmp_path):
-        override = str(tmp_path / "elsewhere.jsonl")
-        monkeypatch.setenv(LEDGER_ENV, override)
-        assert default_ledger_path() == override
-        assert RunLedger().path == override
-        monkeypatch.delenv(LEDGER_ENV)
-        assert default_ledger_path().endswith("ledger.jsonl")
-
     def test_make_record_stamps_sha_and_timestamp(self):
         record = make_record("experiment", "fig4", sha="deadbee")
         assert record["git_sha"] == "deadbee"
@@ -143,7 +131,7 @@ class TestLedgerRotation:
 
     def test_rotation_keeps_newest_records(self, monkeypatch, tmp_path):
         # ~300 B/record; cap the file at 4 KiB => keep <= 2 KiB.
-        monkeypatch.setenv(LEDGER_MAX_MB_ENV, str(4 / 1024))
+        monkeypatch.setattr(ledger_module, "LEDGER_MAX_BYTES", 4096)
         path = tmp_path / "l.jsonl"
         ledger = RunLedger(str(path))
         self._fill(ledger, 40)
@@ -155,7 +143,7 @@ class TestLedgerRotation:
         assert 0 < len(values) < 40
 
     def test_rotation_drops_malformed_lines(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(LEDGER_MAX_MB_ENV, str(4 / 1024))
+        monkeypatch.setattr(ledger_module, "LEDGER_MAX_BYTES", 4096)
         path = tmp_path / "l.jsonl"
         ledger = RunLedger(str(path))
         with open(path, "w", encoding="utf-8") as handle:
@@ -165,29 +153,11 @@ class TestLedgerRotation:
         assert "torn" not in raw
         assert ledger.series("series")  # survivors parse cleanly
 
-    def test_zero_disables_rotation(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(LEDGER_MAX_MB_ENV, "0")
-        assert ledger_max_bytes() == 0
-        path = tmp_path / "l.jsonl"
-        ledger = RunLedger(str(path))
-        self._fill(ledger, 40)
-        assert len(ledger.series("series")) == 40
-
-    def test_invalid_env_falls_back_to_default(self, monkeypatch):
-        # A malformed cap used to read as the default; it now raises,
-        # and only an unset variable means the default.
-        for bad in ("lots", "-1", "nan", "inf"):
-            monkeypatch.setenv(LEDGER_MAX_MB_ENV, bad)
-            with pytest.raises(ValueError, match=LEDGER_MAX_MB_ENV):
-                ledger_max_bytes()
-        monkeypatch.delenv(LEDGER_MAX_MB_ENV)
-        assert ledger_max_bytes() == 64 * 1024 * 1024
-
     def test_rotation_always_keeps_latest_record(
         self, monkeypatch, tmp_path
     ):
         # A cap smaller than one record must still keep the newest.
-        monkeypatch.setenv(LEDGER_MAX_MB_ENV, str(64 / (1024 * 1024)))
+        monkeypatch.setattr(ledger_module, "LEDGER_MAX_BYTES", 64)
         ledger = RunLedger(str(tmp_path / "l.jsonl"))
         self._fill(ledger, 3)
         values = ledger.series("series")
@@ -198,7 +168,8 @@ class TestLedgerRotation:
     ):
         path = str(tmp_path / "l.jsonl")
         self._fill(RunLedger(path), 4)  # ~1.2 KB under the default cap
-        monkeypatch.setenv(LEDGER_MAX_MB_ENV, "0.001")  # now over it
+        # A 1 KiB cap: the file is now over it.
+        monkeypatch.setattr(ledger_module, "LEDGER_MAX_BYTES", 1024)
         compacting = threading.Event()
         real_loads = json.loads
 
@@ -420,14 +391,12 @@ class TestReportHtml:
                 "telemetry_overhead": {
                     "overhead_fraction": 0.021,
                     "budget_fraction": 0.05,
-                    "sample": "1/1024",
                 },
             }
         }
         html_text, _ = build_html(self._ledger(tmp_path), bench_docs)
         assert "Telemetry overhead" in html_text
-        assert "2.10%" in html_text and "5% budget" in html_text
-        assert "1/1024" in html_text
+        assert "2.10%" in html_text and "5% budget." in html_text
 
     def test_report_flags_regression(self, tmp_path):
         ledger = self._ledger(tmp_path, values=(100.0, 102.0, 98.0, 40.0))
@@ -605,7 +574,7 @@ class TestSegmentedLedger:
             "benchmark", "a", metrics={"throughput": 1.0},
             config={"pad": "x" * 2048}, created_at=_stamp(7),
         )
-        monkeypatch.setenv(LEDGER_MAX_MB_ENV, str(2 / 1024))  # 2 KiB
+        monkeypatch.setattr(ledger_module, "LEDGER_MAX_BYTES", 2048)
         current.record(
             "benchmark", "a", metrics={"throughput": 2.0},
             created_at=_stamp(8),

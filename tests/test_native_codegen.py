@@ -259,14 +259,14 @@ def _prepare_requests(mechanisms, traces):
     for mechanism, trace in zip(mechanisms, traces):
         sim = SmSimulator(DEFAULT_GPU_CONFIG, model_factory(mechanism))
         plan = _plan_for(sim, trace)
-        requests.append((sim, plan, SimStats(), [], 1, 0))
+        requests.append((sim, plan, SimStats(), []))
     return requests
 
 
 @pytest.mark.parametrize("threads", [None, 2])
 def test_batch_matches_sequential(threads):
     """run_native_batch == [run_native(*r) for r in requests]: cycles,
-    stats, cache state and sampled events, at any thread count."""
+    stats, cache state and issue events, at any thread count."""
     _native_or_skip()
     mechanisms = ["baseline", "lmi", "gpushield", "baggy", "lmi", "gpushield"]
     names = ["gaussian", "needle", "LSTM", "bfs", "hotspot", "lud_cuda"]
@@ -280,8 +280,8 @@ def test_batch_matches_sequential(threads):
     got = run_native_batch(batched, threads=threads)
     assert all(cycles is not None for cycles in want)
     assert got == want
-    for (sim_a, _, stats_a, events_a, _, _), (
-        sim_b, _, stats_b, events_b, _, _
+    for (sim_a, _, stats_a, events_a), (
+        sim_b, _, stats_b, events_b
     ) in zip(sequential, batched):
         assert stats_a == stats_b
         (rows_a,), (rows_b,) = events_a, events_b

@@ -16,6 +16,7 @@ import pytest
 
 from repro.common.config import DEFAULT_GPU_CONFIG
 from repro.experiments.engine import SimJob, run_sim_jobs
+from repro.experiments.fabric import cell_digest
 from repro.serve import (
     RequestError,
     ServeDaemon,
@@ -114,6 +115,33 @@ class TestProtocol:
         assert build_config(None) is DEFAULT_GPU_CONFIG
         assert build_config({}) is DEFAULT_GPU_CONFIG
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"dram_latency": -5}, "dram_latency"),
+            ({"dram_latency": "350"}, "dram_latency"),
+            ({"dram_latency": True}, "dram_latency"),
+            ({"num_sms": 1.5}, "num_sms"),
+            ({"warps_per_scheduler": -1}, "warps_per_scheduler"),
+            ({"dram_bytes": None}, "dram_bytes"),
+            ({"dram_channels": 0}, "dram_channels"),
+            ({"dram_bandwidth_bytes_per_cycle": 0},
+             "dram_bandwidth_bytes_per_cycle"),
+            ({"clock_ghz": 0}, "clock_ghz"),
+            ({"clock_ghz": "2"}, "clock_ghz"),
+            ({"clock_ghz": float("nan")}, "clock_ghz"),
+            ({"l1": {"ways": True}}, "ways"),
+            ({"l1": {"ways": 0}}, "ways"),
+            ({"l1": {"hit_latency": 2.5}}, "hit_latency"),
+            ({"l2": {"size_bytes": -1}}, "size_bytes"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict)
+        else None,
+    )
+    def test_build_config_rejects_bad_override(self, overrides, field):
+        with pytest.raises(RequestError, match=field):
+            build_config(overrides)
+
 
 # ----------------------------------------------------------------------
 # Daemon
@@ -170,6 +198,38 @@ class TestDaemon:
         with pytest.raises(urllib.error.HTTPError) as info:
             _post(daemon.url, b'{"benchmark": "nope", "mechanism": "lmi"}')
         assert info.value.code == 400
+
+    def test_out_of_range_config_is_400(self, daemon):
+        # Was simulated and answered 200 with 395 cycles.
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _post(daemon.url, _body(config={"dram_latency": -5}))
+        assert info.value.code == 400
+        assert "dram_latency" in json.loads(info.value.read())["error"]
+
+    @pytest.mark.parametrize(
+        "overrides, config, cycles",
+        [
+            ({"dram_latency": 351},
+             dataclasses.replace(DEFAULT_GPU_CONFIG, dram_latency=351),
+             4671),
+            ({"l1": {"hit_latency": 32}},
+             dataclasses.replace(
+                 DEFAULT_GPU_CONFIG,
+                 l1=dataclasses.replace(DEFAULT_GPU_CONFIG.l1, hit_latency=32),
+             ),
+             4660),
+        ],
+        ids=["dram_latency", "l1.hit_latency"],
+    )
+    def test_valid_overrides_keep_cycles_and_digest(
+        self, daemon, overrides, config, cycles
+    ):
+        assert build_config(overrides) == config
+        status, doc = _post(daemon.url, _body(config=overrides))
+        assert status == 200 and doc["cycles"] == cycles
+        job = SimJob(benchmark="gaussian", mechanism="lmi", warps=2,
+                     instructions_per_warp=200)
+        assert doc["digest"] == cell_digest(job, config)
 
     def test_observability_endpoints(self, daemon):
         _post(daemon.url, _body())

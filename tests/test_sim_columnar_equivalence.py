@@ -60,7 +60,6 @@ from repro.sim.reference import ReferenceSmSimulator
 from repro.sim.timing import LmiTiming, TimingModel
 from repro.telemetry import capture, chrome_trace, dumps, metrics_json
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.runtime import SAMPLE_ENV
 from repro.workloads import cached_trace, synthesize_trace
 from repro.workloads.trace_cache import TRACE_CACHE
 
@@ -388,7 +387,7 @@ def test_jobs_pool_results_byte_identical(monkeypatch):
 
 # ----------------------------------------------------------------------
 # Fast-path telemetry: both executors publish oracle-identical
-# counters and identical sampled events, and the metrics/trace
+# counters and identical issue events, and the metrics/trace
 # artifacts stay byte-identical for any --jobs value.
 
 
@@ -415,16 +414,14 @@ def test_fast_path_counter_parity_with_scalar(mechanism):
 
 
 def test_fast_path_events_native_python_identical(monkeypatch, fresh_memo):
-    """The C executor and the pure-Python issue loop apply the same
-    seed-derived sampling comb, so the recorded event rings are
-    byte-identical under any REPRO_TELEMETRY_SAMPLE."""
+    """The C executor and the pure-Python issue loop record the same
+    issue runs, so the recorded event rings are byte-identical."""
     if not native_available():
         pytest.skip("no C toolchain for the native executor")
     trace = synthesize_trace("bfs", warps=6, instructions_per_warp=220)
 
-    def ring(sample, python_loop):
+    def ring(python_loop):
         with monkeypatch.context() as patch:
-            patch.setenv(SAMPLE_ENV, sample)
             if python_loop:
                 patch.setattr(codegen, "_find_cc", lambda: None)
             codegen._reset_memo()
@@ -438,17 +435,15 @@ def test_fast_path_events_native_python_identical(monkeypatch, fresh_memo):
                     for e in t.recorder.events()
                 ]
 
-    for sample in ("1", "1/7", "16"):
-        native_ring = ring(sample, python_loop=False)
-        python_ring = ring(sample, python_loop=True)
-        assert native_ring, (sample, "empty ring")
-        assert native_ring == python_ring, sample
+    native_ring = ring(python_loop=False)
+    assert native_ring, "empty ring"
+    assert native_ring == ring(python_loop=True)
 
 
-@pytest.mark.parametrize("every, phase", [(1, 0), (7, 3)])
-def test_fast_path_event_arrays_native_python_equal(every, phase):
-    """Both executors hand a run's sampled issue runs over as one equal
-    ``(n, 3)`` int64 array of (cycle, warp, run length) rows."""
+def test_fast_path_event_arrays_native_python_equal():
+    """Both executors hand a run's issue runs over as one equal
+    ``(n, 3)`` int64 array of (cycle, warp, run length) rows, one row
+    per issued run."""
     if not native_available():
         pytest.skip("no C toolchain for the native executor")
     trace = synthesize_trace("bfs", warps=6, instructions_per_warp=220)
@@ -457,12 +452,12 @@ def test_fast_path_event_arrays_native_python_equal(every, phase):
         simulator = SmSimulator(model=engine_module.model_factory("lmi"))
         plan = simulator._fast_plan(trace)
         events = []
-        assert run(simulator, plan, SimStats(), events, every, phase)
+        assert run(simulator, plan, SimStats(), events)
         (rows,) = events
         assert rows.dtype == np.int64 and rows.shape[1:] == (3,)
+        assert len(rows) == plan.run_start[-1]
         arrays.append(rows)
     native_rows, python_rows = arrays
-    assert len(native_rows)
     assert np.array_equal(native_rows, python_rows)
 
 
@@ -471,7 +466,6 @@ def test_jobs_metrics_and_trace_export_byte_identical(monkeypatch):
     run must be byte-identical for any --jobs value: workers ship
     registry snapshots + event rings, the parent replays them in
     submission order under identical per-job spans."""
-    monkeypatch.setenv(SAMPLE_ENV, "1/3")
     jobs = [
         SimJob(
             benchmark=benchmark,

@@ -41,11 +41,6 @@ from repro.telemetry import (
     metrics_json,
     write_json,
 )
-from repro.telemetry.runtime import (
-    SAMPLE_ENV,
-    resolve_sample_every,
-    sample_phase,
-)
 from repro.telemetry import events as events_module
 from repro.telemetry import spans as spans_module
 from repro.telemetry.spans import LogicalClock, Tracer
@@ -682,52 +677,24 @@ class TestAtomicWrites:
 
 
 class TestSampling:
-    def test_resolve_sample_every_spellings(self, monkeypatch):
-        assert resolve_sample_every("1/16") == 16
-        assert resolve_sample_every("8") == 8
-        assert resolve_sample_every("") == 1
-        monkeypatch.setenv(SAMPLE_ENV, "1/32")
-        assert resolve_sample_every() == 32
-        monkeypatch.delenv(SAMPLE_ENV)
-        assert resolve_sample_every(default=4) == 4
-
-    def test_resolve_sample_every_rejects_typos(self):
-        for bad in ("banana", "2/3", "1/0", "0", "-4", "1/x"):
-            with pytest.raises(ValueError):
-                resolve_sample_every(bad)
-
-    def test_sample_phase_stable_across_processes(self):
-        # sha256-derived, so these constants hold for every
-        # PYTHONHASHSEED and on every machine (the --jobs contract).
-        assert sample_phase("gaussian", 1024) == 146
-        assert sample_phase("needle", 1024) == 162
-        assert sample_phase("gaussian", 1) == 0
-        phase = sample_phase("gaussian", 7)
-        assert 0 <= phase < 7
-        assert phase == sample_phase("gaussian", 7)
-
-    def test_sampled_fast_path_events_identical_across_runs(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(SAMPLE_ENV, "1/5")
+    def test_sampled_fast_path_events_identical_across_runs(self):
         trace = synthesize_trace(
             "gaussian", warps=4, instructions_per_warp=240
         )
 
-        def issue_events():
-            with capture() as t:
+        def issue_events(every):
+            with capture(sample_every=every) as t:
                 simulate(trace)
                 return [
                     (e.seq, e.ts, dict(e.payload))
                     for e in t.recorder.events(EventKind.WARP_ISSUE)
                 ]
 
-        first = issue_events()
+        first = issue_events(5)
         assert first, "sampling 1/5 must keep some warp-issue events"
-        assert issue_events() == first
-        # A different comb keeps a different (smaller) set.
-        monkeypatch.setenv(SAMPLE_ENV, "1/50")
-        sparser = issue_events()
+        assert issue_events(5) == first
+        # A sparser recorder keeps a smaller set.
+        sparser = issue_events(50)
         assert len(sparser) < len(first)
 
     def test_disabled_sim_run_records_nothing(self):

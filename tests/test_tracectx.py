@@ -3,8 +3,8 @@
 Locks the contracts of :mod:`repro.telemetry.tracectx` and
 :mod:`repro.telemetry.log`:
 
-* trace ids are ``rtx-`` + 16 hex chars, deterministic in
-  (``REPRO_TRACE_SEED``, mint order), and unique within a sequence;
+* trace ids are ``rtx-`` + 16 hex chars, deterministic in mint
+  order, and unique within a sequence;
 * :class:`TraceStore` lays stages sequentially, backs any gap between
   the stage sum and the measured total into a synthetic
   ``unattributed`` stage (the waterfall always sums to the honest
@@ -18,8 +18,8 @@ Locks the contracts of :mod:`repro.telemetry.tracectx` and
   keeps its *original* trace id (the id rides the task tuple, and
   redispatch reuses the tuple);
 * tracing is pure diagnostics: ``--metrics``/``--trace`` exports are
-  byte-identical with tracing on vs ``REPRO_TRACE_DISABLE=1``, and no
-  export ever contains an ``rtx-`` id (the leak grep).
+  byte-identical with the engine minting ids or not, and no export
+  ever contains an ``rtx-`` id (the leak grep).
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ import pytest
 
 from repro.cli import format_trace
 from repro.experiments import engine as engine_module
-from repro.experiments.engine import (
-    TRACE_DISABLE_ENV,
-    SimJob,
-    run_sim_jobs,
-)
+from repro.experiments.engine import SimJob, run_sim_jobs
 from repro.experiments.fabric import (
     GROUP_SIZE,
     CellCache,
@@ -48,7 +44,6 @@ from repro.telemetry.runtime import capture
 from repro.telemetry.tracectx import (
     STAGE_ORDER,
     TRACE_SCHEMA,
-    TRACE_SEED_ENV,
     TRACES,
     TraceStore,
     bind_trace,
@@ -63,10 +58,8 @@ LEAK_RE = re.compile(r"rtx-[0-9a-f]{16}")
 
 
 @pytest.fixture(autouse=True)
-def _clean_tracing(monkeypatch):
-    """Fresh id sequence, empty stores, no leaked env between tests."""
-    for name in (TRACE_SEED_ENV, TRACE_DISABLE_ENV):
-        monkeypatch.delenv(name, raising=False)
+def _clean_tracing():
+    """Fresh id sequence and empty stores for every test."""
     reset_trace_ids()
     TRACES.clear()
     LOG.clear()
@@ -92,15 +85,6 @@ class TestTraceIds:
         first = [new_trace_id() for _ in range(8)]
         reset_trace_ids()
         assert [new_trace_id() for _ in range(8)] == first
-
-    def test_seed_env_changes_the_sequence(self, monkeypatch):
-        base = [new_trace_id() for _ in range(4)]
-        monkeypatch.setenv(TRACE_SEED_ENV, "42")
-        reset_trace_ids()
-        seeded = [new_trace_id() for _ in range(4)]
-        assert seeded != base
-        reset_trace_ids()
-        assert [new_trace_id() for _ in range(4)] == seeded
 
     def test_bind_trace_nests_and_restores(self):
         assert current_trace_id() is None
@@ -301,12 +285,6 @@ class TestEnginePropagation:
         for result in results:
             assert TRACES.get(result.trace_id)["attrs"]["origin"] == "engine"
 
-    def test_disable_env_turns_tracing_off(self, monkeypatch):
-        monkeypatch.setenv(TRACE_DISABLE_ENV, "1")
-        results = run_sim_jobs(_jobs(2))
-        assert all(r.trace_id is None for r in results)
-        assert len(TRACES) == 0
-
     def test_pool_propagates_ids_across_fork(self, monkeypatch):
         monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 4)
         jobs = _jobs(6)
@@ -373,8 +351,10 @@ class TestExportIsolation:
         tracing_on = _captured_exports()
         reset_trace_ids()
         TRACES.clear()
-        monkeypatch.setenv(TRACE_DISABLE_ENV, "1")
+        # Jobs without an id execute untraced: nothing is recorded.
+        monkeypatch.setattr(engine_module, "new_trace_id", lambda: None)
         tracing_off = _captured_exports()
+        assert len(TRACES) == 0
         assert tracing_on == tracing_off
 
     def test_no_trace_id_leaks_into_exports(self):
