@@ -48,7 +48,7 @@ trace sizes for CI smoke runs.  The document lands in
    the whole grid is timed against per-call dispatch
    (``native_batch``), and the process's compile/cache/batch
    accounting (``CODEGEN_STATS``: compile seconds, disk/memo hits,
-   cells, max batch/threads) is archived under ``codegen``.
+   cells, max batch) is archived under ``codegen``.
 
 Every gate (the speedup floor, the codegen gain, the batch speedup
 and the two overhead budgets) is judged before the test fails, and
@@ -74,7 +74,7 @@ from conftest import OUT_DIR, record_run
 from repro.experiments import run_fig12
 from repro.experiments.engine import model_factory
 from repro.sim import SmSimulator, native_available, reference_simulate
-from repro.sim.codegen import CODEGEN_STATS, resolve_threads
+from repro.sim.codegen import CODEGEN_STATS
 from repro.telemetry.progress import ProgressBoard
 from repro.telemetry.runtime import TELEMETRY, capture
 from repro.telemetry.server import ObservabilityServer
@@ -233,7 +233,6 @@ def _batched_native(traces):
     return {
         "cells": len(requests),
         "records": records,
-        "threads": resolve_threads(len(requests)),
         "single_records_per_second": round(records / single),
         "batch_records_per_second": round(records / batch),
         "batch_speedup": round(single / batch, 3),
@@ -612,9 +611,10 @@ def test_sim_throughput():
             f"throughput, floor {CODEGEN_GAIN_FLOOR}x",
         )
         # Batching must not cost meaningful throughput over per-call
-        # dispatch (on a multi-core box the threaded kernels push it
-        # well >1; on this 1-core container parity ± scheduler noise
-        # is the expected reading).
+        # dispatch.  A batch is one serial crossing that runs the same
+        # kernels one after another, so parity (± scheduler noise,
+        # less the per-call marshalling it saves) is the expected
+        # reading on any core count.
         verdicts["batch_speedup"] = (
             native_batch is not None
             and native_batch["batch_speedup"] >= 0.8,

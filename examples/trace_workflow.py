@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """The trace-driven workflow, end to end (NVBit → MacSim style).
 
-1. Generate per-benchmark kernel traces from the Table V profiles.
-2. Serialize them to `.trace` files (inspect them — they're JSON lines).
-3. Reload and replay through the multi-SM GPU simulator, comparing the
-   unprotected baseline against LMI across several SM counts.
+1. Generate per-benchmark kernel traces from the Table V profiles, one
+   per warp count.
+2. Serialize them to `.npz` trace files (versioned columnar arrays).
+3. Reload and replay them through the SM timing simulator, comparing
+   the unprotected baseline against LMI across warp counts.
 
 Run:  python examples/trace_workflow.py [outdir]
 """
@@ -14,14 +15,15 @@ import sys
 
 from repro.sim import (
     BaselineTiming,
-    GpuSimulator,
     LmiTiming,
-    dump_trace,
-    load_trace,
+    dump_trace_npz,
+    load_trace_npz,
+    simulate,
 )
 from repro.workloads import synthesize_trace
 
 BENCHMARKS = ["gaussian", "needle", "bert"]
+WARP_COUNTS = (4, 8, 16)
 
 
 def main() -> None:
@@ -31,35 +33,36 @@ def main() -> None:
     print("1. Generating and serializing traces...")
     paths = {}
     for name in BENCHMARKS:
-        trace = synthesize_trace(name, warps=16, instructions_per_warp=800)
-        path = outdir / f"{name}.trace"
-        dump_trace(trace, path)
-        paths[name] = path
-        print(f"   {path}  ({trace.total_instructions} instructions, "
-              f"{len(trace.warps)} warps)")
+        for warps in WARP_COUNTS:
+            trace = synthesize_trace(
+                name, warps=warps, instructions_per_warp=800
+            )
+            path = outdir / f"{name}-w{warps}.npz"
+            dump_trace_npz(trace, path)
+            paths[name, warps] = path
+            print(f"   {path}  ({trace.total_instructions} instructions, "
+                  f"{warps} warps)")
 
-    print("\n2. Replaying through the multi-SM simulator...")
-    header = (f"{'benchmark':12s} {'SMs':>4s} {'base cycles':>12s} "
-              f"{'LMI cycles':>11s} {'overhead':>9s} {'imbalance':>10s}")
+    print("\n2. Replaying through the SM simulator...")
+    header = (f"{'benchmark':12s} {'warps':>5s} {'base cycles':>12s} "
+              f"{'LMI cycles':>11s} {'overhead':>9s}")
     print(header)
     print("-" * len(header))
-    for name, path in paths.items():
-        trace = load_trace(path)
-        for sms in (1, 2, 4):
-            base = GpuSimulator(num_sms=sms,
-                                model_factory=BaselineTiming).run(trace)
-            lmi = GpuSimulator(num_sms=sms, model_factory=LmiTiming).run(trace)
-            overhead = lmi.cycles / base.cycles - 1
-            print(f"{name:12s} {sms:>4d} {base.cycles:>12,d} "
-                  f"{lmi.cycles:>11,d} {overhead:>8.2%} "
-                  f"{base.load_imbalance:>10.2f}")
+    for (name, warps), path in paths.items():
+        trace = load_trace_npz(path)
+        base = simulate(trace, BaselineTiming())
+        lmi = simulate(trace, LmiTiming())
+        overhead = lmi.cycles / base.cycles - 1
+        print(f"{name:12s} {warps:>5d} {base.cycles:>12,d} "
+              f"{lmi.cycles:>11,d} {overhead:>8.2%}")
 
     print(
         "\nTrace files decouple workload generation from simulation —\n"
         "the same decoupling the paper gets from NVBit + MacSim.  LMI's\n"
-        "overhead stays small everywhere; it is largest where occupancy\n"
-        "is lowest (fewest warps per SM to hide the OCU's 3 cycles),\n"
-        "exactly the latency-hiding story of the paper's section XI-A."
+        "overhead stays small everywhere.  On ALU-heavy gaussian it\n"
+        "falls as warps are added, since more warps hide the OCU's 3\n"
+        "cycles: the latency-hiding story of the paper's section XI-A.\n"
+        "Memory-bound needle and bert wait on memory, not on the OCU."
     )
 
 

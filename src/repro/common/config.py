@@ -9,18 +9,55 @@ extent-bit width, OCU pipeline depth).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict
 
 from .bitops import is_power_of_two, log2_exact
 from .errors import ConfigurationError
 
+#: Table IV's 8 GB of HBM: the device size LMI's pointer codec checks
+#: extents against.  No timing simulator reads it.
+DRAM_BYTES = 8 * 1024 ** 3
 
-def _require_counts(config: object, names: Tuple[str, ...]) -> None:
-    """Raise unless each field of *config* in *names* is at least 1."""
-    for name in names:
+# Upper bounds, so that no admitted machine breaks an executor.
+#
+# Latencies: the executors count cycles in int64 and read 2**62 as
+# "never".  A served request issues fewer than 2**34 instructions
+# (MAX_WARPS x MAX_INSTRUCTIONS_PER_WARP = 1024 x 10**6 < 2**30, at
+# most 13 each after Baggy's checks); each waits at most two
+# latencies plus 256 cycles of 32-wide serialization, besides DRAM
+# queueing, which sums to at most 64 lines x 128 cycles per
+# instruction along any chain; so with every latency at most 2**20 the
+# last completion stays below 2**34 x (2**21 + 2**9) + 2**47 < 2**56.
+MAX_LATENCY = 1 << 20
+# Cache lines (size_bytes / line_bytes): the native kernel gets each
+# cache as one int64 tag per line; 2**20 lines, 28x Table IV's L2,
+# keep that array at 8 MiB per cache and cell.
+MAX_CACHE_LINES = 1 << 20
+# Cache bytes, and so line bytes: 2**30 (1 GiB) keeps every line
+# shift (log2 line_bytes <= 30) far inside the int64 addresses the
+# plan decode shifts.
+MAX_CACHE_BYTES = 1 << 30
+# DRAM channels: the native kernel copies one int64 free-at cycle per
+# channel in and out of every run; 1024 channels, 128x Table IV's 8,
+# keep that copy at 8 KiB.
+MAX_DRAM_CHANNELS = 1 << 10
+# DRAM bandwidth: at 128 bytes per channel and cycle every admitted
+# channel count already streams one 128-byte line per cycle, the
+# fastest the model has; more would simulate the same machine under
+# another cell digest.
+MAX_DRAM_BANDWIDTH = 128 * MAX_DRAM_CHANNELS
+
+
+def _require_range(config: object, bounds: Dict[str, int]) -> None:
+    """Raise unless each field of *config* in *bounds* is in [1, bound]."""
+    for name, bound in bounds.items():
         value = getattr(config, name)
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if value > bound:
+            raise ConfigurationError(
+                f"{name} must be <= {bound}, got {value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -33,14 +70,26 @@ class CacheConfig:
     hit_latency: int = 30
 
     def __post_init__(self) -> None:
-        _require_counts(
-            self, ("size_bytes", "line_bytes", "ways", "hit_latency")
+        _require_range(
+            self,
+            {
+                "size_bytes": MAX_CACHE_BYTES,
+                "line_bytes": MAX_CACHE_BYTES,
+                "ways": MAX_CACHE_LINES,
+                "hit_latency": MAX_LATENCY,
+            },
         )
         if not is_power_of_two(self.line_bytes):
             raise ConfigurationError("cache line size must be a power of two")
         if self.size_bytes % (self.line_bytes * self.ways) != 0:
             raise ConfigurationError(
                 "cache size must be a multiple of line_bytes * ways"
+            )
+        lines = self.size_bytes // self.line_bytes
+        if lines > MAX_CACHE_LINES:
+            raise ConfigurationError(
+                f"size_bytes / line_bytes must be <= {MAX_CACHE_LINES} "
+                f"lines, got {lines}"
             )
 
     @property
@@ -53,16 +102,14 @@ class CacheConfig:
 class GpuConfig:
     """Baseline GPU configuration (paper Table IV).
 
-    80 SM cores at 2 GHz, 4 GTO warp schedulers per SM, a 96 KB L1 with
-    30-cycle latency, a 4.5 MB 24-way L2 with 200-cycle latency, and
-    8 GB of HBM.
+    The Table IV machine has 80 SM cores at 2 GHz, each with 4 GTO
+    warp schedulers of 16 warps, and 8 GB of HBM (:data:`DRAM_BYTES`).
+    The timing model simulates one scheduler partition of one SM, so
+    this config holds only what it reads: the 96 KB L1 with 30-cycle
+    latency, the 4.5 MB 24-way L2 with 200-cycle latency, and the HBM
+    channels' latency and bandwidth.
     """
 
-    num_sms: int = 80
-    clock_ghz: float = 2.0
-    warps_per_scheduler: int = 16
-    schedulers_per_sm: int = 4
-    warp_size: int = 32
     l1: CacheConfig = field(
         default_factory=lambda: CacheConfig(
             size_bytes=96 * 1024, line_bytes=128, ways=4, hit_latency=30
@@ -74,26 +121,18 @@ class GpuConfig:
         )
     )
     dram_latency: int = 350
-    dram_bytes: int = 8 * 1024 ** 3
     dram_channels: int = 8
     dram_bandwidth_bytes_per_cycle: int = 256
 
     def __post_init__(self) -> None:
-        _require_counts(
+        _require_range(
             self,
-            (
-                "num_sms", "warps_per_scheduler", "schedulers_per_sm",
-                "warp_size", "dram_latency", "dram_bytes", "dram_channels",
-                "dram_bandwidth_bytes_per_cycle",
-            ),
+            {
+                "dram_latency": MAX_LATENCY,
+                "dram_channels": MAX_DRAM_CHANNELS,
+                "dram_bandwidth_bytes_per_cycle": MAX_DRAM_BANDWIDTH,
+            },
         )
-        if self.clock_ghz <= 0:
-            raise ConfigurationError("clock must be positive")
-
-    @property
-    def max_warps_per_sm(self) -> int:
-        """Maximum resident warps per SM across all schedulers."""
-        return self.warps_per_scheduler * self.schedulers_per_sm
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,6 @@ from ..telemetry.export import write_chrome_trace, write_metrics
 from ..telemetry.ledger import RunLedger, git_sha
 from ..telemetry.progress import PROGRESS
 from ..telemetry.runtime import TELEMETRY
-from ..telemetry.server import ObservabilityServer
 from ..workloads.trace_cache import TRACE_CACHE, configure_trace_cache
 
 from .fabric import (
@@ -294,6 +293,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     server = None
     if serve_port is not None:
+        # Imported here: the server loads asyncio, which a run without
+        # --serve never needs.
+        from ..telemetry.server import ObservabilityServer
+
         server = ObservabilityServer(serve_port).start()
         print(
             f"[observability server at {server.url} "

@@ -18,9 +18,10 @@ or one cell per dispatch on the work-stealing pool.  The
   group's traces in one deduped trace-cache pass, builds the
   simulators and issue plans, and runs the whole group through *one*
   :func:`~repro.sim.core.run_plans` call — one FFI crossing per
-  codegen cell, fanned over threads when the kernel was compiled with
-  OpenMP/pthread support; ``run_plans`` hands any plan the kernel
-  refused to the pure-Python issue loop.
+  codegen cell, whose kernel runs the cells one after another;
+  ``run_plans`` hands any plan the kernel refused to the pure-Python
+  issue loop.  Parallelism lives above this core: the fabric's forked
+  ``--jobs`` workers and the serve daemon's executor threads.
 * **Telemetry capture and replay.**  Only when its caller asks, the
   core returns each job's fast-path telemetry as a blob — the
   ``sim.*``/``cache.*`` counters in a private registry plus its

@@ -153,8 +153,9 @@ def config_fingerprint(config: GpuConfig) -> str:
     :func:`~repro.workloads.trace_cache.profile_fingerprint`: a frozen
     dataclass hashes and compares by its fields, nested levels too, so
     an edited field is a new key, never a stale hit.  Configs that
-    compare equal but render differently (``clock_ghz=2`` and ``2.0``)
-    share the fingerprint of whichever was seen first.
+    compare equal but render differently (``ways=True`` and ``ways=1``,
+    which only a library caller can build) share the fingerprint of
+    whichever was seen first.
     """
     return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..common.config import DEFAULT_GPU_CONFIG, DEFAULT_LMI_CONFIG, LmiConfig
+from ..common.config import DEFAULT_LMI_CONFIG, DRAM_BYTES, LmiConfig
 from ..common.errors import MemorySpace, SpatialViolation, TemporalViolation
 from ..hardware.extent_checker import ExtentChecker
 from ..hardware.ocu import OverflowCheckingUnit
@@ -73,7 +73,7 @@ class LmiMechanism(Mechanism):
         super().__init__()
         self.delayed_termination = delayed_termination
         if device_size_limit is None:
-            device_size_limit = DEFAULT_GPU_CONFIG.dram_bytes
+            device_size_limit = DRAM_BYTES
         self.codec = PointerCodec(config, device_size_limit=device_size_limit)
         self.ocu = OverflowCheckingUnit(self.codec, config)
         self.ec = ExtentChecker(self.codec)

@@ -9,7 +9,7 @@ overrides::
     {"benchmark": "gaussian", "mechanism": "lmi",
      "warps": 8, "instructions_per_warp": 600, "seed_salt": 0,
      "tenant": "team-a",
-     "config": {"num_sms": 40, "l1": {"ways": 8}}}
+     "config": {"dram_latency": 400, "l1": {"ways": 8}}}
 
 Validation is strict and total: every field is type- and range-checked
 here, on the event loop, before the request costs anything — the
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from typing import Dict, Optional
 
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
@@ -99,25 +98,15 @@ def _require_int(
     return value
 
 
-def _check_override(where: str, value: object, default: object) -> None:
-    """Reject an override whose JSON type cannot be its field's.
+def _check_override(where: str, value: object) -> None:
+    """Reject an override that is not a JSON integer.
 
-    Integer fields take JSON integers only: no booleans, strings,
-    fractions or nulls.  The one float field, ``clock_ghz``, takes any
-    finite positive number.  Integer ranges are checked by the config
-    dataclasses themselves.
+    Every config field is an integer: no booleans, strings, fractions
+    or nulls.  Ranges are checked by the config dataclasses
+    themselves.
     """
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise RequestError(f"{where} must be an integer, got {value!r}")
-    elif (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not 0 < value < math.inf
-    ):
-        raise RequestError(
-            f"{where} must be a positive number, got {value!r}"
-        )
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RequestError(f"{where} must be an integer, got {value!r}")
 
 
 def build_config(overrides: Optional[Dict[str, object]]) -> GpuConfig:
@@ -126,12 +115,12 @@ def build_config(overrides: Optional[Dict[str, object]]) -> GpuConfig:
     Nested ``l1``/``l2`` dicts rebuild the corresponding
     :class:`~repro.common.config.CacheConfig` with
     ``dataclasses.replace``; every other key must name a ``GpuConfig``
-    field.  Each value must have its field's type
-    (:func:`_check_override`).  Semantic violations
-    (``ConfigurationError`` from the frozen dataclasses' validators,
-    such as a count below 1) surface as :class:`RequestError` — the
-    client asked for an impossible machine, not us.  Every error names
-    the field.
+    field.  Each value must be an integer (:func:`_check_override`).
+    Semantic violations (``ConfigurationError`` from the frozen
+    dataclasses' validators, such as a count below 1 or a latency past
+    :data:`~repro.common.config.MAX_LATENCY`) surface as
+    :class:`RequestError` — the client asked for an impossible
+    machine, not us.  Every error names the field.
     """
     if overrides is None:
         return DEFAULT_GPU_CONFIG
@@ -153,17 +142,13 @@ def build_config(overrides: Optional[Dict[str, object]]) -> GpuConfig:
                 )
             base = getattr(DEFAULT_GPU_CONFIG, key)
             for name, field_value in value.items():
-                _check_override(
-                    f"config.{key}.{name}", field_value, getattr(base, name)
-                )
+                _check_override(f"config.{key}.{name}", field_value)
             try:
                 kwargs[key] = dataclasses.replace(base, **value)
             except ConfigurationError as exc:
                 raise RequestError(f"invalid config.{key}: {exc}") from None
         else:
-            _check_override(
-                f"config.{key}", value, getattr(DEFAULT_GPU_CONFIG, key)
-            )
+            _check_override(f"config.{key}", value)
             kwargs[key] = value
     try:
         return dataclasses.replace(DEFAULT_GPU_CONFIG, **kwargs)

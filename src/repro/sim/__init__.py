@@ -8,7 +8,7 @@ from .columnar import (
     plan_for,
 )
 from .core import SimResult, SimStats, SmSimulator, simulate
-from .codegen import CODEGEN_STATS, CellSpec, load_cell, resolve_threads
+from .codegen import CODEGEN_STATS, CellSpec, load_cell
 from .dram import DramModel, DramStats
 from .native import (
     NATIVE_DIAG,
@@ -18,8 +18,7 @@ from .native import (
     run_native_batch,
 )
 from .reference import ReferenceSmSimulator, reference_simulate
-from .gpu import GpuSimResult, GpuSimulator
-from .tracefile import dump_trace, dump_trace_npz, load_trace, load_trace_npz
+from .tracefile import dump_trace_npz, load_trace_npz
 from .timing import (
     BAGGY_CHECK_INSTRUCTIONS,
     BaggyBoundsTiming,
@@ -48,7 +47,6 @@ __all__ = [
     "CODEGEN_STATS",
     "CellSpec",
     "load_cell",
-    "resolve_threads",
     "DramModel",
     "DramStats",
     "NATIVE_DIAG",
@@ -56,11 +54,7 @@ __all__ = [
     "native_available",
     "run_native",
     "run_native_batch",
-    "GpuSimResult",
-    "GpuSimulator",
-    "dump_trace",
     "dump_trace_npz",
-    "load_trace",
     "load_trace_npz",
     "BAGGY_CHECK_INSTRUCTIONS",
     "BaggyBoundsTiming",

@@ -18,14 +18,13 @@ This module replaces that kernel with *generated* C, specialized per
 * **Multi-word ready mask.**  Each cell carries one scheduler, over a
   ready mask of as many ``uint64_t`` words as the trace has warps, so
   >64-warp traces stop silently losing the native path.
-* **One ABI for every cell.**  All cells export the same two entry
-  points — ``lmi_cell_run`` (one trace) and ``lmi_cell_run_batch``
-  (N traces through one crossing, optionally threaded) — taking a
-  scalar block and a pointer slab per trace; the slab's first 20
-  slots are the issue plan's columns, in the order and under the
-  names :mod:`repro.sim.columnar` defines them.  The Python side
-  (:mod:`repro.sim.native`) therefore marshals identically for every
-  cell and can group mixed workloads by cell.
+* **One ABI for every cell.**  All cells export the same one entry
+  point, ``lmi_cell_run_batch``: N traces through one crossing, run
+  one after another, each as a scalar block and a pointer slab; the
+  slab's first 20 slots are the issue plan's columns, in the order
+  and under the names :mod:`repro.sim.columnar` defines them.  The
+  Python side (:mod:`repro.sim.native`) therefore marshals
+  identically for every cell and can group mixed workloads by cell.
 * **Race-safe on-disk cache.**  Shared objects are keyed by (source
   digest, compiler identity, flags) under a per-user cache directory
   (``REPRO_NATIVE_CACHE`` overrides).  The source and the compiler's
@@ -33,10 +32,12 @@ This module replaces that kernel with *generated* C, specialized per
   a per-key ``flock``, so concurrent ``--jobs`` workers either reuse a
   finished build or wait for the one in flight — ``cc`` runs at most
   once per cell per machine, and warm runs never invoke it.
-* **Threads.**  The batch entry point is compiled with OpenMP when
-  the toolchain supports it, else a portable pthread fallback, else
-  serial (``LMI_NO_THREADS``); :func:`resolve_threads` picks the
-  fan-out width (one thread per cell, up to the CPU count).
+* **Serial batches.**  A batch runs its cells one after another on
+  the calling thread, compiled with one flag set (``-O2 -shared
+  -fPIC``).  Parallelism lives above the kernel: grids spread over
+  forked ``--jobs`` workers, and the serve daemon's executor threads
+  each cross the FFI on their own (cffi releases the GIL for the
+  call).
 
 Semantics are never specialized away: every generated kernel replays
 the exact GTO scheduler, LRU cache and DRAM-channel behaviour of
@@ -77,7 +78,6 @@ __all__ = [
     "cell_cache_dir",
     "generate_cell_source",
     "load_cell",
-    "resolve_threads",
 ]
 
 log = logging.getLogger("repro.sim.codegen")
@@ -98,9 +98,7 @@ NSCALARS = 2
 OUT_SLOTS = 14
 
 _CDEF = """
-int64_t lmi_cell_run(const int64_t *scalars, void **ptrs);
-void lmi_cell_run_batch(int64_t n, int64_t threads,
-                        const int64_t *scalars, void **ptrs);
+void lmi_cell_run_batch(int64_t n, const int64_t *scalars, void **ptrs);
 """
 
 
@@ -144,7 +142,6 @@ class CompiledCell:
 
     spec: CellSpec
     digest: str
-    threading: str  # "openmp" | "pthread" | "serial"
     so_path: str
     ffi: object
     lib: object
@@ -165,7 +162,6 @@ class CodegenStats:
         self.batch_calls = 0
         self.batch_cells = 0
         self.max_batch = 0
-        self.max_threads = 1
         self.cells: Dict[str, str] = {}
 
     def snapshot(self) -> Dict[str, object]:
@@ -179,7 +175,6 @@ class CodegenStats:
             "batch_calls": self.batch_calls,
             "batch_cells": self.batch_cells,
             "max_batch": self.max_batch,
-            "max_threads": self.max_threads,
             "cells": dict(self.cells),
         }
 
@@ -600,80 +595,6 @@ static void lmi_run_one(const int64_t *sc, void *const *pp)
 """
 
 
-_THREAD_IMPL = """
-#if defined(_OPENMP)
-
-static void lmi_run_parallel(int64_t n, int64_t threads,
-                             const int64_t *sc, void *const *pp)
-{
-    int64_t i;
-#pragma omp parallel for schedule(dynamic, 1) num_threads((int)threads)
-    for (i = 0; i < n; i++)
-        lmi_run_one(sc + i * LMI_NSCALARS, pp + i * LMI_NPTRS);
-}
-
-#elif !defined(LMI_NO_THREADS)
-
-#include <pthread.h>
-
-typedef struct {
-    int64_t begin, n, stride;
-    const int64_t *sc;
-    void *const *pp;
-} lmi_slice;
-
-static void *lmi_slice_main(void *arg)
-{
-    const lmi_slice *s = (const lmi_slice *)arg;
-    int64_t i;
-    for (i = s->begin; i < s->n; i += s->stride)
-        lmi_run_one(s->sc + i * LMI_NSCALARS, s->pp + i * LMI_NPTRS);
-    return 0;
-}
-
-static void lmi_run_parallel(int64_t n, int64_t threads,
-                             const int64_t *sc, void *const *pp)
-{
-    pthread_t tids[64];
-    lmi_slice slices[64];
-    int64_t t, started = 0;
-    if (threads > 64)
-        threads = 64;
-    for (t = 0; t < threads; t++) {
-        slices[t].begin = t;
-        slices[t].n = n;
-        slices[t].stride = threads;
-        slices[t].sc = sc;
-        slices[t].pp = pp;
-    }
-    for (t = 1; t < threads; t++) {
-        if (pthread_create(&tids[started], 0, lmi_slice_main,
-                           &slices[t]) != 0) {
-            lmi_slice_main(&slices[t]);  /* degraded: run inline */
-            continue;
-        }
-        started++;
-    }
-    lmi_slice_main(&slices[0]);
-    for (t = 0; t < started; t++)
-        pthread_join(tids[t], 0);
-}
-
-#else  /* LMI_NO_THREADS */
-
-static void lmi_run_parallel(int64_t n, int64_t threads,
-                             const int64_t *sc, void *const *pp)
-{
-    int64_t i;
-    (void)threads;
-    for (i = 0; i < n; i++)
-        lmi_run_one(sc + i * LMI_NSCALARS, pp + i * LMI_NPTRS);
-}
-
-#endif
-"""
-
-
 def generate_cell_source(spec: CellSpec) -> str:
     """The complete C translation unit for *spec*.
 
@@ -694,25 +615,12 @@ def generate_cell_source(spec: CellSpec) -> str:
 
 enum {{ LMI_NPTRS = {NPTRS}, LMI_NSCALARS = {NSCALARS} }};
 {lru_functions}{_scheduler(spec)}
-int64_t lmi_cell_run(const int64_t *sc, void **pp)
+void lmi_cell_run_batch(int64_t n, const int64_t *sc, void **pp)
 {{
-    lmi_run_one(sc, (void *const *)pp);
-    return ((int64_t *)pp[28])[11];
-}}
-{_THREAD_IMPL}
-void lmi_cell_run_batch(int64_t n, int64_t threads,
-                        const int64_t *sc, void **pp)
-{{
-    if (threads > n)
-        threads = n;
-    if (threads <= 1) {{
-        int64_t i;
-        for (i = 0; i < n; i++)
-            lmi_run_one(sc + i * LMI_NSCALARS,
-                        (void *const *)(pp + i * LMI_NPTRS));
-    }} else {{
-        lmi_run_parallel(n, threads, sc, (void *const *)pp);
-    }}
+    int64_t i;
+    for (i = 0; i < n; i++)
+        lmi_run_one(sc + i * LMI_NSCALARS,
+                    (void *const *)(pp + i * LMI_NPTRS));
 }}
 """
 
@@ -752,14 +660,8 @@ def _cc_identity(cc: str) -> str:
         return os.path.realpath(cc)
 
 
-#: Compile-flag attempts, most capable first.  The generated source
-#: selects its batch-parallel implementation from the flags alone
-#: (``_OPENMP`` → OpenMP, else pthread, ``LMI_NO_THREADS`` → serial).
-_FLAG_VARIANTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("openmp", ("-O2", "-shared", "-fPIC", "-fopenmp")),
-    ("pthread", ("-O2", "-shared", "-fPIC", "-pthread")),
-    ("serial", ("-O2", "-shared", "-fPIC", "-DLMI_NO_THREADS")),
-)
+#: The one compile-flag set; part of the build-cache key.
+_FLAGS: Tuple[str, ...] = ("-O2", "-shared", "-fPIC")
 
 # In-process memo: CellSpec -> CompiledCell (success) or str (the
 # fallback reason: "no-toolchain" / "compile-failed").
@@ -767,16 +669,14 @@ _MEMO: Dict[CellSpec, Union[CompiledCell, str]] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def _compile_so(
-    cc: str, source: str, so_path: str, flags: Tuple[str, ...]
-) -> bool:
+def _compile_so(cc: str, source: str, so_path: str) -> bool:
     """Compile *source* into *so_path* (atomic publish).  True on OK."""
     src_path = so_path[:-3] + ".c"  # kept next to the .so
 
     def compile_to(tmp: str) -> None:
         started = time.perf_counter()
         subprocess.run(
-            [cc, *flags, "-o", tmp, src_path],
+            [cc, *_FLAGS, "-o", tmp, src_path],
             capture_output=True,
             check=True,
         )
@@ -818,20 +718,14 @@ def _load_uncached(spec: CellSpec) -> Union[CompiledCell, str]:
     except Exception:  # pragma: no cover - generator bug safety net
         log.exception("cell source generation failed for %s", spec)
         return "compile-failed"
-    build_dir = cell_cache_dir()
-    identity = _cc_identity(cc)
-    for threading_mode, flags in _FLAG_VARIANTS:
-        key = "\x00".join((source, identity, " ".join(flags)))
-        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-        so_path = os.path.join(build_dir, f"lmi_cell_{digest}.so")
-        if not os.path.exists(so_path):
-            try:
-                if not _compile_so(cc, source, so_path, flags):
-                    continue
-            except Exception:
-                continue
-        else:
+    key = "\x00".join((source, _cc_identity(cc), " ".join(_FLAGS)))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    so_path = os.path.join(cell_cache_dir(), f"lmi_cell_{digest}.so")
+    try:
+        if os.path.exists(so_path):
             CODEGEN_STATS.disk_hits += 1
+        elif not _compile_so(cc, source, so_path):
+            return "compile-failed"
         try:
             ffi, lib = _dlopen(so_path)
         except Exception:
@@ -840,22 +734,15 @@ def _load_uncached(spec: CellSpec) -> Union[CompiledCell, str]:
                 os.unlink(so_path)
             except OSError:
                 pass
-            try:
-                if not _compile_so(cc, source, so_path, flags):
-                    continue
-                ffi, lib = _dlopen(so_path)
-            except Exception:
-                continue
-        CODEGEN_STATS.cells[spec.describe()] = digest
-        return CompiledCell(
-            spec=spec,
-            digest=digest,
-            threading=threading_mode,
-            so_path=so_path,
-            ffi=ffi,
-            lib=lib,
-        )
-    return "compile-failed"
+            if not _compile_so(cc, source, so_path):
+                return "compile-failed"
+            ffi, lib = _dlopen(so_path)
+    except Exception:
+        return "compile-failed"
+    CODEGEN_STATS.cells[spec.describe()] = digest
+    return CompiledCell(
+        spec=spec, digest=digest, so_path=so_path, ffi=ffi, lib=lib
+    )
 
 
 def load_cell(spec: CellSpec) -> Union[CompiledCell, str]:
@@ -864,7 +751,7 @@ def load_cell(spec: CellSpec) -> Union[CompiledCell, str]:
     Memoized per process; the on-disk ``.so`` cache makes the first
     in-process load of a previously-built cell a pure ``dlopen``.
     Returns ``"no-toolchain"`` when no C compiler is on ``PATH`` and
-    ``"compile-failed"`` when every flag variant failed to build.
+    ``"compile-failed"`` when the cell failed to build or load.
     """
     with _MEMO_LOCK:
         cached = _MEMO.get(spec)
@@ -890,11 +777,3 @@ def _reset_memo() -> None:
     with _MEMO_LOCK:
         _MEMO.clear()
 
-
-def resolve_threads(batch_cells: int = 1) -> int:
-    """Thread count for one batched native call.
-
-    One thread per cell, up to the CPU count: a thread without a cell
-    to run is pure spawn overhead.
-    """
-    return min(os.cpu_count() or 1, max(batch_cells, 1))

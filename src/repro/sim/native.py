@@ -27,9 +27,10 @@ Design constraints:
   reads them.  Warm-cache reruns and executor interleaving therefore
   behave identically to the Python loop.
 * **Batching.**  :func:`run_native_batch` ships N independent traces
-  through **one** FFI crossing per cell group — and, when the cell
-  was compiled with OpenMP or pthreads, fans the group out across
-  cores (one thread per cell, up to the CPU count).
+  through **one** FFI crossing per cell group; the kernel runs them
+  one after another.  Callers on separate Python threads (the serve
+  daemon's executors) run at once: cffi releases the GIL for the
+  call, and each request brings its own simulator state.
 * **Observable refusal.**  Every plan the kernels refuse (no
   toolchain, compile failure, kernel error) is counted in
   :data:`NATIVE_DIAG` (``sim.native_fallback{reason=…}``) and logged
@@ -64,7 +65,6 @@ from .codegen import (
     CellSpec,
     CompiledCell,
     load_cell,
-    resolve_threads,
 )
 from .timing import TRANSACTION_CYCLES
 
@@ -170,7 +170,7 @@ def native_available() -> bool:
 #: Placeholder RCache arrays for probe-free cells: the generated
 #: kernel contains no code that reads slab slots 22/25, so one shared
 #: (never-dereferenced) pair serves every cell — including cells
-#: running concurrently on batch threads.
+#: running at once on separate caller threads.
 _DUMMY_TAGS = np.zeros(1, dtype=np.int64)
 _DUMMY_TOUCHED = np.zeros(1, dtype=np.uint8)
 
@@ -248,7 +248,7 @@ def _prepare(
     )
 
 
-def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell], threads: int):
+def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell]) -> None:
     """One FFI crossing for the whole *preps* group."""
     n = len(preps)
     if n == 1:
@@ -260,7 +260,6 @@ def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell], threads: int):
     ffi = cell.ffi
     cell.lib.lmi_cell_run_batch(
         n,
-        threads,
         ffi.cast("const int64_t *", scalars.ctypes.data),
         ffi.cast("void **", slab.ctypes.data),
     )
@@ -269,8 +268,6 @@ def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell], threads: int):
     stats.batch_cells += n
     if n > stats.max_batch:
         stats.max_batch = n
-    if threads > stats.max_threads:
-        stats.max_threads = threads
 
 
 def _commit(prep: _PreparedCell) -> int:
@@ -343,18 +340,15 @@ def run_native(
     return run_native_batch([(simulator, plan, stats, events)])[0]
 
 
-def run_native_batch(
-    requests: Sequence[Tuple], threads: Optional[int] = None
-) -> List[Optional[int]]:
+def run_native_batch(requests: Sequence[Tuple]) -> List[Optional[int]]:
     """Run many traces natively with one FFI crossing per cell group.
 
     *requests* is a sequence of ``(simulator, plan, stats, events)``
     tuples — the :func:`run_native` signature, one per trace.
     Requests are grouped by codegen cell; each group crosses the FFI
-    once and, when the cell was compiled with OpenMP/pthread support,
-    fans out over :func:`~repro.sim.codegen.resolve_threads` threads
-    (*threads* overrides).  Simulators must be distinct objects — the
-    kernels mutate exported cache state concurrently.
+    once, and the kernel runs its traces in order.  Simulators must be
+    distinct objects: each trace's exported cache state is bound
+    before the crossing and committed after it.
 
     Returns one finish-cycle (or ``None`` for any trace whose cell is
     unavailable or whose kernel refused —
@@ -379,11 +373,7 @@ def run_native_batch(
                 note_fallback(cell)
             continue
         preps = [_prepare(*requests[i]) for i in indices]
-        if threads is None:
-            fan = resolve_threads(len(preps))
-        else:
-            fan = max(1, min(threads, len(preps)))
-        _invoke(cell, preps, fan)
+        _invoke(cell, preps)
         for i, prep in zip(indices, preps):
             if prep.out[13]:
                 note_fallback("kernel-error")

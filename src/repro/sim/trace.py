@@ -106,9 +106,8 @@ class KernelTrace:
     :class:`~repro.sim.columnar.ColumnarTrace`, the form synthesis, the
     ``.npz`` loader, the summaries below and the simulator's plan
     decode read.  :attr:`warps`, the per-warp :class:`TraceInstruction`
-    lists that the oracle (:mod:`repro.sim.reference`),
-    :class:`~repro.sim.gpu.GpuSimulator` and the JSON tracefile walk,
-    is built from the columns once, on first access.  A trace built by
+    lists that the oracle (:mod:`repro.sim.reference`) walks, is built
+    from the columns once, on first access.  A trace built by
     hand from ``warps`` converts the other way, through
     :meth:`~repro.sim.columnar.ColumnarTrace.from_trace`, on first use
     of :attr:`columnar`.

@@ -1,49 +1,37 @@
-"""Kernel-trace serialization (the NVBit → MacSim file flow).
+"""Kernel-trace files (the NVBit → MacSim file flow).
 
 The paper's methodology captures CUDA traces with NVBit and feeds them
 to MacSim as files.  This module provides the same decoupling for this
-repo: a compact JSON-lines format (one header line, then one line per
-warp) so traces can be generated once, inspected, versioned, and
-replayed through the simulator.
-
-Record format (per instruction, positional for compactness)::
-
-    [op, flags, lines, buffer_ids]
-
-with ``flags`` bit 0 = depends, bit 1 = checked; ``lines`` and
-``buffer_ids`` omitted for ALU ops.
-
-Next to the JSON-lines form there is a **columnar ``.npz`` format**
+repo with one format, a **columnar ``.npz`` container**
 (:func:`dump_trace_npz` / :func:`load_trace_npz`): the
 :class:`~repro.sim.columnar.ColumnarTrace` arrays plus a versioned
-header.  It is the on-disk shape of the trace cache's disk layer
-(``--trace-cache``).  Members are written *stored* (``np.savez``), not
-deflated: deflating the 28 Fig. 12 traces (16 warps x 1200
-instructions) took 1.9-2.0 s for 4.2 MB, against 0.04-0.05 s for
-22 MB stored, and the stored files load in about half the time.  Zip's
-per-member CRC-32 still guards their bytes, and guards them better:
-``np.load`` reads a stored member to its end, where zip checks it, but
-can stop a deflated one short of the check (one single-bit flip in a
-deflated container loaded a different trace).  Deflated containers
-that older writers left behind load unchanged: ``np.load`` reads both.
-Loading returns a column-backed trace over the stored arrays: no
-instruction object is built, and a follow-up simulation decodes its
-plan straight from them.
+header, so traces can be generated once, versioned and replayed
+through the simulator.  It is also the on-disk shape of the trace
+cache's disk layer (``--trace-cache``).
+
+Members are written *stored* (``np.savez``), not deflated: deflating
+the 28 Fig. 12 traces (16 warps x 1200 instructions) took 1.9-2.0 s
+for 4.2 MB, against 0.04-0.05 s for 22 MB stored, and the stored files
+load in about half the time.  Zip's per-member CRC-32 still guards
+their bytes, and guards them better: ``np.load`` reads a stored member
+to its end, where zip checks it, but can stop a deflated one short of
+the check (one single-bit flip in a deflated container loaded a
+different trace).  Deflated containers that older writers left behind
+load unchanged: ``np.load`` reads both.  Loading returns a
+column-backed trace over the stored arrays: no instruction object is
+built, and a follow-up simulation decodes its plan straight from them.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import BinaryIO, List, TextIO, Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
 from ..common.errors import TraceFormatError
-from .trace import KernelTrace, OpClass, TraceInstruction
-
-#: Format identifier written into the header line.
-FORMAT_VERSION = 1
+from .trace import KernelTrace
 
 #: Format identifier of the columnar ``.npz`` container.
 NPZ_FORMAT_VERSION = 1
@@ -59,96 +47,6 @@ _NPZ_COLUMNS = (
     "buffer_offsets",
     "buffers",
 )
-
-
-def _encode_instruction(instr: TraceInstruction) -> list:
-    flags = (1 if instr.depends else 0) | (2 if instr.checked else 0)
-    if instr.op.is_memory:
-        return [instr.op.value, flags, list(instr.lines),
-                list(instr.buffer_ids)]
-    return [instr.op.value, flags]
-
-
-def _decode_instruction(record: list) -> TraceInstruction:
-    try:
-        op = OpClass(record[0])
-        flags = record[1]
-    except (IndexError, ValueError, KeyError) as error:
-        raise TraceFormatError(f"bad trace record {record!r}") from error
-    depends = bool(flags & 1)
-    checked = bool(flags & 2)
-    if op.is_memory:
-        if len(record) < 4:
-            raise TraceFormatError(
-                f"memory record missing transactions: {record!r}"
-            )
-        return TraceInstruction(
-            op=op,
-            depends=depends,
-            checked=checked,
-            lines=tuple(record[2]),
-            buffer_ids=tuple(record[3]),
-        )
-    return TraceInstruction(op=op, depends=depends, checked=checked)
-
-
-def dump_trace(trace: KernelTrace, target: Union[str, Path, TextIO]) -> None:
-    """Write *trace* as JSON lines."""
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w") if own else target
-    try:
-        header = {
-            "format": FORMAT_VERSION,
-            "name": trace.name,
-            "warps": len(trace.warps),
-        }
-        stream.write(json.dumps(header) + "\n")
-        for warp_stream in trace.warps:
-            records = [_encode_instruction(i) for i in warp_stream]
-            stream.write(json.dumps(records) + "\n")
-    finally:
-        if own:
-            stream.close()
-
-
-def load_trace(source: Union[str, Path, TextIO]) -> KernelTrace:
-    """Read a trace written by :func:`dump_trace`."""
-    own = isinstance(source, (str, Path))
-    stream = open(source) if own else source
-    try:
-        header_line = stream.readline()
-        if not header_line:
-            raise TraceFormatError("empty trace file")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as error:
-            raise TraceFormatError("unparsable trace header") from error
-        if header.get("format") != FORMAT_VERSION:
-            raise TraceFormatError(
-                f"unsupported trace format {header.get('format')!r}"
-            )
-        warps: List[List[TraceInstruction]] = []
-        for line in stream:
-            if not line.strip():
-                continue
-            try:
-                records = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise TraceFormatError("unparsable warp line") from error
-            warps.append([_decode_instruction(r) for r in records])
-        if len(warps) != header.get("warps"):
-            raise TraceFormatError(
-                f"header claims {header.get('warps')} warps, "
-                f"file holds {len(warps)}"
-            )
-        return KernelTrace(name=header.get("name", "trace"), warps=warps)
-    finally:
-        if own:
-            stream.close()
-
-
-# ----------------------------------------------------------------------
-# Columnar .npz container.
 
 
 def dump_trace_npz(

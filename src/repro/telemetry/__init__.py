@@ -17,10 +17,13 @@ Prometheus-text + JSON metrics document.
 On top of the post-hoc stack sits the **live plane** (DESIGN.md,
 "Observability" → "Live plane"): :class:`ProgressBoard` tracks
 in-flight jobs (queued → running → done/failed, EWMA ETA, per-phase
-wall-time attribution) and :class:`ObservabilityServer` serves it
-(with ``/metrics``, ``/trace`` and ``/logs``) from the one HTTP plane —
+wall-time attribution) and
+:class:`~repro.telemetry.server.ObservabilityServer` serves it (with
+``/metrics``, ``/trace`` and ``/logs``) from the one HTTP plane —
 opt-in via ``--serve``, read-only over telemetry state so exports stay
-byte-identical.
+byte-identical.  The server is not re-exported here: importing
+:mod:`repro.telemetry.server` loads ``asyncio``, which only a process
+that serves needs.
 """
 
 from .events import IMPORTANT_KINDS, EventKind, FlightRecorder, TelemetryEvent
@@ -62,7 +65,6 @@ from .report import (
     write_summary,
 )
 from .log import LOG, LOG_SCHEMA, StructuredLog
-from .server import ObservabilityServer
 from .spans import Instant, LogicalClock, Span, Tracer, WallClock
 from .tracectx import (
     TRACES,
@@ -119,7 +121,6 @@ __all__ = [
     "PROGRESS_SCHEMA",
     "ProgressBoard",
     "get_progress",
-    "ObservabilityServer",
     "LOG",
     "LOG_SCHEMA",
     "StructuredLog",

@@ -101,6 +101,21 @@ class TestCli:
         assert proc.returncode == 1
         assert err == b""
 
+    def test_library_import_loads_no_server_or_parser(self):
+        # A fresh interpreter: this one has loaded everything already.
+        # asyncio (with ssl) cost ~43 ms of import when the telemetry
+        # package re-exported the HTTP server; only --serve needs it.
+        probe = (
+            "import sys, repro.experiments\n"
+            "print(sorted(m for m in ('asyncio', 'argparse',"
+            " 'repro.telemetry.server') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], cwd=_REPO_ROOT, env=_cli_env(),
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
     @pytest.mark.parametrize(
         "command",
         ["report", "top", "trace", "ledger", "experiments", "serve",

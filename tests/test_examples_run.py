@@ -48,7 +48,7 @@ class TestExamples:
         result = _run("trace_workflow.py", str(tmp_path / "traces"))
         assert result.returncode == 0, result.stderr
         assert "Replaying" in result.stdout
-        assert (tmp_path / "traces" / "gaussian.trace").exists()
+        assert (tmp_path / "traces" / "gaussian-w16.npz").exists()
 
     @pytest.mark.slow
     def test_performance_tour_quick_set(self):

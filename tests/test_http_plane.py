@@ -22,9 +22,9 @@ import time
 import pytest
 
 from repro.serve import ServeDaemon
-from repro.telemetry import ObservabilityServer, ProgressBoard
+from repro.telemetry import ProgressBoard
 from repro.telemetry.log import LEVELS, LOG
-from repro.telemetry.server import PROMETHEUS_CONTENT_TYPE
+from repro.telemetry.server import PROMETHEUS_CONTENT_TYPE, ObservabilityServer
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 

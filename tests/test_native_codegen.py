@@ -18,12 +18,14 @@ This suite locks the contracts the fast path depends on:
   subclasses ride the generated kernels (equivalence vs the locked
   reference, warm-state round-trip, >64-warp wide-mask cells).
 * **Batched FFI** — ``run_native_batch`` is result/state/event
-  identical to sequential ``run_native`` at any thread count.
+  identical to sequential ``run_native``, also when Python threads
+  cross the FFI at once, as the serve daemon's executors do.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -40,7 +42,6 @@ from repro.sim.codegen import (
     CompiledCell,
     generate_cell_source,
     load_cell,
-    resolve_threads,
 )
 from repro.sim.native import (
     cell_spec_for,
@@ -165,6 +166,30 @@ def test_concurrent_builds_race_safely(tmp_path, monkeypatch, fresh_memo):
     assert CODEGEN_STATS.failures == failures_before
 
 
+def test_cold_load_runs_cc_once(tmp_path, monkeypatch, fresh_memo):
+    """One flag set: no fallback ladder of compile attempts."""
+    if codegen._find_cc() is None:
+        pytest.skip("no C toolchain")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    calls = []
+    run = codegen.subprocess.run
+
+    def counting_run(argv, **kwargs):
+        calls.append(argv)
+        return run(argv, **kwargs)
+
+    monkeypatch.setattr(codegen.subprocess, "run", counting_run)
+    spec = CellSpec(
+        has_probes=True, l1_ways=4, l1_latency=33, l2_ways=8,
+        l2_latency=203, dram_latency=353, line_cycles=4, tx_cycles=4,
+        rc_ways=4,
+    )
+    assert isinstance(load_cell(spec), CompiledCell)
+    [argv] = calls
+    assert argv[1:4] == ["-O2", "-shared", "-fPIC"]
+    assert argv[4] == "-o"
+
+
 def test_warm_load_never_recompiles(tmp_path, monkeypatch, fresh_memo):
     if codegen._find_cc() is None:
         pytest.skip("no C toolchain")
@@ -192,16 +217,6 @@ def test_warm_load_never_recompiles(tmp_path, monkeypatch, fresh_memo):
     memo_before = CODEGEN_STATS.memo_hits
     assert load_cell(spec) is warm
     assert CODEGEN_STATS.memo_hits > memo_before
-
-
-def test_resolve_threads_batch_clamp(monkeypatch):
-    """One thread per cell, up to the CPU count."""
-    monkeypatch.setattr(codegen.os, "cpu_count", lambda: 4)
-    assert resolve_threads(8) == 4
-    assert resolve_threads(2) == 2
-    assert resolve_threads(0) == 1
-    monkeypatch.setattr(codegen.os, "cpu_count", lambda: None)
-    assert resolve_threads(8) == 1
 
 
 # ----------------------------------------------------------------------
@@ -263,26 +278,25 @@ def _prepare_requests(mechanisms, traces):
     return requests
 
 
-@pytest.mark.parametrize("threads", [None, 2])
-def test_batch_matches_sequential(threads):
-    """run_native_batch == [run_native(*r) for r in requests]: cycles,
-    stats, cache state and issue events, at any thread count."""
-    _native_or_skip()
-    mechanisms = ["baseline", "lmi", "gpushield", "baggy", "lmi", "gpushield"]
-    names = ["gaussian", "needle", "LSTM", "bfs", "hotspot", "lud_cuda"]
-    traces = [
+_BATCH_MECHANISMS = [
+    "baseline", "lmi", "gpushield", "baggy", "lmi", "gpushield",
+]
+_BATCH_BENCHMARKS = ["gaussian", "needle", "LSTM", "bfs", "hotspot", "lud_cuda"]
+
+
+def _batch_traces():
+    return [
         synthesize_trace(name, warps=4, instructions_per_warp=120)
-        for name in names
+        for name in _BATCH_BENCHMARKS
     ]
-    sequential = _prepare_requests(mechanisms, traces)
-    batched = _prepare_requests(mechanisms, traces)
-    want = [run_native(*request) for request in sequential]
-    got = run_native_batch(batched, threads=threads)
-    assert all(cycles is not None for cycles in want)
-    assert got == want
+
+
+def _assert_same_runs(want_requests, got_requests):
+    """Equal stats, issue events, cache and DRAM state, request by
+    request."""
     for (sim_a, _, stats_a, events_a), (
         sim_b, _, stats_b, events_b
-    ) in zip(sequential, batched):
+    ) in zip(want_requests, got_requests):
         assert stats_a == stats_b
         (rows_a,), (rows_b,) = events_a, events_b
         assert rows_a.dtype == np.int64 and rows_a.shape[1:] == (3,)
@@ -294,6 +308,62 @@ def test_batch_matches_sequential(threads):
             sim_b.l2.stats.hits, sim_b.l2.stats.misses
         )
         assert sim_a.dram.channel_free_at == sim_b.dram.channel_free_at
+
+
+@pytest.mark.parametrize(
+    "threads",
+    [
+        None,
+        2,
+        pytest.param(2 * (os.cpu_count() or 1) + 1, id="oversubscribed"),
+    ],
+)
+def test_batch_matches_sequential(threads):
+    """run_native_batch == [run_native(*r) for r in requests]: cycles,
+    stats, cache state and issue events, over eight rounds of batches.
+    With ``threads`` set, that many Python threads each run their own
+    rounds at once (cffi releases the GIL for the call, as for the
+    serve daemon's executors); None runs them in the test's thread.
+    More threads than cores overlaps the crossings most reliably."""
+    _native_or_skip()
+    traces = _batch_traces()
+    sequential = _prepare_requests(_BATCH_MECHANISMS, traces)
+    want = [run_native(*request) for request in sequential]
+    assert all(cycles is not None for cycles in want)
+    # Every round prepared up front and a short switch interval: the
+    # threads' crossings overlap.
+    rounds = [
+        [_prepare_requests(_BATCH_MECHANISMS, traces) for _ in range(8)]
+        for _ in range(threads or 1)
+    ]
+    if threads is None:
+        got = [[run_native_batch(requests) for requests in rounds[0]]]
+    else:
+        got = [[] for _ in rounds]
+        start = threading.Barrier(threads)
+
+        def run(index):
+            start.wait()
+            for requests in rounds[index]:
+                got[index].append(run_native_batch(requests))
+
+        workers = [
+            threading.Thread(target=run, args=(i,)) for i in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+    for index, thread_rounds in enumerate(rounds):
+        assert got[index] == [want] * len(thread_rounds)
+        for requests in thread_rounds:
+            _assert_same_runs(sequential, requests)
 
 
 def test_batch_counts_into_codegen_stats():

@@ -29,7 +29,6 @@ import pytest
 from repro.cli import format_top, main as cli_main
 from repro.experiments.engine import SimJob, run_sim_jobs
 from repro.telemetry import (
-    ObservabilityServer,
     PROGRESS,
     PROGRESS_SCHEMA,
     ProgressBoard,
@@ -40,7 +39,7 @@ from repro.telemetry import (
     metrics_json,
 )
 from repro.telemetry.progress import DONE, FAILED, QUEUED, RUNNING
-from repro.telemetry.server import PROMETHEUS_CONTENT_TYPE
+from repro.telemetry.server import PROMETHEUS_CONTENT_TYPE, ObservabilityServer
 
 
 def _get(url: str, timeout: float = 5.0):

@@ -104,8 +104,8 @@ class TestProtocol:
             parse_simulate(b"[1, 2]")
 
     def test_build_config_nested_overrides(self):
-        config = build_config({"num_sms": 40, "l1": {"ways": 2}})
-        assert config.num_sms == 40
+        config = build_config({"dram_channels": 16, "l1": {"ways": 2}})
+        assert config.dram_channels == 16
         assert config.l1.ways == 2
         # Untouched fields keep their defaults.
         assert config.l1.size_bytes == DEFAULT_GPU_CONFIG.l1.size_bytes
@@ -121,19 +121,32 @@ class TestProtocol:
             ({"dram_latency": -5}, "dram_latency"),
             ({"dram_latency": "350"}, "dram_latency"),
             ({"dram_latency": True}, "dram_latency"),
-            ({"num_sms": 1.5}, "num_sms"),
-            ({"warps_per_scheduler": -1}, "warps_per_scheduler"),
-            ({"dram_bytes": None}, "dram_bytes"),
+            ({"dram_channels": 1.5}, "dram_channels"),
+            ({"l2": {"hit_latency": -1}}, "hit_latency"),
+            ({"dram_bandwidth_bytes_per_cycle": None},
+             "dram_bandwidth_bytes_per_cycle"),
             ({"dram_channels": 0}, "dram_channels"),
             ({"dram_bandwidth_bytes_per_cycle": 0},
              "dram_bandwidth_bytes_per_cycle"),
-            ({"clock_ghz": 0}, "clock_ghz"),
-            ({"clock_ghz": "2"}, "clock_ghz"),
-            ({"clock_ghz": float("nan")}, "clock_ghz"),
+            ({"l2": {"hit_latency": 0}}, "hit_latency"),
+            ({"l2": {"hit_latency": "200"}}, "hit_latency"),
+            ({"l2": {"hit_latency": float("nan")}}, "hit_latency"),
             ({"l1": {"ways": True}}, "ways"),
             ({"l1": {"ways": 0}}, "ways"),
             ({"l1": {"hit_latency": 2.5}}, "hit_latency"),
             ({"l2": {"size_bytes": -1}}, "size_bytes"),
+            # Past their bounds: 2**61 hung the native kernel, and the
+            # other two sized 10**12 free-at slots and ~206 GB of tags.
+            ({"dram_latency": 2 ** 61}, "dram_latency"),
+            ({"dram_channels": 10 ** 12}, "dram_channels"),
+            ({"l2": {"size_bytes": 3072 * 2 ** 30}}, "size_bytes"),
+            # Fields no simulator read are unknown, whatever the value.
+            ({"num_sms": 1.5}, "num_sms"),
+            ({"warps_per_scheduler": -1}, "warps_per_scheduler"),
+            ({"dram_bytes": None}, "dram_bytes"),
+            ({"clock_ghz": 0}, "clock_ghz"),
+            ({"clock_ghz": "2"}, "clock_ghz"),
+            ({"clock_ghz": float("nan")}, "clock_ghz"),
         ],
         ids=lambda value: json.dumps(value) if isinstance(value, dict)
         else None,
@@ -161,8 +174,8 @@ class TestDaemon:
         cases = [
             ({}, DEFAULT_GPU_CONFIG),
             (
-                {"config": {"num_sms": 8, "l1": {"ways": 2}}},
-                build_config({"num_sms": 8, "l1": {"ways": 2}}),
+                {"config": {"dram_latency": 400, "l1": {"ways": 2}}},
+                build_config({"dram_latency": 400, "l1": {"ways": 2}}),
             ),
             ({"mechanism": "baseline"}, DEFAULT_GPU_CONFIG),
         ]
@@ -191,7 +204,7 @@ class TestDaemon:
 
     def test_distinct_config_distinct_digest(self, daemon):
         _, plain = _post(daemon.url, _body())
-        _, tweaked = _post(daemon.url, _body(config={"num_sms": 8}))
+        _, tweaked = _post(daemon.url, _body(config={"dram_latency": 400}))
         assert plain["digest"] != tweaked["digest"]
 
     def test_bad_request_is_400(self, daemon):
@@ -205,6 +218,15 @@ class TestDaemon:
             _post(daemon.url, _body(config={"dram_latency": -5}))
         assert info.value.code == 400
         assert "dram_latency" in json.loads(info.value.read())["error"]
+
+    def test_field_no_simulator_reads_is_400(self, daemon):
+        # Simulated the default machine again under a new cell digest.
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _post(daemon.url, _body(config={"num_sms": 8}))
+        assert info.value.code == 400
+        assert json.loads(info.value.read())["error"] == (
+            "unknown config field 'num_sms'"
+        )
 
     @pytest.mark.parametrize(
         "overrides, config, cycles",

@@ -19,7 +19,7 @@ Coverage:
 * warm-run parity (cache/DRAM state carried across runs);
 * edge shapes the grid cannot hit: empty warp streams, >64-warp traces
   (past the native executor's bitmask width), ``hit_latency=1``
-  geometry;
+  geometry, and the largest admitted latencies;
 * the loud refusal of timing models without an issue-plan lowering
   (the oracle still simulates them);
 * plans live and die with their run: a cached trace keeps nothing
@@ -30,6 +30,7 @@ Coverage:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -38,13 +39,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from repro.common.config import DEFAULT_GPU_CONFIG, CacheConfig, GpuConfig
+from repro.common.config import (
+    DEFAULT_GPU_CONFIG,
+    MAX_LATENCY,
+    CacheConfig,
+    GpuConfig,
+)
 from repro.common.errors import SimulationError
 from repro.experiments import engine as engine_module
 from repro.experiments import run_fig12
 from repro.experiments.engine import SimJob, model_factory, run_sim_jobs
 from repro.sim import (
-    GpuSimulator,
     KernelTrace,
     OpClass,
     SmSimulator,
@@ -176,6 +181,26 @@ def test_hit_latency_one_geometry(path):
             trace, mechanism, config=config
         )
         assert got.cycles == want.cycles
+        assert got.stats == want.stats
+        assert got_state == want_state
+
+
+@pytest.mark.parametrize("path", PATHS, indirect=True)
+def test_latencies_at_their_bound(path):
+    """The largest admitted L1 hit and DRAM latencies simulate to the
+    oracle's cycles: no completion reaches the executors' 2**62
+    "never" sentinel (2**61 used to hang the C kernel and crash the
+    Python loop)."""
+    config = GpuConfig(
+        l1=dataclasses.replace(DEFAULT_GPU_CONFIG.l1, hit_latency=MAX_LATENCY),
+        dram_latency=MAX_LATENCY,
+    )
+    trace = synthesize_trace("gaussian", warps=2, instructions_per_warp=200)
+    for mechanism in MODELS:
+        got, want, got_state, want_state = _run_both(
+            trace, mechanism, config=config
+        )
+        assert got.cycles == want.cycles > MAX_LATENCY
         assert got.stats == want.stats
         assert got_state == want_state
 
@@ -319,8 +344,6 @@ def test_opaque_model_fails_loudly(model_cls):
     trace = synthesize_trace("needle", warps=4, instructions_per_warp=120)
     with pytest.raises(SimulationError, match="reference_simulate"):
         SmSimulator(DEFAULT_GPU_CONFIG, model_cls())
-    with pytest.raises(SimulationError, match="reference_simulate"):
-        GpuSimulator(DEFAULT_GPU_CONFIG, model_cls, num_sms=2).run(trace)
     # The oracle still simulates the model, perturbation included.
     got = reference_simulate(trace, model_cls())
     assert got.stats.instructions == sum(len(w) for w in trace.warps)

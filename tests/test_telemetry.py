@@ -27,7 +27,6 @@ from repro.exec.executor import GpuExecutor
 from repro.mechanisms.base import MechanismStats, MechanismStatsSnapshot
 from repro.mechanisms.lmi import LmiMechanism
 from repro.sim.core import ISSUE_COLUMNS, SimStats, publish_fast_path, simulate
-from repro.sim.gpu import GpuSimulator
 from repro.telemetry import (
     EventKind,
     FlightRecorder,
@@ -510,22 +509,6 @@ class TestSimTelemetry:
         assert reg.value("sim.instructions", trace="t") == 10
         assert reg.value("sim.lsu_serialization_cycles", trace="t") == 8
         assert reg.value("sim.extra_transactions", trace="t") == 2
-
-    def test_gpu_result_summary_and_aggregates(self):
-        trace = synthesize_trace("hotspot", warps=8,
-                                 instructions_per_warp=64, seed_salt=11)
-        with capture() as t:
-            result = GpuSimulator(num_sms=2).run(trace)
-            sim_spans = [s for s in t.tracer.spans
-                         if s.name.startswith("sim:")]
-            assert len(sim_spans) == 2
-            assert {s.tid for s in sim_spans} == {0, 1}
-            assert t.registry.total("sim.instructions") \
-                == result.total_instructions
-        assert result.extra_transactions >= 0
-        assert result.issue_stall_cycles >= 0
-        summary = result.format_summary()
-        assert "cycles=" in summary and "lsu_serialization=" in summary
 
     def test_warp_events_recorded_when_enabled(self):
         trace = synthesize_trace("gaussian", warps=2,
