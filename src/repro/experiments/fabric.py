@@ -178,8 +178,9 @@ def code_fingerprint() -> str:
     """Digest of all result-bearing source (memoized per process).
 
     SHA-256 over the sorted relative paths and bytes of every ``.py``
-    file in the simulation-relevant packages plus the experiment
-    engine/fabric themselves.  Coarse on purpose: a false invalidation
+    and ``.c`` file in the simulation-relevant packages (the trace
+    synthesizer's kernel is C) plus the experiment engine/fabric
+    themselves.  Coarse on purpose: a false invalidation
     costs one warm-up run; a false *hit* would silently serve stale
     science.
     """
@@ -195,7 +196,7 @@ def code_fingerprint() -> str:
         root = os.path.join(package_root, package)
         for dirpath, _, filenames in os.walk(root):
             for filename in filenames:
-                if filename.endswith(".py"):
+                if filename.endswith((".py", ".c")):
                     paths.append(os.path.join(dirpath, filename))
     digest = hashlib.sha256()
     for path in sorted(paths):

@@ -31,7 +31,10 @@ This module replaces that kernel with *generated* C, specialized per
   output are published with :func:`~repro.common.files.publish` under
   a per-key ``flock``, so concurrent ``--jobs`` workers either reuse a
   finished build or wait for the one in flight — ``cc`` runs at most
-  once per cell per machine, and warm runs never invoke it.
+  once per cell per machine, and warm runs never invoke it.  The
+  same path builds the one fixed translation unit that is not
+  generated, the trace synthesizer of :mod:`repro.workloads.synthetic`
+  (:func:`load_source`).
 * **Serial batches.**  A batch runs its cells one after another on
   the calling thread, compiled with one flag set (``-O2 -shared
   -fPIC``).  Parallelism lives above the kernel: grids spread over
@@ -62,7 +65,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from shutil import which
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..common.files import locked, publish
 from .columnar import PLAN_COLUMNS, PROBE_COLUMNS
@@ -78,6 +81,7 @@ __all__ = [
     "cell_cache_dir",
     "generate_cell_source",
     "load_cell",
+    "load_source",
 ]
 
 log = logging.getLogger("repro.sim.codegen")
@@ -663,9 +667,10 @@ def _cc_identity(cc: str) -> str:
 #: The one compile-flag set; part of the build-cache key.
 _FLAGS: Tuple[str, ...] = ("-O2", "-shared", "-fPIC")
 
-# In-process memo: CellSpec -> CompiledCell (success) or str (the
-# fallback reason: "no-toolchain" / "compile-failed").
-_MEMO: Dict[CellSpec, Union[CompiledCell, str]] = {}
+# In-process memo: CellSpec (or a fixed source's ``(stem, source)``)
+# -> the loaded kernel, or str (the fallback reason: "no-toolchain" /
+# "compile-failed").
+_MEMO: Dict[object, object] = {}
 _MEMO_LOCK = threading.Lock()
 
 
@@ -701,33 +706,37 @@ def _compile_so(cc: str, source: str, so_path: str) -> bool:
         return True
 
 
-def _dlopen(so_path: str):
+def _dlopen(so_path: str, cdef: str):
     from cffi import FFI
 
     ffi = FFI()
-    ffi.cdef(_CDEF)
+    ffi.cdef(cdef)
     return ffi, ffi.dlopen(so_path)
 
 
-def _load_uncached(spec: CellSpec) -> Union[CompiledCell, str]:
+def _build(
+    stem: str, source: str, cdef: str
+) -> Union[Tuple[str, str, object, object], str]:
+    """Compile *source* into the disk cache (or reuse its build) and
+    dlopen it as ``stem_<digest>.so``.
+
+    Returns ``(digest, so_path, ffi, lib)``, ``"no-toolchain"`` when no
+    C compiler is on ``PATH``, or ``"compile-failed"`` when the source
+    failed to build or load.
+    """
     cc = _find_cc()
     if cc is None:
         return "no-toolchain"
-    try:
-        source = generate_cell_source(spec)
-    except Exception:  # pragma: no cover - generator bug safety net
-        log.exception("cell source generation failed for %s", spec)
-        return "compile-failed"
     key = "\x00".join((source, _cc_identity(cc), " ".join(_FLAGS)))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    so_path = os.path.join(cell_cache_dir(), f"lmi_cell_{digest}.so")
+    so_path = os.path.join(cell_cache_dir(), f"{stem}_{digest}.so")
     try:
         if os.path.exists(so_path):
             CODEGEN_STATS.disk_hits += 1
         elif not _compile_so(cc, source, so_path):
             return "compile-failed"
         try:
-            ffi, lib = _dlopen(so_path)
+            ffi, lib = _dlopen(so_path, cdef)
         except Exception:
             # A torn or foreign file at the cache path: rebuild once.
             try:
@@ -736,13 +745,47 @@ def _load_uncached(spec: CellSpec) -> Union[CompiledCell, str]:
                 pass
             if not _compile_so(cc, source, so_path):
                 return "compile-failed"
-            ffi, lib = _dlopen(so_path)
+            ffi, lib = _dlopen(so_path, cdef)
     except Exception:
         return "compile-failed"
+    return digest, so_path, ffi, lib
+
+
+def _load_uncached(spec: CellSpec) -> Union[CompiledCell, str]:
+    try:
+        source = generate_cell_source(spec)
+    except Exception:  # pragma: no cover - generator bug safety net
+        log.exception("cell source generation failed for %s", spec)
+        return "compile-failed"
+    built = _build("lmi_cell", source, _CDEF)
+    if isinstance(built, str):
+        return built
+    digest, so_path, ffi, lib = built
     CODEGEN_STATS.cells[spec.describe()] = digest
     return CompiledCell(
         spec=spec, digest=digest, so_path=so_path, ffi=ffi, lib=lib
     )
+
+
+def _memoized(key, load: Callable[[], object], label: str):
+    """``load()`` once per process per *key*; failures are memoized too."""
+    with _MEMO_LOCK:
+        cached = _MEMO.get(key)
+        if cached is not None:
+            if not isinstance(cached, str):
+                CODEGEN_STATS.memo_hits += 1
+            return cached
+    loaded = load()
+    if isinstance(loaded, str):
+        CODEGEN_STATS.failures += 1
+        log.info(
+            "native %s unavailable (%s); using the Python loop",
+            label,
+            loaded,
+        )
+    with _MEMO_LOCK:
+        _MEMO[key] = loaded
+    return loaded
 
 
 def load_cell(spec: CellSpec) -> Union[CompiledCell, str]:
@@ -753,27 +796,34 @@ def load_cell(spec: CellSpec) -> Union[CompiledCell, str]:
     Returns ``"no-toolchain"`` when no C compiler is on ``PATH`` and
     ``"compile-failed"`` when the cell failed to build or load.
     """
-    with _MEMO_LOCK:
-        cached = _MEMO.get(spec)
-        if cached is not None:
-            if isinstance(cached, CompiledCell):
-                CODEGEN_STATS.memo_hits += 1
-            return cached
-    loaded = _load_uncached(spec)
-    if isinstance(loaded, str):
-        CODEGEN_STATS.failures += 1
-        log.info(
-            "native cell %s unavailable (%s); using the Python loop",
-            spec.describe(),
-            loaded,
-        )
-    with _MEMO_LOCK:
-        _MEMO[spec] = loaded
-    return loaded
+    return _memoized(
+        spec, lambda: _load_uncached(spec), f"cell {spec.describe()}"
+    )
+
+
+def load_source(
+    stem: str, source: str, cdef: str
+) -> Union[Tuple[object, object], str]:
+    """``(ffi, lib)`` for a fixed C *source*, or a fallback-reason string.
+
+    The same compile, disk cache and memo as :func:`load_cell`, for a
+    translation unit that is not generated per cell (the trace
+    synthesizer's).  *cdef* declares what the library exports.
+    """
+
+    def load() -> Union[Tuple[object, object], str]:
+        built = _build(stem, source, cdef)
+        if isinstance(built, str):
+            return built
+        digest, _, ffi, lib = built
+        CODEGEN_STATS.cells[stem] = digest
+        return ffi, lib
+
+    return _memoized((stem, source), load, stem)
 
 
 def _reset_memo() -> None:
-    """Drop the in-process cell memo (tests only)."""
+    """Drop the in-process kernel memo (tests only)."""
     with _MEMO_LOCK:
         _MEMO.clear()
 

@@ -580,7 +580,7 @@ def decode_issue_plan(
         line_l1t=_column(shifted1 // l1_sets),
         line_l2s=_column(shifted2 % l2_sets),
         line_l2t=_column(shifted2 // l2_sets),
-        line_ch=_column((lines >> 7) % channels),
+        line_ch=_column(shifted2 % channels),
         line_txo=_column(line_index[on_l1_path] * TRANSACTION_CYCLES),
         **probes,
     )
@@ -620,7 +620,7 @@ def _decode_probes(
         "probe_rct": _column(bids // rc_sets),
         "probe_mls": _column(meta_shift % l2_sets),
         "probe_mlt": _column(meta_shift // l2_sets),
-        "probe_mch": _column((meta_line >> 7) % channels),
+        "probe_mch": _column(meta_shift % channels),
     }
 
 

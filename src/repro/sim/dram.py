@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..common.bitops import log2_exact
 from ..common.config import GpuConfig
 
 
@@ -19,17 +20,22 @@ class DramStats:
 class DramModel:
     """Address-interleaved channels with a service-rate queue.
 
-    Each request takes ``dram_latency`` cycles plus any queuing delay
-    behind earlier requests on the same channel (one line per
-    ``line_cycles`` service slot — a bandwidth cap, not a full
-    bank/row model; enough to create pressure under uncoalesced
-    streams).
+    Each request fills one L2 line (``config.l2.line_bytes``): it takes
+    ``dram_latency`` cycles plus any queuing delay behind earlier
+    requests on the same channel (one line per ``line_cycles`` service
+    slot — a bandwidth cap, not a full bank/row model; enough to create
+    pressure under uncoalesced streams).  Consecutive L2 lines
+    interleave across the channels.
     """
 
-    def __init__(self, config: GpuConfig, line_bytes: int = 128) -> None:
+    def __init__(self, config: GpuConfig) -> None:
         self.config = config
         self.latency = config.dram_latency
         self.channels = config.dram_channels
+        line_bytes = config.l2.line_bytes
+        #: ``log2`` of the L2 line: a byte address's line index is
+        #: ``address >> line_bits``.
+        self.line_bits = log2_exact(line_bytes)
         # Cycles to stream one line through a channel at the configured
         # per-channel bandwidth share.
         per_channel_bw = max(
@@ -45,7 +51,7 @@ class DramModel:
 
     def request(self, line_address: int, now: int) -> int:
         """Issue a line fetch at cycle *now*; returns completion cycle."""
-        channel = (line_address >> 7) % self.channels
+        channel = (line_address >> self.line_bits) % self.channels
         free_at = self.channel_free_at
         free = free_at[channel]
         start = now if now >= free else free

@@ -34,7 +34,9 @@ Design constraints:
 * **Observable refusal.**  Every plan the kernels refuse (no
   toolchain, compile failure, kernel error) is counted in
   :data:`NATIVE_DIAG` (``sim.native_fallback{reason=…}``) and logged
-  once per reason per process.  The diagnostics registry
+  once per reason per process; so is every trace the native
+  synthesizer of :mod:`repro.workloads.synthetic` leaves to its Python
+  loop.  The diagnostics registry
   is deliberately separate from the main telemetry registry: exported
   ``--metrics`` snapshots must stay byte-identical across executors,
   batch sizes and ``--jobs`` values, so executor-selection diagnostics
@@ -90,8 +92,11 @@ _FALLBACK_LOGGED: set = set()
 
 _FALLBACK_DETAIL = {
     "no-toolchain": "no C compiler (cc/gcc/clang) on PATH",
-    "compile-failed": "the generated cell failed to compile",
+    "compile-failed": "a generated cell or the trace synthesizer failed"
+    " to compile",
     "kernel-error": "generated kernel refused (allocation failure)",
+    "wide-draws": "a profile needs random draws wider than 32 bits, which"
+    " only the Python trace synthesizer makes",
 }
 
 

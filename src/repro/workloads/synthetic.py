@@ -9,24 +9,40 @@ benchmark name, the warp index and the seed salt, so every run (and
 every mechanism compared on the same benchmark) sees the identical
 instruction stream.
 
-The generator appends each draw straight into the
+Two synthesizers write the same eight
 :class:`~repro.sim.columnar.ColumnarTrace` columns; no
-:class:`~repro.sim.trace.TraceInstruction` is built.  ``randrange(n)``
-is inlined as the ``getrandbits(n.bit_length())`` rejection loop
-CPython runs for it (:func:`_randbelow`), so the random stream — and
-with it every trace — is the one the per-instruction generator drew.
+:class:`~repro.sim.trace.TraceInstruction` is built.
+
+* **The native kernel** (``synthetic.c``, one fixed C translation
+  unit) is built and loaded on the first synthesis through
+  :func:`repro.sim.codegen.load_source`, the compile and disk cache of
+  the simulator's generated kernels.  It replays the Python loop draw
+  for draw: CPython's MT19937 seeded as ``random.Random`` seeds it,
+  ``random()`` from two 32-bit words, ``getrandbits(k)`` for
+  ``k <= 32`` as the top *k* bits of one word, and the same rejection
+  loops, writing into exactly sized NumPy arrays.
+* **The Python loop** (:func:`_python_columns`) is its oracle, and the
+  path when no C compiler is present, the build fails, or a profile
+  needs draws wider than 32 bits; each such synthesis is counted
+  through :func:`repro.sim.native.note_fallback`.  ``randrange(n)`` is
+  inlined as the ``getrandbits(n.bit_length())`` rejection loop
+  CPython runs for it (:func:`_randbelow`), so the random stream — and
+  with it every trace — is the one the per-instruction generator drew.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
-from typing import Callable, List, Optional
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..common.errors import MemorySpace
 from ..memory import layout
+from ..sim.codegen import load_source
 from ..sim.columnar import (
     OP_FP,
     OP_INT,
@@ -38,6 +54,7 @@ from ..sim.columnar import (
     OP_STS,
     ColumnarTrace,
 )
+from ..sim.native import note_fallback
 from ..sim.trace import KernelTrace
 from .profiles import BenchmarkProfile, profile
 
@@ -50,6 +67,34 @@ _BUFFER_SWITCH = 0.02
 #: Typical load:store ratio of a memory instruction.
 _LOAD_FRACTION = 0.7
 
+#: The native synthesizer's source and the declarations it exports
+#: (the same text as in the source).
+_KERNEL_SOURCE = Path(__file__).with_name("synthetic.c")
+_KERNEL_CDEF = """
+struct lmi_synth_params {
+    int64_t warps, instructions_per_warp;
+    int64_t lines_in_set, line_bits, n_buffers, buffer_bits;
+    int64_t uncoalesced, scatter, line_bytes;
+    int64_t global_base, shared_base, local_base;
+    double dep_rate, mem_fraction, load_fraction;
+    double global_frac, global_shared_frac, coalesced;
+    double buffer_switch, int_fraction, ptr_rate;
+};
+struct lmi_synth_columns {
+    const int64_t *seeds;
+    uint8_t *ops, *depends, *checked;
+    int64_t *line_offsets, *lines, *buffer_offsets, *buffers;
+    int64_t line_cap, buffer_cap;
+    int64_t line_need, buffer_need;
+};
+int64_t lmi_synth_run(const struct lmi_synth_params *p,
+                      struct lmi_synth_columns *c, int64_t warp);
+"""
+
+#: Headroom over the expected line and buffer-id counts when sizing
+#: the native kernel's columns; a shortfall only costs a regrow.
+_CAPACITY_SLACK = 1.1
+
 
 def _seed_for(name: str, salt: int = 0) -> int:
     # crc32, not hash(): string hashing is salted per process and
@@ -61,7 +106,7 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     """``Random.randrange(n)`` for ``n > 0``, drawn from *getrandbits*.
 
     CPython's rejection loop: draw ``n.bit_length()`` bits until the
-    value is below *n*.  The hot loop of :func:`synthesize_trace`
+    value is below *n*.  The hot loop of :func:`_python_columns`
     inlines this loop.
     """
     bits = n.bit_length()
@@ -69,6 +114,10 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     while value >= n:
         value = getrandbits(bits)
     return value
+
+
+def _lines_in_set(spec: BenchmarkProfile) -> int:
+    return max(1, (spec.working_set_kb * 1024) // _LINE)
 
 
 def synthesize_trace(
@@ -79,11 +128,176 @@ def synthesize_trace(
     seed_salt: int = 0,
     spec: Optional[BenchmarkProfile] = None,
 ) -> KernelTrace:
-    """Generate the kernel trace for *benchmark*."""
+    """Generate the kernel trace for *benchmark*.
+
+    Runs the native kernel when it loads, else the Python loop; both
+    give equal columns.  Raises :class:`ValueError` for a negative
+    *warps* or *instructions_per_warp* and for a profile without
+    buffers.
+    """
     spec = spec if spec is not None else profile(benchmark)
-    n_buffers = spec.n_buffers
-    if n_buffers <= 0:
+    if spec.n_buffers <= 0:
         raise ValueError(f"{spec.name}: n_buffers must be positive")
+    if warps < 0:
+        raise ValueError(f"warps must be non-negative, got {warps}")
+    if instructions_per_warp < 0:
+        raise ValueError(
+            "instructions_per_warp must be non-negative, "
+            f"got {instructions_per_warp}"
+        )
+    columns = _native_columns(spec, warps, instructions_per_warp, seed_salt)
+    if columns is None:
+        columns = _python_columns(
+            spec, warps, instructions_per_warp, seed_salt
+        )
+    return columns.to_trace()
+
+
+# ----------------------------------------------------------------------
+# The native kernel.
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_source() -> str:
+    return _KERNEL_SOURCE.read_text("utf-8")
+
+
+def _kernel():
+    """``(ffi, lib)`` of the native synthesizer, built and loaded on
+    first use, or the reason it is unavailable."""
+    try:
+        source = _kernel_source()
+    except OSError:
+        return "compile-failed"
+    return load_source("lmi_synth", source, _KERNEL_CDEF)
+
+
+def _capacities(spec: BenchmarkProfile, n: int) -> Tuple[int, int]:
+    """Initial ``lines`` and ``buffers`` lengths for *n* instructions:
+    the expected counts with headroom, plus room for 64 of the widest
+    accesses (the kernel stops short of one that may not fit)."""
+    widest = max(1, spec.uncoalesced_transactions)
+    memory = n * spec.mem_fraction
+    lines = memory * (spec.coalesced + (1 - spec.coalesced) * widest)
+    scatter = spec.buffer_locality == "scatter"
+    buffers = n - memory + (lines if scatter else memory)
+    pad = 64 * widest
+    return (
+        int(lines * _CAPACITY_SLACK) + pad,
+        int(buffers * _CAPACITY_SLACK) + pad,
+    )
+
+
+def _native_columns(
+    spec: BenchmarkProfile, warps: int, instructions_per_warp: int,
+    seed_salt: int,
+) -> Optional[ColumnarTrace]:
+    """The trace's columns from the native kernel, or ``None`` (the
+    reason noted) when the Python loop must draw them."""
+    lines_in_set = _lines_in_set(spec)
+    n_buffers = spec.n_buffers
+    if max(lines_in_set, n_buffers).bit_length() > 32:
+        note_fallback("wide-draws")
+        return None
+    kernel = _kernel()
+    if isinstance(kernel, str):
+        note_fallback(kernel)
+        return None
+    ffi, lib = kernel
+    params = ffi.new("struct lmi_synth_params *", {
+        "warps": warps,
+        "instructions_per_warp": instructions_per_warp,
+        "lines_in_set": lines_in_set,
+        "line_bits": lines_in_set.bit_length(),
+        "n_buffers": n_buffers,
+        "buffer_bits": n_buffers.bit_length(),
+        "uncoalesced": spec.uncoalesced_transactions,
+        "scatter": spec.buffer_locality == "scatter",
+        "line_bytes": _LINE,
+        "global_base": layout.region_base(MemorySpace.GLOBAL),
+        "shared_base": layout.region_base(MemorySpace.SHARED),
+        "local_base": layout.region_base(MemorySpace.LOCAL),
+        "dep_rate": spec.dep_rate,
+        "mem_fraction": spec.mem_fraction,
+        "load_fraction": _LOAD_FRACTION,
+        "global_frac": spec.global_frac,
+        "global_shared_frac": spec.global_frac + spec.shared_frac,
+        "coalesced": spec.coalesced,
+        "buffer_switch": _BUFFER_SWITCH,
+        "int_fraction": spec.int_fraction,
+        "ptr_rate": spec.ptr_rate,
+    })
+    n = warps * instructions_per_warp
+    seeds = np.array(
+        [_seed_for(spec.name, warp + seed_salt * 1000 + 1)
+         for warp in range(warps)],
+        dtype=np.int64,
+    )
+    ops = np.empty(n, dtype=np.uint8)
+    depends = np.empty(n, dtype=np.bool_)
+    checked = np.empty(n, dtype=np.bool_)
+    line_offsets = np.empty(n + 1, dtype=np.int64)
+    buffer_offsets = np.empty(n + 1, dtype=np.int64)
+    line_offsets[0] = buffer_offsets[0] = 0
+    line_cap, buffer_cap = _capacities(spec, n)
+    lines = np.empty(line_cap, dtype=np.int64)
+    buffers = np.empty(buffer_cap, dtype=np.int64)
+
+    def pointer(array: np.ndarray, ctype: str = "int64_t *"):
+        return ffi.cast(ctype, array.ctypes.data)
+
+    columns = ffi.new("struct lmi_synth_columns *")
+    columns.seeds = pointer(seeds)
+    columns.ops = pointer(ops, "uint8_t *")
+    columns.depends = pointer(depends, "uint8_t *")
+    columns.checked = pointer(checked, "uint8_t *")
+    columns.line_offsets = pointer(line_offsets)
+    columns.buffer_offsets = pointer(buffer_offsets)
+    warp = 0
+    while True:
+        columns.lines = pointer(lines)
+        columns.line_cap = len(lines)
+        columns.buffers = pointer(buffers)
+        columns.buffer_cap = len(buffers)
+        warp = lib.lmi_synth_run(params, columns, warp)
+        if warp == warps:
+            break
+        # Out of room: grow and redraw the warp the kernel stopped in.
+        # Nothing but this function sees the arrays, so resizing them
+        # in place is safe.
+        if columns.line_need > len(lines):
+            lines.resize(max(columns.line_need, 2 * len(lines)),
+                         refcheck=False)
+        if columns.buffer_need > len(buffers):
+            buffers.resize(max(columns.buffer_need, 2 * len(buffers)),
+                           refcheck=False)
+    lines.resize(int(line_offsets[n]), refcheck=False)
+    buffers.resize(int(buffer_offsets[n]), refcheck=False)
+    return ColumnarTrace(
+        name=spec.name,
+        ops=ops,
+        depends=depends,
+        checked=checked,
+        warp_offsets=(
+            np.arange(warps + 1, dtype=np.int64) * instructions_per_warp
+        ),
+        line_offsets=line_offsets,
+        lines=lines,
+        buffer_offsets=buffer_offsets,
+        buffers=buffers,
+    )
+
+
+# ----------------------------------------------------------------------
+# The Python loop: the oracle.
+
+
+def _python_columns(
+    spec: BenchmarkProfile, warps: int, instructions_per_warp: int,
+    seed_salt: int,
+) -> ColumnarTrace:
+    """The trace's columns, drawn one ``random`` call at a time."""
+    n_buffers = spec.n_buffers
     dep_rate = spec.dep_rate
     mem_fraction = spec.mem_fraction
     int_fraction = spec.int_fraction
@@ -93,7 +307,7 @@ def synthesize_trace(
     global_shared_frac = spec.global_frac + spec.shared_frac
     scatter = spec.buffer_locality == "scatter"
     uncoalesced = spec.uncoalesced_transactions
-    lines_in_set = max(1, (spec.working_set_kb * 1024) // _LINE)
+    lines_in_set = _lines_in_set(spec)
     line_bits = lines_in_set.bit_length()
     buffer_bits = n_buffers.bit_length()
     global_base = layout.region_base(MemorySpace.GLOBAL)
@@ -177,4 +391,4 @@ def synthesize_trace(
         lines=np.asarray(lines, dtype=np.int64),
         buffer_offsets=np.asarray(buffer_offsets, dtype=np.int64),
         buffers=np.asarray(buffers, dtype=np.int64),
-    ).to_trace()
+    )

@@ -105,16 +105,20 @@ class TestCli:
         # A fresh interpreter: this one has loaded everything already.
         # asyncio (with ssl) cost ~43 ms of import when the telemetry
         # package re-exported the HTTP server; only --serve needs it.
+        # cffi and the native kernels (the trace synthesizer's too) load
+        # on first use, not at import.
         probe = (
             "import sys, repro.experiments\n"
-            "print(sorted(m for m in ('asyncio', 'argparse',"
-            " 'repro.telemetry.server') if m in sys.modules))"
+            "print(sorted(m for m in ('asyncio', 'argparse', 'cffi',"
+            " 'repro.telemetry.server') if m in sys.modules))\n"
+            "from repro.sim.codegen import CODEGEN_STATS as s\n"
+            "print(s.compiles, s.disk_hits, s.failures)"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], cwd=_REPO_ROOT, env=_cli_env(),
             capture_output=True, text=True, timeout=120, check=True,
         ).stdout
-        assert out.strip() == "[]"
+        assert out.split("\n")[:2] == ["[]", "0 0 0"]
 
     @pytest.mark.parametrize(
         "command",

@@ -1,5 +1,7 @@
 """Tests for the timing simulator: caches, DRAM, scheduler, models."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,21 @@ class TestDram:
         dram.request(128, 0)
         assert dram.stats.requests == 2
         assert dram.stats.queue_delay_cycles > 0
+
+    @pytest.mark.parametrize(
+        "line_bytes, line_cycles", [(64, 2), (128, 4), (256, 8)]
+    )
+    def test_a_fill_streams_one_l2_line(self, line_bytes, line_cycles):
+        default = GpuConfig()
+        dram = DramModel(GpuConfig(
+            l2=dataclasses.replace(default.l2, line_bytes=line_bytes)
+        ))
+        assert dram.line_cycles == line_cycles
+        first = dram.request(0, now=0)
+        # The next L2 line sits on the next channel; the other half of
+        # the first line queues behind it on its channel.
+        assert dram.request(line_bytes, now=0) == first
+        assert dram.request(line_bytes // 2, now=0) == first + line_cycles
 
 
 class TestTraceFormat:

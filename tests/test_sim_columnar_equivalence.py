@@ -186,6 +186,30 @@ def test_hit_latency_one_geometry(path):
 
 
 @pytest.mark.parametrize("path", PATHS, indirect=True)
+@pytest.mark.parametrize("line_bytes, line_cycles", [(64, 2), (256, 8)])
+def test_dram_fills_follow_the_l2_line_size(path, line_bytes, line_cycles):
+    """A DRAM fill is one L2 line: its channel slot and interleave
+    follow ``l2.line_bytes`` (4 cycles at the default 128 bytes)."""
+    config = dataclasses.replace(
+        DEFAULT_GPU_CONFIG,
+        l2=dataclasses.replace(DEFAULT_GPU_CONFIG.l2, line_bytes=line_bytes),
+    )
+    trace = synthesize_trace("needle", warps=6, instructions_per_warp=240)
+    for mechanism in MODELS:
+        sim = SmSimulator(config, engine_module.model_factory(mechanism))
+        ref = ReferenceSmSimulator(
+            config, engine_module.model_factory(mechanism)
+        )
+        assert sim.dram.line_cycles == ref.dram.line_cycles == line_cycles
+        for _ in range(2):
+            got, want = sim.run(trace), ref.run(trace)
+            assert got.cycles == want.cycles
+            assert got.stats == want.stats
+        assert _state(sim) == _state(ref)
+        assert sim.dram.channel_free_at == ref.dram.channel_free_at
+
+
+@pytest.mark.parametrize("path", PATHS, indirect=True)
 def test_latencies_at_their_bound(path):
     """The largest admitted L1 hit and DRAM latencies simulate to the
     oracle's cycles: no completion reaches the executors' 2**62

@@ -17,6 +17,7 @@ from repro.workloads import (
     profile,
     synthesize_trace,
 )
+from repro.workloads import synthetic
 from repro.workloads.synthetic import _LINE, _randbelow
 
 from .trace_strategies import COLUMNS
@@ -155,36 +156,63 @@ class TestTraceSynthesis:
                 assert all(lo <= line < hi for line in instr.lines)
 
 
-def _column_digest(trace) -> str:
+def _column_digest(columnar) -> str:
     """SHA-256 over the eight columns, in field order."""
     digest = hashlib.sha256()
     for name in COLUMNS:
-        column = getattr(trace.columnar, name)
+        column = getattr(columnar, name)
         digest.update(np.ascontiguousarray(column).tobytes())
     return digest.hexdigest()
 
 
+def _assert_pinned(seed_salt, synthesize):
+    """*synthesize(spec, warps, instructions, seed_salt)*'s columns for
+    all 28 benchmarks against the pinned digests."""
+    got = {
+        f"{name}/{seed_salt}": _column_digest(
+            synthesize(
+                profile(name),
+                DIGESTS["warps"],
+                DIGESTS["instructions_per_warp"],
+                seed_salt,
+            )
+        )
+        for name in all_benchmarks()
+    }
+    want = {
+        key: value
+        for key, value in DIGESTS["sha256"].items()
+        if key.endswith(f"/{seed_salt}")
+    }
+    assert len(want) == 28
+    assert got == want
+
+
 class TestSynthesisPinned:
+    """Both synthesizers, and ``synthesize_trace`` whichever it runs,
+    against the pinned digests."""
+
     @pytest.mark.parametrize("seed_salt", [0, 2])
     def test_columns_match_pinned_digests(self, seed_salt):
-        got = {
-            f"{name}/{seed_salt}": _column_digest(
-                synthesize_trace(
-                    name,
-                    warps=DIGESTS["warps"],
-                    instructions_per_warp=DIGESTS["instructions_per_warp"],
-                    seed_salt=seed_salt,
-                )
-            )
-            for name in all_benchmarks()
-        }
-        want = {
-            key: value
-            for key, value in DIGESTS["sha256"].items()
-            if key.endswith(f"/{seed_salt}")
-        }
-        assert len(want) == 28
-        assert got == want
+        _assert_pinned(
+            seed_salt,
+            lambda spec, warps, instructions, salt: synthesize_trace(
+                spec.name,
+                warps=warps,
+                instructions_per_warp=instructions,
+                seed_salt=salt,
+            ).columnar,
+        )
+
+    @pytest.mark.parametrize("seed_salt", [0, 2])
+    def test_python_loop_matches_pinned_digests(self, seed_salt):
+        _assert_pinned(seed_salt, synthetic._python_columns)
+
+    @pytest.mark.parametrize("seed_salt", [0, 2])
+    def test_native_kernel_matches_pinned_digests(self, seed_salt):
+        if isinstance(synthetic._kernel(), str):
+            pytest.skip("no C toolchain for the trace synthesizer")
+        _assert_pinned(seed_salt, synthetic._native_columns)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 0x7FFFFFFF])
     def test_randbelow_matches_randrange(self, seed):
