@@ -32,8 +32,9 @@ This module replaces that kernel with *generated* C, specialized per
   a per-key ``flock``, so concurrent ``--jobs`` workers either reuse a
   finished build or wait for the one in flight — ``cc`` runs at most
   once per cell per machine, and warm runs never invoke it.  The
-  same path builds the one fixed translation unit that is not
+  same path builds the two fixed translation units that are not
   generated, the trace synthesizer of :mod:`repro.workloads.synthetic`
+  and the plan decoder of :mod:`repro.sim.plan`
   (:func:`load_source`).
 * **Serial batches.**  A batch runs its cells one after another on
   the calling thread, compiled with one flag set (``-O2 -shared
@@ -808,7 +809,8 @@ def load_source(
 
     The same compile, disk cache and memo as :func:`load_cell`, for a
     translation unit that is not generated per cell (the trace
-    synthesizer's).  *cdef* declares what the library exports.
+    synthesizer's, the plan decoder's).  *cdef* declares what the
+    library exports.
     """
 
     def load() -> Union[Tuple[object, object], str]:

@@ -26,10 +26,20 @@ data plane as structure-of-arrays:
   result latencies (ALU, shared memory, the state-free model penalties
   such as the LMI OCU cycles), per-transaction cache/DRAM geometry and
   the LSU-serialization / extra-transaction statistics are all
-  functions of trace content alone, so :func:`decode_issue_plan`
-  computes them once per run, vectorized.  :func:`plan_for` decodes a
-  fresh plan on every call and keeps nothing: the caller holds the
-  plan for its one run and then drops it.
+  functions of trace content alone, so they are computed once per run,
+  before the simulation.  :func:`plan_for` decodes a fresh plan on
+  every call and keeps nothing: the caller holds the plan for its one
+  run and then drops it.  Two decoders write the same plan:
+
+  - **the native decoder** (:mod:`repro.sim.plan`, one fixed C
+    translation unit built and loaded on first use) walks the trace's
+    columns once, in place, emitting Baggy's check chain during the
+    walk and GPUShield's probes in CPython's ``set()`` order;
+  - **the NumPy decode** (:func:`expand_columnar` plus
+    :func:`decode_issue_plan`) is its oracle, and the path when no C
+    compiler is present, the build fails, or the trace holds values
+    outside the native decoder's exact range; each such plan is
+    counted through :func:`repro.sim.native.note_fallback`.
 * :func:`run_columnar` — the pure-Python issue loop over the same
   columns, which executes a plan when the generated C kernel is
   unavailable (no C toolchain).  Only genuinely stateful work remains
@@ -68,6 +78,19 @@ from .trace import OP_ORDER, KernelTrace, TraceInstruction
 
 OP_CODE = {op: code for code, op in enumerate(OP_ORDER)}
 (OP_INT, OP_FP, OP_LDG, OP_STG, OP_LDS, OP_STS, OP_LDL, OP_STL) = range(8)
+
+#: A :class:`ColumnarTrace`'s eight columns, in field order, with the
+#: dtypes :meth:`ColumnarTrace.from_trace` gives them.
+TRACE_DTYPES = {
+    "ops": np.uint8,
+    "depends": np.bool_,
+    "checked": np.bool_,
+    "warp_offsets": np.int64,
+    "line_offsets": np.int64,
+    "lines": np.int64,
+    "buffer_offsets": np.int64,
+    "buffers": np.int64,
+}
 
 
 @dataclass
@@ -167,24 +190,14 @@ class ColumnarTrace:
 
     def nbytes(self) -> int:
         """Total array payload in bytes."""
-        return sum(
-            column.nbytes
-            for column in (
-                self.ops, self.depends, self.checked, self.warp_offsets,
-                self.line_offsets, self.lines, self.buffer_offsets,
-                self.buffers,
-            )
-        )
+        return sum(getattr(self, name).nbytes for name in TRACE_DTYPES)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColumnarTrace):
             return NotImplemented
         return self.name == other.name and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in (
-                "ops", "depends", "checked", "warp_offsets",
-                "line_offsets", "lines", "buffer_offsets", "buffers",
-            )
+            for name in TRACE_DTYPES
         )
 
     # ------------------------------------------------------------------
@@ -598,8 +611,9 @@ def _decode_probes(
     order of a ``set`` built from its ids in trace order — the order of
     the oracle's ``set(instr.buffer_ids)``, so the RCache state
     sequence matches.  That order is hash-slot order, not sorted
-    order, so the deduplication stays a Python loop; the geometry is
-    vectorized.
+    order, so here the deduplication is a Python loop over real sets,
+    and the geometry is vectorized; the native decoder replays
+    CPython's hash-table walk instead (``set_order`` in ``plan.c``).
     """
     entry_bytes = int(plan_key[1])
     rc_sets = int(plan_key[2])
@@ -632,16 +646,25 @@ def plan_for(
     Returns ``None`` for models without a columnar lowering (user
     subclasses overriding a decode-relevant hook), which
     :class:`~repro.sim.core.SmSimulator` refuses at construction.
-    Rewriting models (the Baggy Bounds family) expand the columns
-    first.  Nothing is kept on the trace: every call decodes afresh.
+    The native decoder writes the plan when it loads and takes the
+    trace's values; otherwise rewriting models (the Baggy Bounds
+    family) expand the columns and :func:`decode_issue_plan` decodes
+    them.  Both give equal plans.  Nothing is kept on the trace: every
+    call decodes afresh.
     """
+    from .plan import native_plan
+
     plan_key = model.columnar_plan_key()
     if plan_key is None:
         return None
+    geometry = plan_geometry(config)
+    plan = native_plan(trace.columnar, plan_key, geometry)
+    if plan is not None:
+        return plan
     columnar = trace.columnar
     if plan_key[0] == "baggy":
         columnar = expand_columnar(columnar, model)
-    return decode_issue_plan(columnar, plan_key, plan_geometry(config))
+    return decode_issue_plan(columnar, plan_key, geometry)
 
 
 # ----------------------------------------------------------------------

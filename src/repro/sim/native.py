@@ -36,7 +36,8 @@ Design constraints:
   :data:`NATIVE_DIAG` (``sim.native_fallback{reason=…}``) and logged
   once per reason per process; so is every trace the native
   synthesizer of :mod:`repro.workloads.synthetic` leaves to its Python
-  loop.  The diagnostics registry
+  loop, and every plan the native decoder of :mod:`repro.sim.plan`
+  leaves to NumPy.  The diagnostics registry
   is deliberately separate from the main telemetry registry: exported
   ``--metrics`` snapshots must stay byte-identical across executors,
   batch sizes and ``--jobs`` values, so executor-selection diagnostics
@@ -92,11 +93,14 @@ _FALLBACK_LOGGED: set = set()
 
 _FALLBACK_DETAIL = {
     "no-toolchain": "no C compiler (cc/gcc/clang) on PATH",
-    "compile-failed": "a generated cell or the trace synthesizer failed"
-    " to compile",
+    "compile-failed": "a generated cell, the trace synthesizer or the plan"
+    " decoder failed to compile",
     "kernel-error": "generated kernel refused (allocation failure)",
     "wide-draws": "a profile needs random draws wider than 32 bits, which"
     " only the Python trace synthesizer makes",
+    "plan-values": "a trace holds a column of another dtype, or a GPUShield"
+    " buffer id outside [0, 2**61 - 1) or past the metadata address range,"
+    " which only the NumPy plan decode reads",
 }
 
 

@@ -69,15 +69,31 @@ class BenchmarkProfile:
     alloc_sizes: Tuple[Tuple[int, int], ...] = ((1 << 20, 4),)
 
     def __post_init__(self) -> None:
+        # Only profiles the trace synthesizers can honour: each
+        # probability in [0, 1], at least one transaction per access
+        # and one buffer, and no negative working set.
+        for field_name in ("global_frac", "shared_frac", "local_frac",
+                           "mem_fraction", "int_fraction", "ptr_rate",
+                           "dep_rate", "coalesced"):
+            value = getattr(self, field_name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigurationError(
+                    f"{self.name}: {field_name} must lie in [0, 1], "
+                    f"got {value}"
+                )
         total = self.global_frac + self.shared_frac + self.local_frac
         if abs(total - 1.0) > 1e-6:
             raise ConfigurationError(
                 f"{self.name}: region fractions sum to {total}, expected 1"
             )
-        for value in (self.mem_fraction, self.int_fraction, self.ptr_rate,
-                      self.dep_rate, self.coalesced):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{self.name}: fraction out of range")
+        for field_name, least in (("uncoalesced_transactions", 1),
+                                  ("n_buffers", 1), ("working_set_kb", 0)):
+            value = getattr(self, field_name)
+            if value < least:
+                raise ConfigurationError(
+                    f"{self.name}: {field_name} must be >= {least}, "
+                    f"got {value}"
+                )
         if self.buffer_locality not in ("stream", "scatter"):
             raise ConfigurationError(
                 f"{self.name}: unknown buffer locality {self.buffer_locality!r}"

@@ -132,12 +132,11 @@ def synthesize_trace(
 
     Runs the native kernel when it loads, else the Python loop; both
     give equal columns.  Raises :class:`ValueError` for a negative
-    *warps* or *instructions_per_warp* and for a profile without
-    buffers.
+    *warps* or *instructions_per_warp*.  (A profile without buffers,
+    or with any other value the synthesizers cannot honour, cannot be
+    built: :class:`BenchmarkProfile` rejects it.)
     """
     spec = spec if spec is not None else profile(benchmark)
-    if spec.n_buffers <= 0:
-        raise ValueError(f"{spec.name}: n_buffers must be positive")
     if warps < 0:
         raise ValueError(f"warps must be non-negative, got {warps}")
     if instructions_per_warp < 0:

@@ -17,6 +17,10 @@ Coverage:
   two warm runs, and a GPUShield trace whose cycles depend on the
   order in which a record probes its buffer ids;
 * warm-run parity (cache/DRAM state carried across runs);
+* random machines (:func:`~tests.trace_strategies.gpu_configs`: every
+  admitted line size, set counts that are not powers of two, latencies
+  and DRAM values up to their bounds) × random model parameters × traces
+  that reuse lines, over two warm runs;
 * edge shapes the grid cannot hit: empty warp streams, >64-warp traces
   (past the native executor's bitmask width), ``hit_latency=1``
   geometry, and the largest admitted latencies;
@@ -38,6 +42,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import (
     DEFAULT_GPU_CONFIG,
@@ -68,7 +73,7 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.workloads import cached_trace, synthesize_trace
 from repro.workloads.trace_cache import TRACE_CACHE
 
-from .trace_strategies import kernel_traces
+from .trace_strategies import gpu_configs, kernel_traces, timing_models
 
 # ----------------------------------------------------------------------
 # The equivalence grid.
@@ -129,9 +134,16 @@ def _state(sim) -> tuple:
 
 
 def _run_both(trace, mechanism, config=DEFAULT_GPU_CONFIG, runs=1):
-    """(got, want, got_state, want_state) after *runs* warm runs."""
-    sim = SmSimulator(config, engine_module.model_factory(mechanism))
-    ref = ReferenceSmSimulator(config, engine_module.model_factory(mechanism))
+    """(got, want, got_state, want_state) after *runs* warm runs.
+
+    *mechanism* names a model, or is a factory of fresh models.
+    """
+    make_model = (
+        mechanism if callable(mechanism)
+        else lambda: engine_module.model_factory(mechanism)
+    )
+    sim = SmSimulator(config, make_model())
+    ref = ReferenceSmSimulator(config, make_model())
     for _ in range(runs):
         got = sim.run(trace)
         want = ref.run(trace)
@@ -207,6 +219,46 @@ def test_dram_fills_follow_the_l2_line_size(path, line_bytes, line_cycles):
             assert got.stats == want.stats
         assert _state(sim) == _state(ref)
         assert sim.dram.channel_free_at == ref.dram.channel_free_at
+
+
+#: Line addresses in one 8 KiB window at 32-byte steps: reused under
+#: every line size, so a wrong line shift changes hits, sets and
+#: channels.
+_REUSED_LINES = st.integers(0, 255).map(lambda k: k * 32)
+
+
+@pytest.mark.parametrize("path", PATHS, indirect=True)
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+    ],
+)
+@given(
+    config=gpu_configs(),
+    make_model=timing_models(),
+    trace=kernel_traces(lines=_REUSED_LINES) | st.builds(
+        synthesize_trace,
+        st.sampled_from(["needle", "bfs", "hotspot", "LSTM"]),
+        warps=st.integers(1, 4),
+        instructions_per_warp=st.integers(1, 150),
+    ),
+)
+def test_random_configs_match_reference(config, make_model, trace, path):
+    """Random machines (any admitted line size, set count, latency and
+    channel count), random model parameters and traces that reuse
+    lines: both executors match the oracle over two warm runs.  The
+    examples are derandomized: each new machine compiles a kernel, so
+    a fixed draw keeps the suite's cost bounded and its kernels in the
+    disk cache."""
+    got, want, got_state, want_state = _run_both(
+        trace, make_model, config=config, runs=2
+    )
+    assert got.cycles == want.cycles
+    assert got.stats == want.stats
+    assert got_state == want_state
 
 
 @pytest.mark.parametrize("path", PATHS, indirect=True)

@@ -1,5 +1,6 @@
 """Tests for the benchmark profiles and trace synthesis."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -57,6 +58,27 @@ class TestProfiles:
             BenchmarkProfile("x", "t", mem_fraction=0.3,
                              global_frac=0.9, shared_frac=0.9, local_frac=0.0)
 
+    def test_region_fraction_outside_unit_interval_rejected(self):
+        # The fractions sum to 1, but two lie outside [0, 1].
+        with pytest.raises(ConfigurationError, match="global_frac"):
+            BenchmarkProfile("x", "t", mem_fraction=0.3,
+                             global_frac=1.3, shared_frac=-0.3, local_frac=0.0)
+        with pytest.raises(ConfigurationError, match="shared_frac"):
+            BenchmarkProfile("x", "t", mem_fraction=0.3,
+                             global_frac=0.5, shared_frac=-0.2, local_frac=0.7)
+
+    def test_uncoalesced_transactions_below_one_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="uncoalesced_transactions must be >= 1"):
+            dataclasses.replace(profile("needle"), uncoalesced_transactions=0)
+
+    def test_negative_working_set_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="working_set_kb must be >= 0"):
+            dataclasses.replace(profile("needle"), working_set_kb=-1)
+        # An empty working set is fine: the synthesizers use one line.
+        assert dataclasses.replace(profile("needle"), working_set_kb=0)
+
     def test_invalid_locality_rejected(self):
         with pytest.raises(ConfigurationError):
             BenchmarkProfile("x", "t", mem_fraction=0.3,
@@ -86,10 +108,10 @@ class TestTraceSynthesis:
         assert a.warps != b.warps
 
     def test_zero_buffers_rejected(self):
-        spec = BenchmarkProfile("x", "t", mem_fraction=0.5, global_frac=1.0,
-                                shared_frac=0.0, local_frac=0.0, n_buffers=0)
-        with pytest.raises(ValueError):
-            synthesize_trace("x", warps=1, instructions_per_warp=10, spec=spec)
+        # Rejected where the profile is built, so no synthesis sees it.
+        with pytest.raises(ConfigurationError, match="n_buffers must be >= 1"):
+            BenchmarkProfile("x", "t", mem_fraction=0.5, global_frac=1.0,
+                             shared_frac=0.0, local_frac=0.0, n_buffers=0)
 
     def test_shape(self):
         trace = synthesize_trace("hotspot", warps=4, instructions_per_warp=300)

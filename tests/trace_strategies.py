@@ -1,62 +1,140 @@
-"""Hypothesis strategies for random kernel traces, shared by the suites
-that check the trace substrate and the simulator against its oracle,
+"""Hypothesis strategies for random kernel traces, timing models and
+machine configurations, shared by the suites that check the trace
+substrate, the plan decoders and the simulator against its oracle,
 plus the column corruptions and container damage a trace must be
 rejected for."""
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.common.config import (
+    MAX_DRAM_BANDWIDTH,
+    MAX_DRAM_CHANNELS,
+    MAX_LATENCY,
+    CacheConfig,
+    GpuConfig,
+)
 from repro.sim import KernelTrace, OpClass, TraceInstruction
 from repro.sim.columnar import OP_FP, OP_INT, OP_LDG, ColumnarTrace
+from repro.sim.timing import (
+    BaggyBoundsTiming,
+    BaselineTiming,
+    GPUShieldTiming,
+    LmiTiming,
+)
+
+
+#: Default line addresses and buffer ids of a random memory record.
+LINE_ADDRESSES = st.integers(min_value=0, max_value=1 << 40)
+BUFFER_IDS = st.integers(min_value=0, max_value=64)
 
 
 @st.composite
-def trace_instructions(draw):
-    """One random, invariant-respecting trace instruction."""
+def trace_instructions(draw, lines=LINE_ADDRESSES, buffer_ids=BUFFER_IDS):
+    """One random, invariant-respecting trace instruction, its memory
+    records drawing line addresses from *lines* and ids from
+    *buffer_ids*."""
     op = draw(st.sampled_from(list(OpClass)))
     depends = draw(st.booleans())
     if op.is_memory:
-        lines = tuple(
-            draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=1 << 40),
-                    min_size=1,
-                    max_size=4,
-                )
-            )
-        )
-        buffer_ids = tuple(
-            draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=64),
-                    min_size=1,
-                    max_size=3,
-                )
-            )
-        )
         return TraceInstruction(
-            op=op, depends=depends, lines=lines, buffer_ids=buffer_ids
+            op=op,
+            depends=depends,
+            lines=tuple(draw(st.lists(lines, min_size=1, max_size=4))),
+            buffer_ids=tuple(
+                draw(st.lists(buffer_ids, min_size=1, max_size=3))
+            ),
         )
     checked = op is OpClass.INT and draw(st.booleans())
     return TraceInstruction(op=op, depends=depends, checked=checked)
 
 
 @st.composite
-def kernel_traces(draw):
+def kernel_traces(draw, lines=LINE_ADDRESSES, buffer_ids=BUFFER_IDS):
     """A random trace: 1–4 warps, any of which may be empty."""
     warps = draw(
         st.lists(
-            st.lists(trace_instructions(), min_size=0, max_size=12),
+            st.lists(trace_instructions(lines, buffer_ids),
+                     min_size=0, max_size=12),
             min_size=1,
             max_size=4,
         )
     )
     return KernelTrace(name=draw(st.sampled_from(["t", "κ-trace"])),
                        warps=warps)
+
+
+# ----------------------------------------------------------------------
+# Timing models and machines.
+
+#: Set counts worth drawing often: one set, powers of two, and Table
+#: IV's L1 and L2 (192 and 1536 sets), which are not.
+SET_COUNTS = st.sampled_from([1, 2, 3, 64, 192, 1536])
+
+
+@st.composite
+def timing_models(draw):
+    """A zero-argument factory of one model of a random family, with
+    random decode parameters: LMI's OCU cycles (up to ``MAX_LATENCY``),
+    GPUShield's RCache geometry, Baggy's check-chain length."""
+    family = draw(st.sampled_from(["baseline", "lmi", "gpushield", "baggy"]))
+    if family == "lmi":
+        ocu = draw(st.integers(0, 8) | st.integers(0, MAX_LATENCY))
+        return functools.partial(LmiTiming, ocu_cycles=ocu)
+    if family == "gpushield":
+        entry_bytes = 1 << draw(st.integers(0, 8))
+        ways = draw(st.integers(1, 8))
+        sets = draw(st.sampled_from([1, 3, 4, 12]) | st.integers(1, 64))
+        return functools.partial(
+            GPUShieldTiming, rcache_bytes=entry_bytes * ways * sets,
+            rcache_ways=ways, entry_bytes=entry_bytes,
+        )
+    if family == "baggy":
+        return functools.partial(BaggyBoundsTiming, draw(st.integers(0, 16)))
+    return BaselineTiming
+
+
+#: The most lines a drawn cache holds: 2**16 of the admitted 2**20
+#: (``MAX_CACHE_LINES``), which keeps the Python loop's per-set rows
+#: and the native kernel's tag arrays small.
+DRAWN_CACHE_LINES = 1 << 16
+
+
+@st.composite
+def cache_configs(draw):
+    """A :class:`CacheConfig` the validator admits: lines of 1 byte to
+    4 KiB, 1–32 ways, set counts that are and are not powers of two,
+    and hit latencies up to ``MAX_LATENCY``."""
+    line_bits = draw(st.integers(0, 12))
+    ways = draw(st.integers(1, 32))
+    sets = draw(SET_COUNTS | st.integers(1, DRAWN_CACHE_LINES // ways))
+    return CacheConfig(
+        size_bytes=(ways * sets) << line_bits,
+        line_bytes=1 << line_bits,
+        ways=ways,
+        hit_latency=draw(st.integers(1, 400) | st.integers(1, MAX_LATENCY)),
+    )
+
+
+@st.composite
+def gpu_configs(draw):
+    """A :class:`GpuConfig` the validator admits, DRAM latency,
+    channels and bandwidth drawn up to their ``MAX_*`` bounds."""
+    return GpuConfig(
+        l1=draw(cache_configs()),
+        l2=draw(cache_configs()),
+        dram_latency=draw(st.integers(1, 500) | st.integers(1, MAX_LATENCY)),
+        dram_channels=draw(st.integers(1, 32)
+                           | st.integers(1, MAX_DRAM_CHANNELS)),
+        dram_bandwidth_bytes_per_cycle=draw(
+            st.integers(1, 512) | st.integers(1, MAX_DRAM_BANDWIDTH)
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
