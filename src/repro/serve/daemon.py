@@ -15,11 +15,14 @@ simulating anything —
 2. **Coalescing** — requests are content-addressed by
    :func:`~repro.experiments.fabric.cell_digest`; a request whose cell
    is already in flight attaches to the existing future and shares one
-   computation.  Distinct cells are micro-batched: the batcher
-   collects up to ``--max-batch`` cells within a ``--window-ms``
-   deadline window, and each micro-batch's misses run as one engine
-   group per GPU config, so one FFI crossing amortises across the
-   batch exactly as for a CLI grid's cells.
+   computation.  Distinct cells are micro-batched without a timer:
+   as soon as one of the ``--workers`` executor threads is free, the
+   batcher dispatches the next queued cell plus every cell queued
+   behind it, up to ``--max-batch``.  A miss on an idle daemon leaves
+   at once; misses that arrive while every executor is busy queue and
+   leave together.  Each micro-batch's misses run as one engine group
+   per GPU config, so one FFI crossing amortises across the batch
+   exactly as for a CLI grid's cells.
 3. **Result cache** — a per-daemon in-memory LRU of cell records in
    front of the shared on-disk :class:`~repro.experiments.fabric.CellCache`
    (``--cache``; none without it).  The disk layer uses the *same*
@@ -119,6 +122,13 @@ _SLOW_KEEP = 32
 #: histogram walks; the bar drifts slowly, the walk is per-request).
 _SLOW_REFRESH_EVERY = 32
 
+#: Bucket bounds of the per-stage histograms: most stages of a cache
+#: hit take tens of microseconds, below the shared latency ladder's
+#: first (1 ms) bound, where every quantile would read 0.5/0.99 ms.
+_STAGE_BUCKETS_SECONDS = (
+    10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
+) + LATENCY_BUCKETS_SECONDS
+
 
 class ServiceStopped(RuntimeError):
     """The daemon shut down while the request was in flight (503)."""
@@ -192,7 +202,6 @@ class ServeDaemon:
         *,
         cache_dir: Optional[str] = None,
         max_batch: int = 8,
-        window_ms: float = 5.0,
         workers: int = 2,
         max_pending: int = 1024,
         tenant_rps: float = 0.0,
@@ -211,9 +220,6 @@ class ServeDaemon:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
         self.max_batch = max_batch
-        self.window_seconds = window_ms / 1000.0
-        if self.window_seconds < 0:
-            raise ValueError("window_ms must be non-negative")
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.workers = workers
@@ -461,7 +467,7 @@ class ServeDaemon:
         if hist is None:
             hist = self.diag.histogram(
                 "serve.stage_seconds",
-                buckets=LATENCY_BUCKETS_SECONDS,
+                buckets=_STAGE_BUCKETS_SECONDS,
                 stage=name,
             )
             self._stage_hist[name] = hist
@@ -554,38 +560,30 @@ class ServeDaemon:
     # Batching + execution
 
     async def _batch_loop(self) -> None:
+        """Dispatch a batch as soon as an executor is free: the next
+        queued cell plus whatever queued behind it, up to
+        ``max_batch``.  Nothing waits for a batch to fill; cells batch
+        because they queued while every executor was busy."""
         loop = asyncio.get_event_loop()
         while True:
             work = await self._queue.get()
             if work is _SHUTDOWN:
                 return
             work.taken_at = loop.time()
+            await self._dispatch_sem.acquire()
             batch = [work]
-            deadline = loop.time() + self.window_seconds
             shutdown = False
             while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    # Deadline passed but more cells may already be
-                    # queued — take them without waiting.
-                    try:
-                        extra = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    try:
-                        extra = await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
+                try:
+                    extra = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    break
                 if extra is _SHUTDOWN:
                     shutdown = True
                     break
                 extra.taken_at = loop.time()
                 batch.append(extra)
             self.diag.gauge("serve.queue_depth").set(self._queue.qsize())
-            await self._dispatch_sem.acquire()
             task = asyncio.ensure_future(self._run_batch(batch))
             self._batch_tasks.add(task)
 
@@ -949,8 +947,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     defaults = ServeDaemon.__init__.__kwdefaults__
     for flag, kind, metavar, text in (
         ("--max-batch", int, "N", "max cells packed into one engine batch"),
-        ("--window-ms", float, "MS", "how long the batcher waits to fill "
-         "a batch"),
         ("--workers", int, "N", "executor threads running batches"),
         ("--max-pending", int, "N", "distinct in-flight cells before new "
          "ones get 429"),
@@ -991,7 +987,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"repro serve: listening on {daemon.url} "
             f"(batch={daemon.max_batch}, "
-            f"window={daemon.window_seconds * 1000:.0f}ms, "
             f"workers={daemon.workers}, cache={cache})",
             flush=True,
         )

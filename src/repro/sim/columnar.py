@@ -65,7 +65,6 @@ import numpy as np
 from ..common.errors import SimulationError, TraceFormatError
 from .timing import (
     ALU_LATENCY_CYCLES,
-    GPUShieldTiming,
     SHARED_LATENCY_CYCLES,
     TRANSACTION_CYCLES,
     TimingModel,
@@ -615,8 +614,7 @@ def _decode_probes(
     and the geometry is vectorized; the native decoder replays
     CPython's hash-table walk instead (``set_order`` in ``plan.c``).
     """
-    entry_bytes = int(plan_key[1])
-    rc_sets = int(plan_key[2])
+    _, entry_bytes, rc_sets, metadata_base = plan_key
     _, _, l2_bits, l2_sets, channels = geometry
     buffers = columnar.buffers.tolist()
     offsets = columnar.buffer_offsets.tolist()
@@ -626,7 +624,7 @@ def _decode_probes(
         ids.extend(set(buffers[offsets[j]:offsets[j + 1]]))
         starts.append(len(ids))
     bids = np.asarray(ids, dtype=np.int64)
-    meta_line = GPUShieldTiming.METADATA_BASE + bids * entry_bytes
+    meta_line = metadata_base + bids * entry_bytes
     meta_shift = meta_line >> l2_bits
     return {
         "rec_probe_start": _column(starts),

@@ -49,7 +49,6 @@ from .columnar import (
 from .native import note_fallback
 from .timing import (
     ALU_LATENCY_CYCLES,
-    GPUShieldTiming,
     SHARED_LATENCY_CYCLES,
     TRANSACTION_CYCLES,
 )
@@ -93,9 +92,10 @@ def native_plan(
 
     The decoder reads the trace's columns in place, so it takes only
     the dtypes :meth:`ColumnarTrace.from_trace` writes; a GPUShield
-    plan also needs every probed id in ``[0, max_id]``, where its hash
-    is the id itself and ``METADATA_BASE + id * entry_bytes`` fits in
-    ``int64``.  Anything else is a ``"plan-values"`` fallback.
+    plan also needs the key's metadata base in ``[0, 2**63)`` and every
+    probed id in ``[0, max_id]``, where its hash is the id itself and
+    ``base + id * entry_bytes`` fits in ``int64``.  Anything else is a
+    ``"plan-values"`` fallback.
     """
     kernel = _kernel()
     if isinstance(kernel, str):
@@ -109,10 +109,12 @@ def native_plan(
         note_fallback("plan-values")
         return None
     family = plan_key[0]
-    entry_bytes = rc_sets = max_id = 0
+    entry_bytes = rc_sets = base = max_id = 0
     if family == "gpushield":
-        entry_bytes, rc_sets = int(plan_key[1]), int(plan_key[2])
-        base = GPUShieldTiming.METADATA_BASE
+        _, entry_bytes, rc_sets, base = plan_key
+        if not 0 <= base < 1 << 63:
+            note_fallback("plan-values")
+            return None
         max_id = min(_MAX_HASHED_ID, ((1 << 63) - 1 - base) // entry_bytes)
     l1_bits, l1_sets, l2_bits, l2_sets, channels = geometry
     params = ffi.new("struct lmi_plan_params *", {
@@ -121,7 +123,7 @@ def native_plan(
         "chain": max(int(plan_key[1]), 0) if family == "baggy" else 0,
         "entry_bytes": entry_bytes,
         "rc_sets": rc_sets,
-        "metadata_base": GPUShieldTiming.METADATA_BASE,
+        "metadata_base": base,
         "max_id": max_id,
         "l1_bits": l1_bits,
         "l1_sets": l1_sets,

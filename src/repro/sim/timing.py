@@ -207,7 +207,9 @@ class GPUShieldTiming(TimingModel):
         return slowest
 
     def columnar_plan_key(self):
-        """Probe addresses depend only on the metadata entry size.
+        """Probe addresses depend on the metadata entry size, the
+        RCache set count and where the bounds table lives
+        (:attr:`METADATA_BASE`, which a subclass may move).
 
         RCache *state* deliberately stays out of the key: the plan
         pre-computes the probe address list per memory instruction,
@@ -221,7 +223,12 @@ class GPUShieldTiming(TimingModel):
             or cls.expansion_key is not TimingModel.expansion_key
         ):
             return None
-        return ("gpushield", self.entry_bytes, self.rcache.config.num_sets)
+        return (
+            "gpushield",
+            self.entry_bytes,
+            self.rcache.config.num_sets,
+            self.METADATA_BASE,
+        )
 
 
 #: The one injected-check instruction shape: a serially-dependent INT

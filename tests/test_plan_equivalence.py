@@ -14,9 +14,12 @@ that is its oracle (:func:`~repro.sim.columnar.expand_columnar` plus
   Fig. 12 plan at three sizes;
 * **Probe order** — GPUShield probes a record's ids in the order
   CPython iterates ``set(ids)``, checked against ``list(set(xs))``;
-* **Visible fallbacks** — ids outside the native range, columns of
-  another dtype, no compiler and a failed compile each give the NumPy
-  plan, and :func:`repro.sim.native.fallback_counts` names the reason;
+* **Visible fallbacks** — ids outside the native range, a negative
+  metadata base, columns of another dtype, no compiler and a failed
+  compile each give the NumPy plan, and
+  :func:`repro.sim.native.fallback_counts` names the reason;
+* **A moved bounds table** — a GPUShield subclass that sets its own
+  ``METADATA_BASE`` matches the oracle through either decoder;
 * **Threads** — decoding from more threads than cores at once equals a
   serial decode;
 * **One layout** — ``plan.c`` names its column slots in the order of
@@ -26,6 +29,7 @@ that is its oracle (:func:`~repro.sim.columnar.expand_columnar` plus
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import re
@@ -40,7 +44,14 @@ from hypothesis import strategies as st
 
 from repro.common.config import DEFAULT_GPU_CONFIG
 from repro.experiments.engine import model_factory
-from repro.sim import KernelTrace, OpClass, TraceInstruction, codegen
+from repro.sim import (
+    KernelTrace,
+    OpClass,
+    ReferenceSmSimulator,
+    SmSimulator,
+    TraceInstruction,
+    codegen,
+)
 from repro.sim import plan as decoder
 from repro.sim.codegen import CACHE_ENV
 from repro.sim.columnar import (
@@ -284,6 +295,51 @@ def test_ids_at_the_native_range_stay_native(native):
     for mechanism in ("baseline", "lmi", "baggy"):
         _assert_plan_for(_one_record(-1, 1 << 62), model_factory(mechanism),
                          {})
+
+
+class MovedTable(GPUShieldTiming):
+    """An attribute-only subclass that moves the bounds table: it keeps
+    the fast path, so both decoders must read its base."""
+
+    METADATA_BASE = 0x1000_0000_0000 + 384
+
+
+#: A 3-set, 4-way L2 and 3 DRAM channels, on which the moved table's
+#: metadata lines fall on other sets and channels than the default's.
+SMALL_L2 = dataclasses.replace(
+    DEFAULT_GPU_CONFIG,
+    l2=dataclasses.replace(DEFAULT_GPU_CONFIG.l2, size_bytes=1536, ways=4),
+    dram_channels=3,
+)
+
+
+@pytest.mark.parametrize("path", ["native", "numpy"])
+def test_moved_metadata_base_matches_reference(path, monkeypatch):
+    # When both decoders read GPUShieldTiming's own table address,
+    # these cells gave 26,956 and 34,168 cycles against the oracle's
+    # 27,014 and 35,152.
+    if path == "native":
+        if isinstance(decoder._kernel(), str):
+            pytest.skip("no C toolchain for the plan decoder")
+    else:
+        monkeypatch.setattr(decoder, "native_plan", lambda *args: None)
+    assert MovedTable().columnar_plan_key()[-1] == MovedTable.METADATA_BASE
+    before = fallback_counts()
+    for benchmark in ("needle", "LSTM"):
+        trace = synthesize_trace(benchmark, warps=8, instructions_per_warp=400)
+        got = SmSimulator(SMALL_L2, MovedTable()).run(trace)
+        want = ReferenceSmSimulator(SMALL_L2, MovedTable()).run(trace)
+        assert got.cycles == want.cycles, benchmark
+        assert got.stats == want.stats, benchmark
+    assert "plan-values" not in _delta(before, fallback_counts())
+
+
+def test_negative_metadata_base_takes_numpy(native):
+    # C's / and % truncate where NumPy's // and % floor.
+    class Below(GPUShieldTiming):
+        METADATA_BASE = -(1 << 20)
+
+    _assert_plan_for(_one_record(3, 5, 3), Below(), {"plan-values": 1})
 
 
 def test_negative_lines_stay_native(native):

@@ -8,6 +8,7 @@ import json
 import re
 import socket
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -52,6 +53,13 @@ def _post(url: str, body: bytes, headers=None):
 def _get(url: str, path: str):
     with urllib.request.urlopen(url + path, timeout=30) as response:
         return response.status, response.read()
+
+
+def _wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.002)
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +350,12 @@ class TestDaemon:
                 "repro serve: error: argument --port: invalid int value: 'x'",
             ),
             (["--port", "70000"], "error: port must be in [0, 65535]"),
+            # The batching window is gone: a batch leaves as soon as an
+            # executor is free.
+            (
+                ["--window-ms", "5"],
+                "repro serve: error: unrecognized arguments: --window-ms 5",
+            ),
         ],
     )
     def test_cli_rejects_bad_settings_with_exit_2(self, argv, message, capsys):
@@ -366,9 +380,17 @@ class TestDaemon:
         assert "listening on" not in captured.out
         assert captured.err.startswith("error: ")
 
-    def test_pending_bound_rejects_excess_distinct_cells(self):
-        with ServeDaemon(0, max_pending=1, window_ms=50.0) as daemon:
-            cells = build_cells(4, seed=5)
+    def test_pending_bound_rejects_excess_distinct_cells(self, monkeypatch):
+        # Four salts of one cell, each held 250 ms in the executor, so
+        # the first distinct cell is still in flight when the others
+        # arrive.
+        cell = build_cells(1, seed=5)[0]
+        cells = [dict(cell, seed_salt=salt) for salt in range(4)]
+        monkeypatch.setenv(
+            "REPRO_SERVE_INJECT_DELAY",
+            f"{cell['benchmark']}:{cell['mechanism']}:250",
+        )
+        with ServeDaemon(0, max_pending=1) as daemon:
             summary = run_swarm_sync(
                 "127.0.0.1",
                 daemon.port,
@@ -382,6 +404,48 @@ class TestDaemon:
             # At least one distinct cell found the in-flight table full
             # and was explicitly rejected, not dropped.
             assert summary["throttled"] >= 1
+
+    def test_lone_miss_dispatches_at_once(self, daemon):
+        # No batching window: an idle executor takes the cell at once
+        # (a 5 ms window made this stage at least 5 ms).
+        _, doc, trace_id = _post_traced(daemon.url, _body())
+        assert doc["source"] == "executed"
+        _, raw = _get(daemon.url, f"/trace/{trace_id}")
+        stages = {
+            s["stage"]: s["duration_ms"] for s in json.loads(raw)["stages"]
+        }
+        assert stages["batch_assembly"] < 2.5, stages
+
+    def test_cells_queued_behind_a_busy_executor_leave_together(
+        self, monkeypatch
+    ):
+        # Cell A holds the one executor for 400 ms; B and C, sent while
+        # it runs, queue and then leave as one batch.
+        monkeypatch.setenv("REPRO_SERVE_INJECT_DELAY", "gaussian:lmi:400")
+        with ServeDaemon(0, workers=1) as daemon:
+            sources = []
+
+            def fire(body):
+                sources.append(_post(daemon.url, body)[1]["source"])
+
+            first = threading.Thread(target=fire, args=(_body(),))
+            first.start()
+            # A is in flight and no longer queued: its batch has left.
+            _wait_until(lambda: daemon.stats_snapshot()["inflight"] == 1)
+            _wait_until(lambda: daemon.stats_snapshot()["queue_depth"] == 0)
+            rest = [
+                threading.Thread(target=fire, args=(_body(mechanism=m),))
+                for m in ("baseline", "baggy")
+            ]
+            for thread in rest:
+                thread.start()
+            for thread in [first, *rest]:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert sources == ["executed"] * 3
+            snapshot = daemon.stats_snapshot()
+            assert snapshot["batches"] == 2
+            assert snapshot["batch_cells"] == 3
 
     def test_zero_drop_under_concurrency(self):
         with ServeDaemon(0) as daemon:
@@ -411,8 +475,6 @@ class TestDaemon:
                 assert warm["stats"] == cold["stats"]
 
     def test_clean_shutdown_leaves_no_threads(self):
-        import threading
-
         before = {t.name for t in threading.enumerate()}
         daemon = ServeDaemon(0).start()
         _post(daemon.url, _body())
@@ -508,8 +570,6 @@ class TestRequestForensics:
         assert info.value.code == 404
 
     def test_coalesced_request_gets_its_own_trace(self, monkeypatch):
-        import threading
-
         # Pin the executed cell for ~80ms so the followers reliably
         # find it in flight and coalesce rather than hit the cache.
         monkeypatch.setenv(
@@ -596,6 +656,15 @@ class TestRequestForensics:
             block = stages[expected]
             assert block["count"] >= 1
             assert block["p99"] >= block["p50"] >= 0.0
+
+    def test_sub_millisecond_stages_keep_their_resolution(self):
+        # On the shared 1 ms-first latency ladder this read p50 0.5 ms.
+        daemon = ServeDaemon(0)
+        for _ in range(20):
+            daemon._observe_stage("admission", 40e-6)
+        block = daemon.stats_snapshot()["stages"]["admission"]
+        assert block["count"] == 20
+        assert block["p50"] < 0.1, block
 
     def test_loadgen_reports_slowest_trace_ids(self):
         with ServeDaemon(0) as daemon:
