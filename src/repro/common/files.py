@@ -1,6 +1,6 @@
 """How the reproduction writes files.
 
-Every on-disk store (trace and cell caches, generated kernels,
+Every on-disk store (trace and cell caches, built native units,
 telemetry exports, the run ledger) writes through this module:
 :func:`publish` replaces a whole file, :func:`append_line` adds one
 line.  Nothing is synced: the stores survive a killed process, not a

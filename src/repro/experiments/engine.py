@@ -17,8 +17,8 @@ or one cell per dispatch on the work-stealing pool.  The
 * **Batched native dispatch.**  :func:`execute_group` fetches a
   group's traces in one deduped trace-cache pass, builds the
   simulators and issue plans, and runs the whole group through *one*
-  :func:`~repro.sim.core.run_plans` call — one FFI crossing per
-  codegen cell, whose kernel runs the cells one after another;
+  :func:`~repro.sim.core.run_plans` call — one FFI crossing, in
+  which the kernel runs the cells one after another;
   ``run_plans`` hands any plan the kernel refused to the pure-Python
   issue loop.  Parallelism lives above this core: the fabric's forked
   ``--jobs`` workers and the serve daemon's executor threads.
@@ -183,7 +183,8 @@ def execute_group(
     order through :func:`~repro.sim.core.publish_fast_path`.  The
     global hub is never consulted or touched, so concurrent calls
     from threads that do not own it (the serve daemon's executors)
-    are safe — the trace and codegen caches are lock-guarded.
+    are safe — the trace cache and the native-unit memo are
+    lock-guarded.
     """
     requests = [_trace_request(job) for job in jobs]
     started = time.perf_counter()

@@ -101,9 +101,8 @@ CELL_SCHEMA = "repro.experiments.cell/v3"
 SHARD_WAIT_ENV = "REPRO_SHARD_WAIT"
 
 #: Cells per in-process :func:`~repro.experiments.engine.execute_group`
-#: call: two benchmarks' four mechanisms, so each codegen cell's FFI
-#: crossing carries two traces, without holding an unbounded number of
-#: prepared simulators alive.
+#: call: two benchmarks' four mechanisms, which cross the FFI together,
+#: without holding an unbounded number of prepared simulators alive.
 GROUP_SIZE = 8
 
 #: Private diagnostics registry: live ``/metrics`` only (appended to

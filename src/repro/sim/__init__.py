@@ -8,7 +8,7 @@ from .columnar import (
     plan_for,
 )
 from .core import SimResult, SimStats, SmSimulator, simulate
-from .codegen import CODEGEN_STATS, CellSpec, load_cell
+from .codegen import CODEGEN_STATS, load_cell
 from .dram import DramModel, DramStats
 from .native import (
     NATIVE_DIAG,
@@ -45,7 +45,6 @@ __all__ = [
     "ReferenceSmSimulator",
     "reference_simulate",
     "CODEGEN_STATS",
-    "CellSpec",
     "load_cell",
     "DramModel",
     "DramStats",

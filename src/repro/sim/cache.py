@@ -9,7 +9,7 @@ eviction sequences for any address stream):
 * :class:`ArrayLruCache` — the state of the fast path: every set is a
   dense recency row (first key = LRU, last = MRU).  The pure-Python
   issue loop (:mod:`repro.sim.columnar`) manipulates the rows inline,
-  and the generated C kernels (:mod:`repro.sim.native`) mutate a dense
+  and the C kernel (:mod:`repro.sim.native`) mutates a dense
   tag array exported from and committed back to the same cache.
 """
 

@@ -18,7 +18,7 @@ data plane as structure-of-arrays:
   lowering, lowers to per-instruction replication counts applied with
   ``np.repeat`` (one original plus its check chain).
 * :class:`IssuePlan` — pre-decoded issue descriptors, held as flat
-  ``int64`` columns in exactly the layout the generated C kernel of
+  ``int64`` columns in exactly the layout the C kernel of
   :mod:`repro.sim.native` reads.  The GTO scheduler issues *runs*:
   maximal sequences of instructions the current warp executes
   back-to-back (a run ends exactly where the next instruction depends
@@ -41,7 +41,7 @@ data plane as structure-of-arrays:
     outside the native decoder's exact range; each such plan is
     counted through :func:`repro.sim.native.note_fallback`.
 * :func:`run_columnar` — the pure-Python issue loop over the same
-  columns, which executes a plan when the generated C kernel is
+  columns, which executes a plan when the C kernel is
   unavailable (no C toolchain).  Only genuinely stateful work remains
   serial: L1/L2/DRAM interactions of global/local memory transactions
   (inlined against :class:`~repro.sim.cache.ArrayLruCache` rows) and
@@ -353,11 +353,10 @@ def _expand_checked_chain(
 
 
 # ----------------------------------------------------------------------
-# Issue plans: flat int64 columns in the generated kernel's slab order.
+# Issue plans: flat int64 columns in the C kernel's slab order.
 
-#: The columns of every plan, in pointer-slab order: slots 0–13 of a
-#: generated kernel's slab, unpacked under these names by
-#: :mod:`repro.sim.codegen`.
+#: The columns of every plan, in pointer-slab order: slots 0–13 of the
+#: C kernel's slab, under these names in ``sim/kernel.c``.
 PLAN_COLUMNS: Tuple[str, ...] = (
     "run_start", "run_length", "run_comp", "run_mem_lo", "run_mem_hi",
     "rec_base", "rec_rel", "rec_line_start",
@@ -387,7 +386,7 @@ class IssuePlan:
     """Issue descriptors for one (trace, model, geometry) tuple.
 
     Every table is a C-contiguous ``int64`` column, and both executors
-    read the same arrays: the generated kernel through its pointer
+    read the same arrays: the C kernel through its pointer
     slab (:attr:`pointers`), the Python loop through lists it makes
     once per call.
 
@@ -680,7 +679,7 @@ def run_columnar(
     stats,
     events: Optional[List[np.ndarray]] = None,
 ) -> int:
-    """Simulate *plan* on *simulator*: the generated kernel's Python twin.
+    """Simulate *plan* on *simulator*: the C kernel's Python twin.
 
     Fills *stats* (a :class:`~repro.sim.core.SimStats`) and returns the
     finish cycle.  Requires the simulator's L1/L2 (and, for GPUShield,
@@ -691,13 +690,13 @@ def run_columnar(
 
     When *events* is a list, the loop appends one ``(n, 3)`` ``int64``
     array to it, with one ``(issue_cycle, warp, run_length)`` row per
-    issued run, in issue order.  The native executor's generated
-    kernels (:mod:`repro.sim.codegen`) record the same rows for the
+    issued run, in issue order.  The native executor's C
+    kernel (:mod:`repro.sim.native`) records the same rows for the
     same run sequence, so both fast paths produce equal event arrays.
 
     Loop structure
     --------------
-    The loop indexes the plan's columns as the generated kernel does:
+    The loop indexes the plan's columns as the C kernel does:
     warp *w*'s next run is ``ridx[w]``, and its memory record *m* is
     row ``rec_base[w] + m``.  It first turns the columns into plain
     Python lists (NumPy scalars are ~3x slower in the loop), zipping

@@ -17,7 +17,7 @@ One fast path, one oracle
 :class:`SmSimulator` runs every trace through one fast path: the trace
 is pre-decoded into an :class:`~repro.sim.columnar.IssuePlan` (flat
 ``int64`` columns of issue runs plus pre-resolved cache/DRAM
-geometry), which :func:`run_plans` hands to the generated C kernel of
+geometry), which :func:`run_plans` hands to the C kernel of
 :mod:`repro.sim.native` — or, for any plan the kernel refuses (no C
 toolchain, say), to the pure-Python
 :func:`~repro.sim.columnar.run_columnar` loop over the same columns.
@@ -155,7 +155,6 @@ class SmSimulator:
         self.l1 = ArrayLruCache(config.l1, "l1")
         self.l2 = ArrayLruCache(config.l2, "l2")
         self.dram = DramModel(config)
-        self.model.bind(self)
 
     def _fast_plan(self, trace: KernelTrace):
         """Decode the issue plan of *trace* under this simulator.
@@ -215,8 +214,8 @@ def run_plans(requests: Sequence[Tuple]) -> List[int]:
 
     *requests* are :func:`~repro.sim.native.run_native_batch` tuples,
     ``(simulator, plan, stats, events)``.
-    The whole batch goes to the generated C kernels at once, and every
-    plan they refuse (no toolchain, compile failure, kernel error)
+    The whole batch goes to the C kernel at once, and every
+    plan it refuses (no toolchain, compile failure, kernel error)
     runs on the pure-Python :func:`~repro.sim.columnar.run_columnar`
     loop instead — the one place the two executors meet.
     """

@@ -1,24 +1,29 @@
-"""Native executor for columnar issue plans, built on per-cell codegen.
+"""Native executor for columnar issue plans.
 
 The fast path's pure-Python issue loop (:func:`repro.sim.
 columnar.run_columnar`) bottoms out at CPython bytecode dispatch;
 this module removes that floor when a C toolchain is present.  The
 issue plan's flat ``int64`` columns (:class:`~repro.sim.columnar.
-IssuePlan`) are handed — as a pointer slab, without a copy — to a
-kernel *generated for the exact (timing-model, mechanism) cell* by
-:mod:`repro.sim.codegen`: latencies and cache way counts are
-compile-time constants, the GPUShield probe path is compiled out of
-cells that never take it, and every cell's scheduler keeps a
-multi-word ready mask, so wide traces no longer fall back to Python.
+IssuePlan`) are handed — as a pointer slab, without a copy — to one
+fixed C kernel, ``kernel.c``, built and loaded through
+:func:`repro.sim.codegen.load_cell`.  Each cell's machine (cache ways
+and hit latencies, DRAM timing, LSU transaction cycles, RCache ways,
+whether the plan probes) rides in its scalar block, so any
+:class:`~repro.common.config.GpuConfig` runs without a compile, and
+the scheduler keeps a multi-word ready mask, so wide traces keep the
+native path.
 
 Design constraints:
 
-* **ABI-only.**  Kernels are plain C compiled with ``cc -O2 -shared``
-  and loaded through :mod:`cffi`'s ``dlopen`` mode — no Python
-  headers or build backends; builds are cached on disk keyed by
-  (source digest, compiler identity) with an atomic, lock-guarded
-  publish (see :mod:`repro.sim.codegen`).
-* **Shared state, not shadow state.**  Kernels operate on the
+* **ABI-only.**  The kernel is plain C compiled with ``cc -O2
+  -shared`` and loaded through :mod:`cffi`'s ``dlopen`` mode — no
+  Python headers or build backends.
+* **One layout.**  A cell is a scalar block (:data:`SCALARS`), a
+  pointer slab (the plan's :data:`~repro.sim.columnar.PLAN_COLUMNS` +
+  :data:`~repro.sim.columnar.PROBE_COLUMNS`, then
+  :data:`STATE_SLOTS`) and an output block (:data:`OUTPUTS`), in the
+  order ``kernel.c``'s enums name them.
+* **Shared state, not shadow state.**  The kernel operates on the
   simulator's :meth:`~repro.sim.cache.ArrayLruCache.native_export`
   arrays and the DRAM channel-free timeline.  The dense tag arrays
   stay authoritative between native runs (committed via
@@ -26,12 +31,13 @@ Design constraints:
   are rebuilt lazily — and only for touched sets — when Python next
   reads them.  Warm-cache reruns and executor interleaving therefore
   behave identically to the Python loop.
-* **Batching.**  :func:`run_native_batch` ships N independent traces
-  through **one** FFI crossing per cell group; the kernel runs them
-  one after another.  Callers on separate Python threads (the serve
-  daemon's executors) run at once: cffi releases the GIL for the
-  call, and each request brings its own simulator state.
-* **Observable refusal.**  Every plan the kernels refuse (no
+* **Batching.**  :func:`run_native_batch` ships N independent traces,
+  of any machines and mechanisms, through **one** FFI crossing; the
+  kernel runs them one after another.  Callers on separate Python
+  threads (the serve daemon's executors) run at once: cffi releases
+  the GIL for the call, and each request brings its own simulator
+  state.
+* **Observable refusal.**  Every plan the kernel refuses (no
   toolchain, compile failure, kernel error) is counted in
   :data:`NATIVE_DIAG` (``sim.native_fallback{reason=…}``) and logged
   once per reason per process; so is every trace the native
@@ -43,7 +49,7 @@ Design constraints:
   batch sizes and ``--jobs`` values, so executor-selection diagnostics
   cannot ride in them.
 
-The generated scheduler mirrors the Python loop's semantics exactly:
+The kernel's scheduler mirrors the Python loop's semantics exactly:
 a ready bitmask (oldest warp = lowest set bit, GTO keeps the current
 warp on ties), per-warp wake times with an exact ``next_wake``
 minimum, the single-ready fast-forward, and the sign-encoded
@@ -55,25 +61,25 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..telemetry.registry import MetricsRegistry
-from .codegen import (
-    CODEGEN_STATS,
-    NPTRS,
-    NSCALARS,
-    OUT_SLOTS,
-    CellSpec,
-    CompiledCell,
-    load_cell,
-)
+from .codegen import CODEGEN_STATS, load_cell
+from .columnar import PLAN_COLUMNS, PROBE_COLUMNS
 from .timing import TRANSACTION_CYCLES
 
 __all__ = [
+    "KERNEL_SOURCE",
     "NATIVE_DIAG",
-    "cell_spec_for",
+    "NPTRS",
+    "NSCALARS",
+    "OUTPUTS",
+    "OUT_SLOTS",
+    "SCALARS",
+    "STATE_SLOTS",
     "fallback_counts",
     "native_available",
     "note_fallback",
@@ -82,6 +88,37 @@ __all__ = [
 ]
 
 log = logging.getLogger("repro.sim.native")
+
+#: The simulator kernel's source.
+KERNEL_SOURCE = Path(__file__).with_name("kernel.c")
+
+#: Pointer-slab slots after the plan's columns: the simulator state
+#: the kernel reads and writes, its event buffer and its output block.
+STATE_SLOTS = (
+    "l1_tags", "l2_tags", "rc_tags", "l1_touched", "l2_touched",
+    "rc_touched", "free_at", "ev_buf", "out",
+)
+
+#: Pointer-slab slots per cell.
+NPTRS = len(PLAN_COLUMNS) + len(PROBE_COLUMNS) + len(STATE_SLOTS)
+
+#: Scalar slots per cell: the trace's shape, then the cell's machine.
+SCALARS = (
+    "warp_count", "ev_cap", "has_probes",
+    "l1_ways", "l1_latency", "l2_ways", "l2_latency",
+    "dram_latency", "line_cycles", "tx_cycles", "rc_ways",
+)
+NSCALARS = len(SCALARS)
+
+#: ``int64`` output slots per cell: the run's counters, then a status
+#: word (non-zero when the kernel refused the cell).
+OUTPUTS = (
+    "l1_hits", "l1_misses", "l2_hits", "l2_misses",
+    "dram_requests", "dram_queue_delay",
+    "rc_hits", "rc_misses", "probe_l2_hits", "probe_l2_misses",
+    "stall_cycles", "finish", "ev_count", "status",
+)
+OUT_SLOTS = len(OUTPUTS)
 
 #: Diagnostics registry for executor-selection observability
 #: (``sim.native_fallback{reason=…}`` counters).  Separate from the
@@ -92,10 +129,12 @@ NATIVE_DIAG = MetricsRegistry()
 _FALLBACK_LOGGED: set = set()
 
 _FALLBACK_DETAIL = {
-    "no-toolchain": "no C compiler (cc/gcc/clang) on PATH",
-    "compile-failed": "a generated cell, the trace synthesizer or the plan"
-    " decoder failed to compile",
-    "kernel-error": "generated kernel refused (allocation failure)",
+    "no-toolchain": "no C compiler (cc/gcc/clang) on PATH, or no cffi to"
+    " load what one builds",
+    "compile-failed": "the simulator kernel, the trace synthesizer or the"
+    " plan decoder failed to compile",
+    "kernel-error": "the simulator kernel refused a cell (allocation"
+    " failure)",
     "wide-draws": "a profile needs random draws wider than 32 bits, which"
     " only the Python trace synthesizer makes",
     "plan-values": "a trace holds a column of another dtype, or a GPUShield"
@@ -127,66 +166,18 @@ def fallback_counts() -> Dict[str, int]:
     return counts
 
 
-def cell_spec_for(simulator, plan) -> CellSpec:
-    """The codegen cell of *simulator*'s config under *plan*'s shape.
-
-    Everything here is folded into the generated C as a literal: the
-    latencies and way counts specialize the kernel, and plans without
-    probe tables select the probe-free variant.  (Set counts, line
-    bits and channel interleave are baked into the *plan*'s
-    pre-resolved geometry columns, not the kernel.)
-    """
-    config = simulator.config
-    dram = simulator.dram
-    has_probes = plan.has_probes
-    return CellSpec(
-        has_probes=has_probes,
-        l1_ways=config.l1.ways,
-        l1_latency=config.l1.hit_latency,
-        l2_ways=config.l2.ways,
-        l2_latency=config.l2.hit_latency,
-        dram_latency=dram.latency,
-        line_cycles=dram.line_cycles,
-        tx_cycles=TRANSACTION_CYCLES,
-        rc_ways=simulator.model.rcache.config.ways if has_probes else 0,
-    )
-
-
 def native_available() -> bool:
-    """True when generated cells can be compiled and loaded.
+    """True when the simulator kernel builds and loads here.
 
-    Probes the default-config baseline cell (memoized), so a ``True``
-    answer means an actual kernel is resident — not merely that a
-    compiler binary exists.
+    Loads the kernel (memoized), so a ``True`` answer means it is
+    resident — not merely that a compiler binary exists.
     """
-    from ..common.config import DEFAULT_GPU_CONFIG
-    from .dram import DramModel
-
-    dram = DramModel(DEFAULT_GPU_CONFIG)
-    spec = CellSpec(
-        has_probes=False,
-        l1_ways=DEFAULT_GPU_CONFIG.l1.ways,
-        l1_latency=DEFAULT_GPU_CONFIG.l1.hit_latency,
-        l2_ways=DEFAULT_GPU_CONFIG.l2.ways,
-        l2_latency=DEFAULT_GPU_CONFIG.l2.hit_latency,
-        dram_latency=dram.latency,
-        line_cycles=dram.line_cycles,
-        tx_cycles=TRANSACTION_CYCLES,
-    )
-    return isinstance(load_cell(spec), CompiledCell)
-
-
-#: Placeholder RCache arrays for probe-free cells: the generated
-#: kernel contains no code that reads slab slots 22/25, so one shared
-#: (never-dereferenced) pair serves every cell — including cells
-#: running at once on separate caller threads.
-_DUMMY_TAGS = np.zeros(1, dtype=np.int64)
-_DUMMY_TOUCHED = np.zeros(1, dtype=np.uint8)
+    return not isinstance(load_cell(KERNEL_SOURCE), str)
 
 
 @dataclass
 class _PreparedCell:
-    """One trace marshalled for a generated kernel, pre-invocation."""
+    """One trace marshalled for the kernel, pre-invocation."""
 
     simulator: object
     plan: object
@@ -205,42 +196,54 @@ class _PreparedCell:
 def _prepare(
     simulator, plan, stats, events: Optional[list]
 ) -> _PreparedCell:
-    """Export state and build the pointer slab for one trace.
-
-    Slots 0–19 point straight at the plan's columns.
-    """
+    """Export state and build the scalar block and pointer slab for
+    one trace.  Probe-free cells pass null RCache arrays."""
+    config = simulator.config
+    dram = simulator.dram
     l1_state = simulator.l1.native_export()
     l2_state = simulator.l2.native_export()
+    rc_state, rc_ways = None, 0
     if plan.has_probes:
-        rc_state = simulator.model.rcache.native_export()
-    else:
-        rc_state = None
-    free_at = np.asarray(simulator.dram.channel_free_at, dtype=np.int64)
+        rcache = simulator.model.rcache
+        rc_state = rcache.native_export()
+        rc_ways = rcache.config.ways
+    free_at = np.asarray(dram.channel_free_at, dtype=np.int64)
     out = np.zeros(OUT_SLOTS, dtype=np.int64)
     if events is not None:
         ev_cap = int(plan.run_start[-1])  # one row per issued run
         ev_buf = np.empty(ev_cap * 3, dtype=np.int64)
-        ev_addr = ev_buf.ctypes.data
     else:
         ev_cap = 0
         ev_buf = None
-        ev_addr = 0
     slab = np.empty(NPTRS, dtype=np.uint64)
     slab[:20] = plan.pointers
-    slab[20] = l1_state[0].ctypes.data
-    slab[21] = l2_state[0].ctypes.data
-    slab[23] = l1_state[1].ctypes.data
-    slab[24] = l2_state[1].ctypes.data
-    if rc_state is not None:
-        slab[22] = rc_state[0].ctypes.data
-        slab[25] = rc_state[1].ctypes.data
-    else:
-        slab[22] = _DUMMY_TAGS.ctypes.data
-        slab[25] = _DUMMY_TOUCHED.ctypes.data
-    slab[26] = free_at.ctypes.data
-    slab[27] = ev_addr
-    slab[28] = out.ctypes.data
-    scalars = np.array([plan.warp_count, ev_cap], dtype=np.int64)
+    slab[20:] = [
+        l1_state[0].ctypes.data,
+        l2_state[0].ctypes.data,
+        rc_state[0].ctypes.data if rc_state else 0,
+        l1_state[1].ctypes.data,
+        l2_state[1].ctypes.data,
+        rc_state[1].ctypes.data if rc_state else 0,
+        free_at.ctypes.data,
+        ev_buf.ctypes.data if ev_buf is not None else 0,
+        out.ctypes.data,
+    ]
+    scalars = np.array(
+        [
+            plan.warp_count,
+            ev_cap,
+            plan.has_probes,
+            config.l1.ways,
+            config.l1.hit_latency,
+            config.l2.ways,
+            config.l2.hit_latency,
+            dram.latency,
+            dram.line_cycles,
+            TRANSACTION_CYCLES,
+            rc_ways,
+        ],
+        dtype=np.int64,
+    )
     return _PreparedCell(
         simulator=simulator,
         plan=plan,
@@ -257,8 +260,8 @@ def _prepare(
     )
 
 
-def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell]) -> None:
-    """One FFI crossing for the whole *preps* group."""
+def _invoke(kernel, preps: Sequence[_PreparedCell]) -> None:
+    """One FFI crossing of *kernel*, ``(ffi, lib)``, for all *preps*."""
     n = len(preps)
     if n == 1:
         scalars = preps[0].scalars
@@ -266,8 +269,8 @@ def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell]) -> None:
     else:
         scalars = np.concatenate([p.scalars for p in preps])
         slab = np.concatenate([p.slab for p in preps])
-    ffi = cell.ffi
-    cell.lib.lmi_cell_run_batch(
+    ffi, lib = kernel
+    lib.lmi_cell_run_batch(
         n,
         ffi.cast("const int64_t *", scalars.ctypes.data),
         ffi.cast("void **", slab.ctypes.data),
@@ -280,7 +283,8 @@ def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell]) -> None:
 
 
 def _commit(prep: _PreparedCell) -> int:
-    """Fold a finished kernel's outputs back into simulator state."""
+    """Fold a finished cell's outputs (:data:`OUTPUTS`) back into
+    simulator state."""
     (
         l1_hits,
         l1_misses,
@@ -290,8 +294,8 @@ def _commit(prep: _PreparedCell) -> int:
         dram_queue_delay,
         rc_hits,
         rc_misses,
-        p_l2_hits,
-        p_l2_misses,
+        probe_l2_hits,
+        probe_l2_misses,
         stall_cycles,
         finish,
         ev_count,
@@ -321,8 +325,8 @@ def _commit(prep: _PreparedCell) -> int:
     stats.l2_misses = l2_misses
     simulator.l1.stats.hits += l1_hits
     simulator.l1.stats.misses += l1_misses
-    simulator.l2.stats.hits += l2_hits + p_l2_hits
-    simulator.l2.stats.misses += l2_misses + p_l2_misses
+    simulator.l2.stats.hits += l2_hits + probe_l2_hits
+    simulator.l2.stats.misses += l2_misses + probe_l2_misses
     dram.stats.requests += dram_requests
     dram.stats.queue_delay_cycles += dram_queue_delay
     if prep.rc_state is not None:
@@ -335,7 +339,7 @@ def _commit(prep: _PreparedCell) -> int:
 def run_native(
     simulator, plan, stats, events: Optional[List] = None
 ) -> Optional[int]:
-    """Run *plan* through its generated kernel; ``None`` → Python loop.
+    """Run *plan* through the kernel; ``None`` → Python loop.
 
     A batch of one: see :func:`run_native_batch`.  *stats* and the
     simulator's cache/DRAM state are mutated exactly like
@@ -350,17 +354,17 @@ def run_native(
 
 
 def run_native_batch(requests: Sequence[Tuple]) -> List[Optional[int]]:
-    """Run many traces natively with one FFI crossing per cell group.
+    """Run many traces natively with one FFI crossing.
 
     *requests* is a sequence of ``(simulator, plan, stats, events)``
-    tuples — the :func:`run_native` signature, one per trace.
-    Requests are grouped by codegen cell; each group crosses the FFI
-    once, and the kernel runs its traces in order.  Simulators must be
+    tuples — the :func:`run_native` signature, one per trace, of any
+    machines and mechanisms.  The whole batch crosses the FFI once,
+    and the kernel runs its traces in order.  Simulators must be
     distinct objects: each trace's exported cache state is bound
     before the crossing and committed after it.
 
-    Returns one finish-cycle (or ``None`` for any trace whose cell is
-    unavailable or whose kernel refused —
+    Returns one finish-cycle (or ``None`` for every trace when the
+    kernel is unavailable, and for any trace the kernel refused —
     :func:`repro.sim.core.run_plans` runs those through the Python
     loop; the refusal is recorded via :func:`note_fallback`).  All
     refusal checks — and the scheduler's scratch allocation — happen
@@ -371,21 +375,16 @@ def run_native_batch(requests: Sequence[Tuple]) -> List[Optional[int]]:
     results: List[Optional[int]] = [None] * len(requests)
     if not requests:
         return results
-    groups: Dict[CellSpec, List[int]] = {}
-    for index, request in enumerate(requests):
-        spec = cell_spec_for(request[0], request[1])
-        groups.setdefault(spec, []).append(index)
-    for spec, indices in groups.items():
-        cell = load_cell(spec)
-        if not isinstance(cell, CompiledCell):
-            for _ in indices:
-                note_fallback(cell)
+    kernel = load_cell(KERNEL_SOURCE)
+    if isinstance(kernel, str):
+        for _ in requests:
+            note_fallback(kernel)
+        return results
+    preps = [_prepare(*request) for request in requests]
+    _invoke(kernel, preps)
+    for index, prep in enumerate(preps):
+        if prep.out[-1]:
+            note_fallback("kernel-error")
             continue
-        preps = [_prepare(*requests[i]) for i in indices]
-        _invoke(cell, preps)
-        for i, prep in zip(indices, preps):
-            if prep.out[13]:
-                note_fallback("kernel-error")
-                continue
-            results[i] = _commit(prep)
+        results[index] = _commit(prep)
     return results

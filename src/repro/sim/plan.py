@@ -13,13 +13,12 @@ the walk, line addresses are floored as NumPy's ``>>``, ``//`` and
 iterates ``set(ids)``.
 
 The decoder is built and loaded on the first decode through
-:func:`repro.sim.codegen.load_source`, the compile, disk cache and
-memo of the simulator's generated kernels, and this module is imported
-only then, so ``import repro.experiments`` neither compiles it nor
-loads cffi.  A count pass sizes every column exactly (the probe
-columns at an upper bound, trimmed in place), and a write pass fills
-them through a pointer array in ``PLAN_COLUMNS + PROBE_COLUMNS``
-order.  The C code keeps no static state, so threads may decode at
+:func:`repro.sim.codegen.load_cell`, which builds, caches and loads
+every native unit, and this module is imported only then, so
+``import repro.experiments`` neither compiles it nor loads cffi.  A
+count pass sizes every column exactly (the probe columns at an upper
+bound, trimmed in place), and a write pass fills them through a
+pointer array in ``PLAN_COLUMNS + PROBE_COLUMNS`` order.  The C code keeps no static state, so threads may decode at
 once (cffi releases the GIL for the call).
 
 :func:`native_plan` returns ``None`` when NumPy must decode instead —
@@ -30,13 +29,12 @@ cannot reproduce exactly — and counts each such plan through
 
 from __future__ import annotations
 
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .codegen import load_source
+from .codegen import load_cell
 from .columnar import (
     _EMPTY,
     PLAN_COLUMNS,
@@ -53,8 +51,7 @@ from .timing import (
     TRANSACTION_CYCLES,
 )
 
-#: The decoder's source; its cffi declarations are the text between
-#: its ``cdef-begin`` and ``cdef-end`` markers.
+#: The decoder's source.
 PLAN_SOURCE = Path(__file__).with_name("plan.c")
 
 #: Plan-key families the decoder gives a decode of their own; every
@@ -65,23 +62,6 @@ _FAMILY = {"lmi": 1, "gpushield": 2}
 #: The largest buffer id whose hash is itself (``2**61 - 1`` hashes
 #: to 0).
 _MAX_HASHED_ID = (1 << 61) - 2
-
-
-@lru_cache(maxsize=None)
-def _source() -> Tuple[str, str]:
-    source = PLAN_SOURCE.read_text("utf-8")
-    cdef = source.split("/* cdef-begin */")[1].split("/* cdef-end */")[0]
-    return source, cdef
-
-
-def _kernel():
-    """``(ffi, lib)`` of the decoder, built and loaded on first use, or
-    the reason it is unavailable."""
-    try:
-        source, cdef = _source()
-    except OSError:
-        return "compile-failed"
-    return load_source("lmi_plan", source, cdef)
 
 
 def native_plan(
@@ -97,7 +77,7 @@ def native_plan(
     ``base + id * entry_bytes`` fits in ``int64``.  Anything else is a
     ``"plan-values"`` fallback.
     """
-    kernel = _kernel()
+    kernel = load_cell(PLAN_SOURCE)
     if isinstance(kernel, str):
         note_fallback(kernel)
         return None

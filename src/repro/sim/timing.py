@@ -54,7 +54,13 @@ class TimingModel:
     name = "baseline"
 
     def bind(self, simulator) -> None:
-        """Receive the owning simulator (cache hierarchy access)."""
+        """Receive the owning oracle simulator (cache hierarchy access).
+
+        Only :class:`~repro.sim.reference.ReferenceSmSimulator` binds
+        its model: the fast path resolves every probe into the issue
+        plan, so an :class:`~repro.sim.core.SmSimulator` and its model
+        hold no reference cycle and are freed without the collector.
+        """
         self._simulator = simulator
 
     def expand(self, instr: TraceInstruction) -> Iterator[TraceInstruction]:
@@ -87,7 +93,7 @@ class TimingModel:
         that keeps the family's :meth:`expand`, :meth:`expansion_key`
         and :meth:`extra_latency` — attribute-only subclasses (renames,
         extra bookkeeping, custom ``bind`` state) therefore keep the
-        fast path, including the generated native kernels.  Overriding
+        fast path, including the native kernel.  Overriding
         any of the three makes the model opaque to the lowering, so only
         the oracle (:mod:`repro.sim.reference`) can simulate it.
         """
@@ -113,7 +119,7 @@ class TimingModel:
         Subclasses that override none of the decode-relevant hooks
         (:meth:`expand`, :meth:`expansion_key`, :meth:`extra_latency`)
         inherit their family's key — and with it the columnar and
-        generated-native fast path.
+        native fast path.
         """
         if self._overrides_timing_hooks(TimingModel):
             return None

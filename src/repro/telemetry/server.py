@@ -90,6 +90,12 @@ MAX_HEADERS = 100
 MAX_LINE_BYTES = 8192
 MAX_BODY_BYTES = 1 << 20
 
+#: Listen backlog.  Load runs open 128 (CI) and 256 connections at
+#: once; asyncio's default of 100 let a burst of 128 overflow the
+#: accept queue, and a dropped SYN costs its client a one-second
+#: retransmit.  The kernel caps it at ``net.core.somaxconn``.
+LISTEN_BACKLOG = 1024
+
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 
 
@@ -341,7 +347,9 @@ class HttpPlane:
 
     async def start(self, host: str, port: int) -> int:
         """Bind and start accepting; returns the bound port."""
-        self._server = await asyncio.start_server(self._serve, host, port)
+        self._server = await asyncio.start_server(
+            self._serve, host, port, backlog=LISTEN_BACKLOG
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 

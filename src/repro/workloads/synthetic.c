@@ -33,8 +33,8 @@ typedef struct {
     int index;
 } mt_state;
 
-/* The interface: synthetic.py declares these two structs and
- * lmi_synth_run to cffi (_KERNEL_CDEF); keep both copies equal. */
+/* The interface, read by repro.sim.codegen as its cffi declarations. */
+/* cdef-begin */
 struct lmi_synth_params {
     int64_t warps, instructions_per_warp;
     int64_t lines_in_set, line_bits, n_buffers, buffer_bits;
@@ -52,6 +52,10 @@ struct lmi_synth_columns {
     int64_t line_cap, buffer_cap;
     int64_t line_need, buffer_need;
 };
+
+int64_t lmi_synth_run(const struct lmi_synth_params *p,
+                      struct lmi_synth_columns *c, int64_t warp);
+/* cdef-end */
 
 static void mt_seed(mt_state *s, uint32_t key)
 {

@@ -15,9 +15,9 @@ Two synthesizers write the same eight
 
 * **The native kernel** (``synthetic.c``, one fixed C translation
   unit) is built and loaded on the first synthesis through
-  :func:`repro.sim.codegen.load_source`, the compile and disk cache of
-  the simulator's generated kernels.  It replays the Python loop draw
-  for draw: CPython's MT19937 seeded as ``random.Random`` seeds it,
+  :func:`repro.sim.codegen.load_cell`, which builds, caches and loads
+  every native unit.  It replays the Python loop draw for draw:
+  CPython's MT19937 seeded as ``random.Random`` seeds it,
   ``random()`` from two 32-bit words, ``getrandbits(k)`` for
   ``k <= 32`` as the top *k* bits of one word, and the same rejection
   loops, writing into exactly sized NumPy arrays.
@@ -32,7 +32,6 @@ Two synthesizers write the same eight
 
 from __future__ import annotations
 
-import functools
 import random
 import zlib
 from pathlib import Path
@@ -42,7 +41,7 @@ import numpy as np
 
 from ..common.errors import MemorySpace
 from ..memory import layout
-from ..sim.codegen import load_source
+from ..sim.codegen import load_cell
 from ..sim.columnar import (
     OP_FP,
     OP_INT,
@@ -67,29 +66,8 @@ _BUFFER_SWITCH = 0.02
 #: Typical load:store ratio of a memory instruction.
 _LOAD_FRACTION = 0.7
 
-#: The native synthesizer's source and the declarations it exports
-#: (the same text as in the source).
-_KERNEL_SOURCE = Path(__file__).with_name("synthetic.c")
-_KERNEL_CDEF = """
-struct lmi_synth_params {
-    int64_t warps, instructions_per_warp;
-    int64_t lines_in_set, line_bits, n_buffers, buffer_bits;
-    int64_t uncoalesced, scatter, line_bytes;
-    int64_t global_base, shared_base, local_base;
-    double dep_rate, mem_fraction, load_fraction;
-    double global_frac, global_shared_frac, coalesced;
-    double buffer_switch, int_fraction, ptr_rate;
-};
-struct lmi_synth_columns {
-    const int64_t *seeds;
-    uint8_t *ops, *depends, *checked;
-    int64_t *line_offsets, *lines, *buffer_offsets, *buffers;
-    int64_t line_cap, buffer_cap;
-    int64_t line_need, buffer_need;
-};
-int64_t lmi_synth_run(const struct lmi_synth_params *p,
-                      struct lmi_synth_columns *c, int64_t warp);
-"""
+#: The native synthesizer's source.
+SYNTH_SOURCE = Path(__file__).with_name("synthetic.c")
 
 #: Headroom over the expected line and buffer-id counts when sizing
 #: the native kernel's columns; a shortfall only costs a regrow.
@@ -156,21 +134,6 @@ def synthesize_trace(
 # The native kernel.
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_source() -> str:
-    return _KERNEL_SOURCE.read_text("utf-8")
-
-
-def _kernel():
-    """``(ffi, lib)`` of the native synthesizer, built and loaded on
-    first use, or the reason it is unavailable."""
-    try:
-        source = _kernel_source()
-    except OSError:
-        return "compile-failed"
-    return load_source("lmi_synth", source, _KERNEL_CDEF)
-
-
 def _capacities(spec: BenchmarkProfile, n: int) -> Tuple[int, int]:
     """Initial ``lines`` and ``buffers`` lengths for *n* instructions:
     the expected counts with headroom, plus room for 64 of the widest
@@ -198,7 +161,7 @@ def _native_columns(
     if max(lines_in_set, n_buffers).bit_length() > 32:
         note_fallback("wide-draws")
         return None
-    kernel = _kernel()
+    kernel = load_cell(SYNTH_SOURCE)
     if isinstance(kernel, str):
         note_fallback(kernel)
         return None

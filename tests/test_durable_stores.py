@@ -17,6 +17,9 @@ checks the rule once per store, through a small adapter per store
 * **garbage at the path** (compiled kernel only) — a non-ELF file at
   the ``.so`` cache path makes ``load_cell`` rebuild once.
 
+The compiled-kernel store is :func:`repro.sim.codegen.load_cell` on a
+small C unit with one source file per version.
+
 Garbage entries of the other stores are covered where those stores are
 tested (``TestCellCache::test_garbage_entry_is_corrupt_miss``,
 ``test_trace_cache.py::test_corrupt_disk_entry_falls_back_to_synthesis``,
@@ -41,7 +44,7 @@ from repro.common.config import DEFAULT_GPU_CONFIG
 from repro.experiments.engine import model_factory
 from repro.experiments.fabric import CELL_SCHEMA, CellCache
 from repro.sim import SmSimulator, codegen
-from repro.sim.codegen import CACHE_ENV, CODEGEN_STATS, CellSpec, CompiledCell
+from repro.sim.codegen import CACHE_ENV, CODEGEN_STATS, load_cell
 from repro.sim.trace import KernelTrace
 from repro.telemetry.export import write_json
 from repro.telemetry import ledger as ledger_module
@@ -209,31 +212,37 @@ class KernelStore:
     def __init__(self, root, monkeypatch):
         _needs_kernel()
         self.root = root
+        self.units = root.parent / "units"
+        self.units.mkdir()
         monkeypatch.setenv(CACHE_ENV, str(root))
+        # One source file (and one .so) per version; every .so is
+        # larger than FSIZE_LIMIT, so each version counts as large.
+        for version in (1, 2, 3):
+            self._unit(version).write_text(
+                "#include <stdint.h>\n"
+                "/* cdef-begin */\n"
+                "int64_t unit_version(void);\n"
+                "/* cdef-end */\n"
+                f"int64_t unit_version(void) {{ return {version}; }}\n"
+            )
 
-    @staticmethod
-    def _spec(version):
-        # One cell (and one .so) per version; every .so is larger than
-        # FSIZE_LIMIT, so each version counts as large.
-        return CellSpec(
-            has_probes=False, l1_ways=4, l1_latency=40 + version,
-            l2_ways=8, l2_latency=201, dram_latency=351,
-            line_cycles=4, tx_cycles=4,
-        )
+    def _unit(self, version):
+        return self.units / f"unit_v{version}.c"
 
     def write(self, version, big=False):
-        cell = codegen._load_uncached(self._spec(version))
-        return "compiled" if isinstance(cell, CompiledCell) else cell
+        loaded = load_cell(self._unit(version))
+        return loaded if isinstance(loaded, str) else "compiled"
 
     def read(self):
-        # Load without building: only kernels already on disk count.
+        # Load without building: only units already on disk count.
         codegen._compile_so = lambda *args: False
-        return [
-            version for version in (1, 2, 3)
-            if isinstance(
-                codegen._load_uncached(self._spec(version)), CompiledCell
-            )
-        ]
+        held = []
+        for version in (1, 2, 3):
+            loaded = load_cell(self._unit(version))
+            if not isinstance(loaded, str):
+                assert loaded[1].unit_version() == version
+                held.append(version)
+        return held
 
 
 STORES = [CellStore, TraceStore, ExportStore, LedgerStore, KernelStore]
@@ -299,7 +308,7 @@ def test_garbage_kernel_is_rebuilt_once(tmp_path, monkeypatch, fresh_memo):
     # loaded the .so: dlopen must read what is on disk.
     fresh = _forked(lambda: _baseline_cycles(trace))
     assert fresh[0] == "returned", fresh
-    [so_path] = tmp_path.glob("lmi_cell_*.so")
+    [so_path] = tmp_path.glob("kernel_*.so")
     # Garbage arrives under a new inode, as a rename by another writer
     # would place it: dlopen hands back an object already loaded from
     # the same inode without reading the file.

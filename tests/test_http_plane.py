@@ -9,11 +9,13 @@ both, so a difference between the planes fails here first:
   and ``/healthz`` with the same document;
 * request bounds (431), ``/logs`` filters and SSE streams behave alike;
 * shutdown closes idle keep-alive connections and dropped SSE clients
-  release their connections.
+  release their connections;
+* each listens with a backlog deep enough for the load runs' bursts.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import socket
@@ -24,7 +26,12 @@ import pytest
 from repro.serve import ServeDaemon
 from repro.telemetry import ProgressBoard
 from repro.telemetry.log import LEVELS, LOG
-from repro.telemetry.server import PROMETHEUS_CONTENT_TYPE, ObservabilityServer
+from repro.telemetry import server as server_module
+from repro.telemetry.server import (
+    LISTEN_BACKLOG,
+    PROMETHEUS_CONTENT_TYPE,
+    ObservabilityServer,
+)
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
@@ -193,3 +200,26 @@ def test_stats_stream_first_frame():
         event, stats = _first_event(daemon.port, "/stats/stream")
     assert event == "event: stats"
     assert stats["schema"] == "repro.serve-stats/v1"
+
+
+@pytest.mark.parametrize("kind", ["cli", "daemon"])
+def test_plane_listens_with_a_deep_backlog(kind, monkeypatch):
+    """A burst of 256 connects fits the accept queue: with asyncio's
+    default backlog of 100, bursts of 256 made some clients wait out a
+    one-second SYN retransmit."""
+    backlogs = []
+    real = asyncio.start_server
+
+    async def recording(*args, **kwargs):
+        backlogs.append(kwargs.get("backlog"))
+        return await real(*args, **kwargs)
+
+    monkeypatch.setattr(server_module.asyncio, "start_server", recording)
+    server = (
+        ObservabilityServer(0, board=ProgressBoard())
+        if kind == "cli"
+        else ServeDaemon(0)
+    ).start()
+    server.stop()
+    assert backlogs == [LISTEN_BACKLOG]
+    assert LISTEN_BACKLOG >= 256

@@ -1,22 +1,27 @@
-"""Per-cell native codegen suite.
+"""The native units and their one loader.
 
-:mod:`repro.sim.codegen` generates one specialized C kernel per
-(timing-model, mechanism) cell and caches the compiled object on disk.
-This suite locks the contracts the fast path depends on:
+:mod:`repro.sim.codegen` builds, caches and loads the three fixed C
+units through :func:`~repro.sim.codegen.load_cell`, and
+:mod:`repro.sim.native` runs issue plans through the simulator kernel,
+``sim/kernel.c``.  This suite locks the contracts the fast path
+depends on:
 
-* **Spec determinism** — equal :class:`CellSpec`\\ s generate
-  byte-identical sources (and therefore share one ``.so``); the
-  probe-free mechanisms of one config all collapse to a single cell.
+* **One layout** — the kernel's slot, scalar and output enums name
+  what :mod:`repro.sim.native` packs, in the order it packs them;
+* **One kernel for every machine** — once loaded, the kernel runs a
+  machine with every cache and DRAM value changed without a compile,
+  and matches the oracle;
 * **Observable fallbacks** — every refusal to run natively is counted
   on :data:`repro.sim.native.NATIVE_DIAG` with a machine-readable
   reason (``no-toolchain``, ``compile-failed``, ``kernel-error``), and
-  results stay correct either way.
-* **Race-safe disk cache** — concurrent builds of one cell into a
-  shared cache directory all succeed (per-key build lock + atomic
-  publish), and warm loads never re-invoke the compiler.
+  results stay correct either way; with no cffi nothing is compiled;
+* **Race-safe disk cache** — concurrent loads of one unit into a
+  shared cache directory compile it once (per-key build lock + atomic
+  publish), a cold load runs ``cc`` once, and warm loads never
+  re-invoke the compiler;
 * **Custom model coverage** — attribute-only :class:`TimingModel`
-  subclasses ride the generated kernels (equivalence vs the locked
-  reference, warm-state round-trip, >64-warp wide-mask cells).
+  subclasses ride the kernel (equivalence vs the locked reference,
+  warm-state round-trip, >64-warp wide-mask cells);
 * **Batched FFI** — ``run_native_batch`` is result/state/event
   identical to sequential ``run_native``, also when Python threads
   cross the FFI at once, as the serve daemon's executors do.
@@ -24,33 +29,40 @@ This suite locks the contracts the fast path depends on:
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.common.config import DEFAULT_GPU_CONFIG
+from repro.common.config import DEFAULT_GPU_CONFIG, CacheConfig
 from repro.experiments.engine import model_factory
 from repro.sim import SmSimulator, native_available
 from repro.sim import codegen
-from repro.sim.codegen import (
-    CACHE_ENV,
-    CODEGEN_STATS,
-    CellSpec,
-    CompiledCell,
-    generate_cell_source,
-    load_cell,
-)
+from repro.sim.codegen import CACHE_ENV, CODEGEN_STATS, load_cell
+from repro.sim.columnar import PLAN_COLUMNS, PROBE_COLUMNS
 from repro.sim.native import (
-    cell_spec_for,
+    KERNEL_SOURCE,
+    NPTRS,
+    NSCALARS,
+    OUT_SLOTS,
+    OUTPUTS,
+    SCALARS,
+    STATE_SLOTS,
     fallback_counts,
     run_native,
     run_native_batch,
 )
 from repro.sim.reference import ReferenceSmSimulator
-from repro.sim.timing import LmiTiming
+from repro.sim.timing import (
+    BaggyBoundsTiming,
+    BaselineTiming,
+    GPUShieldTiming,
+    LmiTiming,
+)
 from repro.sim.core import SimStats
 from repro.workloads import synthesize_trace
 
@@ -69,47 +81,67 @@ def _plan_for(simulator, trace):
 
 
 # ----------------------------------------------------------------------
-# Spec determinism and cell sharing.
+# One layout, one kernel for every machine.
 
 
-def test_equal_specs_generate_identical_source():
-    spec = CellSpec(
-        has_probes=True, l1_ways=4, l1_latency=30, l2_ways=24,
-        l2_latency=200, dram_latency=350, line_cycles=4, tx_cycles=4,
-        rc_ways=4,
-    )
-    twin = CellSpec(
-        has_probes=True, l1_ways=4, l1_latency=30, l2_ways=24,
-        l2_latency=200, dram_latency=350, line_cycles=4, tx_cycles=4,
-        rc_ways=4,
-    )
-    assert generate_cell_source(spec) == generate_cell_source(twin)
+def _enum(source, first, last):
+    """The names of *source*'s enum that runs from *first* to *last*."""
+    body = re.search(rf"enum \{{\s*({first}\b.*?),\s*{last}\b", source, re.S)
+    return re.split(r",\s*", body.group(1))
 
 
-def test_probe_free_mechanisms_share_one_cell():
-    """baseline/lmi/baggy fold to the same kernel; gpushield differs."""
-    trace = synthesize_trace("gaussian", warps=3, instructions_per_warp=120)
-    specs = {}
-    for mechanism in ("baseline", "lmi", "baggy", "gpushield"):
-        sim = SmSimulator(DEFAULT_GPU_CONFIG, model_factory(mechanism))
-        specs[mechanism] = cell_spec_for(sim, _plan_for(sim, trace))
-    assert specs["baseline"] == specs["lmi"] == specs["baggy"]
-    assert not specs["baseline"].has_probes
-    assert specs["gpushield"].has_probes
-    assert specs["gpushield"].rc_ways > 0
+def test_kernel_layout_is_the_native_layout():
+    source = KERNEL_SOURCE.read_text("utf-8")
+    slots = _enum(source, "RUN_START", "NPTRS")
+    assert slots == [
+        name.upper() for name in PLAN_COLUMNS + PROBE_COLUMNS + STATE_SLOTS
+    ]
+    assert len(slots) == NPTRS
+    scalars = _enum(source, "WARP_COUNT", "NSCALARS")
+    assert scalars == [name.upper() for name in SCALARS]
+    assert len(scalars) == NSCALARS
+    outputs = _enum(source, "L1_HITS", "OUT_SLOTS")
+    assert outputs == [name.upper() for name in OUTPUTS]
+    assert len(outputs) == OUT_SLOTS
 
 
-def test_latencies_fold_into_source():
-    spec = CellSpec(
-        has_probes=False, l1_ways=2, l1_latency=17, l2_ways=8,
-        l2_latency=123, dram_latency=777, line_cycles=9, tx_cycles=5,
-    )
-    source = generate_cell_source(spec)
-    for literal in ("17", "123", "777"):
-        assert literal in source
-    # The probe-free cell elides the RCache/metadata machinery
-    # entirely instead of branching around it.
-    assert "rc_tags" not in source
+#: Every value the kernel reads from a cell's machine, changed.
+_OTHER_MACHINE = dataclasses.replace(
+    DEFAULT_GPU_CONFIG,
+    l1=CacheConfig(size_bytes=16 * 1024, line_bytes=64, ways=2,
+                   hit_latency=17),
+    l2=CacheConfig(size_bytes=384 * 1024, line_bytes=64, ways=12,
+                   hit_latency=123),
+    dram_latency=777,
+    dram_channels=4,
+    dram_bandwidth_bytes_per_cycle=32,
+)
+
+_OTHER_MODELS = (
+    BaselineTiming,
+    LmiTiming,
+    BaggyBoundsTiming,
+    lambda: GPUShieldTiming(rcache_bytes=128, rcache_ways=2),
+)
+
+
+def test_any_machine_runs_without_a_compile(tmp_path, monkeypatch, fresh_memo):
+    """After the first load, a machine with every cache and DRAM value
+    changed, and an RCache of other ways, builds nothing and matches
+    the oracle."""
+    if codegen._find_cc() is None:
+        pytest.skip("no C toolchain")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    trace = synthesize_trace("needle", warps=6, instructions_per_warp=200)
+    SmSimulator(DEFAULT_GPU_CONFIG, GPUShieldTiming()).run(trace)
+    compiles = CODEGEN_STATS.compiles
+    before = fallback_counts()
+    for make in _OTHER_MODELS:
+        got = SmSimulator(_OTHER_MACHINE, make()).run(trace)
+        want = ReferenceSmSimulator(_OTHER_MACHINE, make()).run(trace)
+        assert (got.cycles, got.stats) == (want.cycles, want.stats)
+    assert CODEGEN_STATS.compiles == compiles
+    assert not _delta(before, fallback_counts())
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +163,26 @@ def test_no_toolchain_fallback_is_counted(monkeypatch, fresh_memo):
     assert result.stats == want.stats
 
 
+def test_no_cffi_means_no_compile(tmp_path, monkeypatch, fresh_memo):
+    """Without cffi nothing could load a build, so nothing is built:
+    every unit is a ``no-toolchain`` fallback, and the Python paths
+    give the oracle's answer."""
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    monkeypatch.setitem(sys.modules, "cffi", None)
+    compiles = CODEGEN_STATS.compiles
+    before = fallback_counts()
+    assert not native_available()
+    trace = synthesize_trace("needle", warps=2, instructions_per_warp=100)
+    got = SmSimulator(DEFAULT_GPU_CONFIG, GPUShieldTiming()).run(trace)
+    want = ReferenceSmSimulator(DEFAULT_GPU_CONFIG, GPUShieldTiming()).run(
+        trace
+    )
+    assert (got.cycles, got.stats) == (want.cycles, want.stats)
+    assert CODEGEN_STATS.compiles == compiles
+    assert set(_delta(before, fallback_counts())) == {"no-toolchain"}
+    assert not list(tmp_path.iterdir())
+
+
 # ----------------------------------------------------------------------
 # Disk cache: atomic publish, build lock, warm loads.
 
@@ -139,31 +191,29 @@ def test_concurrent_builds_race_safely(tmp_path, monkeypatch, fresh_memo):
     if codegen._find_cc() is None:
         pytest.skip("no C toolchain")
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    spec = CellSpec(
-        has_probes=False, l1_ways=4, l1_latency=31, l2_ways=8,
-        l2_latency=201, dram_latency=351, line_cycles=4, tx_cycles=4,
-    )
-    failures_before = CODEGEN_STATS.failures
+    failures = CODEGEN_STATS.failures
+    compiles = CODEGEN_STATS.compiles
     results = [None] * 6
-    # _load_uncached bypasses the memo, so every thread races the
-    # compiler for the same cache key; the per-key build lock plus
-    # tmp-file + os.replace publish must keep them all coherent.
+    start = threading.Barrier(len(results))
+
+    # Every thread passes the empty memo before the first build ends,
+    # so all race the compiler for one cache key; the per-key build
+    # lock plus tmp-file + os.replace publish must keep them coherent.
+    def load(index):
+        start.wait()
+        results[index] = load_cell(KERNEL_SOURCE)
+
     threads = [
-        threading.Thread(
-            target=lambda i=i: results.__setitem__(
-                i, codegen._load_uncached(spec)
-            )
-        )
-        for i in range(len(results))
+        threading.Thread(target=load, args=(i,)) for i in range(len(results))
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    assert all(isinstance(cell, CompiledCell) for cell in results)
-    assert len({cell.digest for cell in results}) == 1
-    assert os.path.exists(results[0].so_path)
-    assert CODEGEN_STATS.failures == failures_before
+    assert not any(isinstance(loaded, str) for loaded in results)
+    assert CODEGEN_STATS.compiles == compiles + 1
+    assert len(list(tmp_path.glob("kernel_*.so"))) == 1
+    assert CODEGEN_STATS.failures == failures
 
 
 def test_cold_load_runs_cc_once(tmp_path, monkeypatch, fresh_memo):
@@ -179,12 +229,7 @@ def test_cold_load_runs_cc_once(tmp_path, monkeypatch, fresh_memo):
         return run(argv, **kwargs)
 
     monkeypatch.setattr(codegen.subprocess, "run", counting_run)
-    spec = CellSpec(
-        has_probes=True, l1_ways=4, l1_latency=33, l2_ways=8,
-        l2_latency=203, dram_latency=353, line_cycles=4, tx_cycles=4,
-        rc_ways=4,
-    )
-    assert isinstance(load_cell(spec), CompiledCell)
+    assert not isinstance(load_cell(KERNEL_SOURCE), str)
     [argv] = calls
     assert argv[1:4] == ["-O2", "-shared", "-fPIC"]
     assert argv[4] == "-o"
@@ -194,33 +239,41 @@ def test_warm_load_never_recompiles(tmp_path, monkeypatch, fresh_memo):
     if codegen._find_cc() is None:
         pytest.skip("no C toolchain")
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    spec = CellSpec(
-        has_probes=True, l1_ways=4, l1_latency=32, l2_ways=8,
-        l2_latency=202, dram_latency=352, line_cycles=4, tx_cycles=4,
-        rc_ways=4,
-    )
-    compiles_before = CODEGEN_STATS.compiles
-    first = load_cell(spec)
-    assert isinstance(first, CompiledCell)
-    assert CODEGEN_STATS.compiles > compiles_before
+    compiles = CODEGEN_STATS.compiles
+    assert not isinstance(load_cell(KERNEL_SOURCE), str)
+    assert CODEGEN_STATS.compiles == compiles + 1
+    digest = CODEGEN_STATS.cells["kernel"]
     # A fresh process (simulated by dropping the memo) must come up
     # from the .so on disk without touching the compiler.
     codegen._reset_memo()
-    compiles_before = CODEGEN_STATS.compiles
-    disk_hits_before = CODEGEN_STATS.disk_hits
-    warm = load_cell(spec)
-    assert isinstance(warm, CompiledCell)
-    assert warm.digest == first.digest
-    assert CODEGEN_STATS.compiles == compiles_before
-    assert CODEGEN_STATS.disk_hits > disk_hits_before
+    compiles = CODEGEN_STATS.compiles
+    disk_hits = CODEGEN_STATS.disk_hits
+    warm = load_cell(KERNEL_SOURCE)
+    assert not isinstance(warm, str)
+    assert CODEGEN_STATS.cells["kernel"] == digest
+    assert CODEGEN_STATS.compiles == compiles
+    assert CODEGEN_STATS.disk_hits == disk_hits + 1
     # Third load inside the same process is a pure memo hit.
-    memo_before = CODEGEN_STATS.memo_hits
-    assert load_cell(spec) is warm
-    assert CODEGEN_STATS.memo_hits > memo_before
+    memo_hits = CODEGEN_STATS.memo_hits
+    assert load_cell(KERNEL_SOURCE) is warm
+    assert CODEGEN_STATS.memo_hits == memo_hits + 1
+
+
+def test_unit_without_declarations_fails_to_build(
+    tmp_path, monkeypatch, fresh_memo
+):
+    if codegen._find_cc() is None:
+        pytest.skip("no C toolchain")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    unit = tmp_path / "bare.c"
+    unit.write_text("int bare(void) { return 1; }\n")
+    assert load_cell(unit) == "compile-failed"
+    assert load_cell(tmp_path / "missing.c") == "compile-failed"
+    assert not (tmp_path / "cache").exists()
 
 
 # ----------------------------------------------------------------------
-# Custom TimingModel subclasses through the generated kernels.
+# Custom TimingModel subclasses through the kernel.
 
 
 class RelabeledLmi(LmiTiming):
@@ -367,15 +420,15 @@ def test_batch_matches_sequential(threads):
 
 
 def test_batch_counts_into_codegen_stats():
+    """Traces of any mechanisms and machines cross the FFI together."""
     _native_or_skip()
-    traces = [
-        synthesize_trace("gaussian", warps=3, instructions_per_warp=80),
-        synthesize_trace("needle", warps=3, instructions_per_warp=80),
-    ]
-    requests = _prepare_requests(["baseline", "lmi"], traces)
+    trace = synthesize_trace("gaussian", warps=3, instructions_per_warp=80)
+    requests = _prepare_requests(["baseline", "gpushield"], [trace, trace])
+    other = SmSimulator(_OTHER_MACHINE, model_factory("lmi"))
+    requests.append((other, _plan_for(other, trace), SimStats(), None))
     calls_before = CODEGEN_STATS.batch_calls
     cells_before = CODEGEN_STATS.batch_cells
     cycles = run_native_batch(requests)
     assert all(value is not None for value in cycles)
-    assert CODEGEN_STATS.batch_calls > calls_before
-    assert CODEGEN_STATS.batch_cells >= cells_before + 2
+    assert CODEGEN_STATS.batch_calls == calls_before + 1
+    assert CODEGEN_STATS.batch_cells == cells_before + 3

@@ -27,6 +27,9 @@ from repro.serve import (
 from repro.serve.daemon import main as serve_main
 from repro.serve.loadgen import build_cells, run_swarm_sync, zipf_schedule
 from repro.serve.protocol import TRACE_HEADER
+from repro.sim import codegen
+from repro.sim.codegen import CACHE_ENV, CODEGEN_STATS
+from repro.sim.native import fallback_counts
 
 _TRACE_ID_RE = re.compile(r"^rtx-[0-9a-f]{16}$")
 
@@ -200,6 +203,35 @@ class TestDaemon:
             [expected] = run_sim_jobs([job], config=config)
             assert doc["cycles"] == expected.cycles
             assert doc["stats"] == dataclasses.asdict(expected.stats)
+
+    def test_config_override_runs_without_a_compile(
+        self, tmp_path, monkeypatch, fresh_memo
+    ):
+        """One kernel serves every machine: once the native units are
+        loaded, a request that changes every cache and DRAM value
+        builds nothing and runs natively."""
+        if codegen._find_cc() is None:
+            pytest.skip("no C toolchain")
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        machine = {
+            "l1": {"ways": 2, "hit_latency": 17, "line_bytes": 64},
+            "l2": {"ways": 12, "hit_latency": 123, "line_bytes": 64},
+            "dram_latency": 777,
+            "dram_channels": 4,
+            "dram_bandwidth_bytes_per_cycle": 32,
+        }
+        with ServeDaemon(0) as daemon:
+            status, _ = _post(daemon.url, _body(mechanism="gpushield"))
+            assert status == 200
+            compiles = CODEGEN_STATS.compiles
+            before = fallback_counts()
+            status, doc = _post(
+                daemon.url, _body(mechanism="gpushield", config=machine)
+            )
+        assert status == 200
+        assert doc["source"] == "executed"
+        assert CODEGEN_STATS.compiles == compiles
+        assert fallback_counts() == before
 
     def test_repeat_request_hits_memory_cache(self, daemon):
         _, first = _post(daemon.url, _body())

@@ -1,6 +1,8 @@
 """Tests for the timing simulator: caches, DRAM, scheduler, models."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, GpuConfig
 from repro.common.errors import SimulationError, TraceFormatError
+from repro.experiments.engine import model_factory
+from repro.sim import codegen
 from repro.sim import (
     BaggyBoundsTiming,
     BaselineTiming,
@@ -229,6 +233,32 @@ class TestScheduler:
         result = simulate(trace)
         assert result.stats.l1_misses == 1  # cold miss
         assert result.stats.l1_hits == 1  # then hit
+
+
+    @pytest.mark.parametrize("path", ["native", "python"])
+    def test_simulator_is_freed_without_the_collector(
+        self, path, monkeypatch, fresh_memo
+    ):
+        """Nothing a run leaves behind refers back to the simulator, so
+        it and its exported cache arrays (288 KiB of L2 tags at Table
+        IV) go with its last reference, not at the next collection."""
+        if path == "python":
+            monkeypatch.setattr(codegen, "_find_cc", lambda: None)
+        trace = _trace(
+            [TraceInstruction(op=OpClass.LDG, lines=(i * 128,),
+                              buffer_ids=(i % 3,)) for i in range(40)],
+            warps=4,
+        )
+        gc.disable()
+        try:
+            for mechanism in ("baseline", "lmi", "baggy", "gpushield"):
+                simulator = SmSimulator(model=model_factory(mechanism))
+                simulator.run(trace)
+                alive = weakref.ref(simulator)
+                del simulator
+                assert alive() is None, mechanism
+        finally:
+            gc.enable()
 
 
 class TestTimingModels:

@@ -61,7 +61,7 @@ def _assert_equal_columns(got, want):
 @pytest.fixture(scope="module")
 def native():
     """Skip unless the native synthesizer builds and loads here."""
-    if isinstance(synthetic._kernel(), str):
+    if isinstance(codegen.load_cell(synthetic.SYNTH_SOURCE), str):
         pytest.skip("no C toolchain for the trace synthesizer")
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.sim.codegen import load_cell
 from repro.workloads import (
     PROFILES,
     SUITES,
@@ -232,7 +233,7 @@ class TestSynthesisPinned:
 
     @pytest.mark.parametrize("seed_salt", [0, 2])
     def test_native_kernel_matches_pinned_digests(self, seed_salt):
-        if isinstance(synthetic._kernel(), str):
+        if isinstance(load_cell(synthetic.SYNTH_SOURCE), str):
             pytest.skip("no C toolchain for the trace synthesizer")
         _assert_pinned(seed_salt, synthetic._native_columns)
 
